@@ -23,7 +23,7 @@ from .analyzer import (
     mfd_points,
     time_space_points,
 )
-from .engine import RunLog, World, generate_demand, run, step
+from .engine import RunLog, World, run, step
 from .errors import (
     ConsistencyError,
     DisconnectedPath,
@@ -36,30 +36,6 @@ from .errors import (
     UnreachableDemand,
     ValidationError,
 )
-from .kinematics import (
-    LinkState,
-    Platoon,
-    advance_platoon,
-    instantaneous_travel_time,
-    link_capacity,
-    update_link,
-)
-from .node_transfer import (
-    TransferEvent,
-    finalize_arrival,
-    process_node,
-    select_incoming_order,
-    signal_permits,
-    vacant_space,
-)
-from .routing import (
-    AttractivenessTable,
-    choose_outgoing,
-    maybe_refresh,
-    shortest_costs,
-    shortest_path_indicator,
-    update_attractiveness,
-)
 from .scenario import (
     DemandSpec,
     LinkSpec,
@@ -71,65 +47,40 @@ from .scenario import (
     parse_links,
     parse_nodes,
     parse_signal,
-    serialize_demand,
-    serialize_links,
-    serialize_nodes,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttractivenessTable",
     "ConsistencyError",
     "DemandSpec",
     "DisconnectedPath",
     "DuplicateNode",
     "LinkSpec",
-    "LinkState",
     "MFDPoint",
     "MesosimError",
     "NoCandidate",
     "NodeSpec",
     "ParseError",
-    "Platoon",
     "RunLog",
     "SignalPlan",
     "SimConfig",
-    "TransferEvent",
     "TripStats",
     "UnknownLink",
     "UnknownNode",
     "UnreachableDemand",
     "ValidationError",
     "World",
-    "advance_platoon",
     "basic_stats",
     "build_world",
-    "choose_outgoing",
     "cumulative_counts",
     "export_csv",
-    "finalize_arrival",
-    "generate_demand",
-    "instantaneous_travel_time",
-    "link_capacity",
-    "maybe_refresh",
     "mfd_points",
     "parse_demand",
     "parse_links",
     "parse_nodes",
     "parse_signal",
-    "process_node",
     "run",
-    "select_incoming_order",
-    "serialize_demand",
-    "serialize_links",
-    "serialize_nodes",
-    "shortest_costs",
-    "shortest_path_indicator",
-    "signal_permits",
     "step",
     "time_space_points",
-    "update_attractiveness",
-    "update_link",
-    "vacant_space",
 ]

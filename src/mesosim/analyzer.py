@@ -18,7 +18,6 @@ import os
 from dataclasses import dataclass
 
 from .errors import DisconnectedPath, UnknownLink, ValidationError
-from .routing import shortest_costs
 
 DEFAULT_MFD_BIN = 300.0
 
@@ -55,9 +54,7 @@ def basic_stats(log, world) -> TripStats:
     dn = world.config.platoon_size
     duration = world.duration
 
-    baselines: dict[str, dict[str, float]] = {}
-    free_costs = {link.name: link.length / link.u for link in world.links}
-    specs = [link.spec for link in world.links]
+    baselines = world.attractiveness.reach
 
     completed = 0
     stranded = 0
@@ -68,10 +65,7 @@ def basic_stats(log, world) -> TripStats:
             trip = platoon.arrival_t - platoon.depart_t
             completed += 1
             total_time += trip
-            z = platoon.destination
-            if z not in baselines:
-                baselines[z] = shortest_costs(specs, free_costs, z)
-            total_delay += trip - baselines[z][platoon.origin]
+            total_delay += trip - baselines[platoon.destination][platoon.origin]
         elif platoon.state == "stranded":
             stranded += 1
             total_time += duration - platoon.depart_t

@@ -24,7 +24,7 @@ from collections import deque
 from . import node_transfer, routing
 from .errors import ConsistencyError
 from .kinematics import LinkState, Platoon, update_link
-from .routing import AttractivenessTable, shortest_path_indicator
+from .routing import AttractivenessTable, shortest_costs, shortest_path_indicator
 from .scenario import DemandSpec, LinkSpec, NodeSpec, SimConfig
 
 _ACC_TOL = 1e-9
@@ -74,22 +74,6 @@ class RunLog:
         self.transfer_events: list[node_transfer.TransferEvent] = []
         self.trajectories: dict[int, list] = {}
         self.sealed = False
-
-
-def _nodes_reaching(links, z: str) -> set[str]:
-    """Set of nodes with a directed path to z (z included)."""
-    incoming: dict[str, list[str]] = {}
-    for link in links:
-        incoming.setdefault(link.to_node, []).append(link.from_node)
-    seen = {z}
-    frontier = [z]
-    while frontier:
-        here = frontier.pop()
-        for tail in incoming.get(here, ()):
-            if tail not in seen:
-                seen.add(tail)
-                frontier.append(tail)
-    return seen
 
 
 class World:
@@ -143,8 +127,9 @@ class World:
             z = demand.destination
             if z in table.B:
                 continue
-            table.reach[z] = _nodes_reaching(specs, z)
-            b0 = shortest_path_indicator(specs, free_costs, z)
+            dist = shortest_costs(specs, free_costs, z)
+            table.reach[z] = dist
+            b0 = shortest_path_indicator(specs, free_costs, z, dist)
             table.B[z] = {name: float(v) for name, v in b0.items()}
             table.tree_computations += 1
         self.attractiveness = table

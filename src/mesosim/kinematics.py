@@ -90,7 +90,6 @@ class LinkState:
         "entered_count",
         "exited_count",
         "mean_speed",
-        "cost_cache",
     )
 
     def __init__(self, spec: LinkSpec, platoon_size: int):
@@ -104,7 +103,6 @@ class LinkState:
         self.entered_count = 0
         self.exited_count = 0
         self.mean_speed = spec.free_flow_speed
-        self.cost_cache = spec.length / spec.free_flow_speed
 
     def __repr__(self):
         return f"LinkState({self.name}, platoons={len(self.platoons)})"

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 
 from . import routing
+from .errors import ConsistencyError
 from .kinematics import LinkState, Platoon
 from .scenario import DEFAULT_MERGE_PRIORITY, NodeSpec
 
@@ -55,23 +56,14 @@ def select_incoming_order(incoming, alphas, rng: random.Random) -> list:
     alpha_l / sum(alpha of the not-yet-drawn links), so higher-priority
     links tend to go first but every link is eventually selected.
     """
-    remaining = list(zip(incoming, alphas))
+    remaining = list(incoming)
+    weights = list(alphas)
     order = []
     while len(remaining) > 1:
-        total = 0.0
-        for _, w in remaining:
-            total += w
-        r = rng.random() * total
-        acc = 0.0
-        chosen = len(remaining) - 1
-        for k, (_, w) in enumerate(remaining):
-            acc += w
-            if r < acc:
-                chosen = k
-                break
-        order.append(remaining.pop(chosen)[0])
-    if remaining:
-        order.append(remaining[0][0])
+        k = routing.weighted_draw(weights, rng)
+        del weights[k]
+        order.append(remaining.pop(k))
+    order.extend(remaining)
     return order
 
 
@@ -164,7 +156,10 @@ def finalize_arrival(platoon: Platoon, t: float) -> Platoon:
     link = platoon.link
     if link is None or platoon.x < link.length:
         return platoon
-    assert link.platoons[0] is platoon
+    if link.platoons[0] is not platoon:
+        raise ConsistencyError(
+            f"platoon {platoon.id} at the end of link {link.name} is not its head"
+        )
     link.platoons.popleft()
     link.exited_count += 1
     platoon.link = None

@@ -30,8 +30,9 @@ class AttractivenessTable:
     """Per-destination, per-link sampling weights plus routing metadata.
 
     B maps destination name to {link name: weight}. reach maps
-    destination name to the set of nodes with a directed path to it
-    (used as the fallback filter when a weight row decays to zero).
+    destination name to its one free-flow shortest_costs result,
+    {node: cost}, keyed by exactly the nodes with a path to it; it
+    serves the fallback filter, demand checks and delay baselines.
     tree_computations counts shortest-path builds, including the
     free-flow initialization.
     """
@@ -40,7 +41,7 @@ class AttractivenessTable:
 
     def __init__(self):
         self.B: dict[str, dict[str, float]] = {}
-        self.reach: dict[str, set[str]] = {}
+        self.reach: dict[str, dict[str, float]] = {}
         self.last_update_step = 0
         self.tree_computations = 0
 
@@ -69,14 +70,15 @@ def shortest_costs(links, costs: dict[str, float], z: str) -> dict[str, float]:
     return dist
 
 
-def shortest_path_indicator(links, costs: dict[str, float], z: str) -> dict[str, int]:
+def shortest_path_indicator(links, costs: dict[str, float], z: str, dist=None) -> dict[str, int]:
     """0/1 per link: 1 iff the link starts the cheapest route from its tail to z.
 
     Exactly one outgoing link per reaching node is marked; cost ties
     break on the lexicographically smallest link name. Links whose tail
-    cannot reach z stay 0.
+    cannot reach z stay 0. dist is shortest_costs(links, costs, z) if known.
     """
-    dist = shortest_costs(links, costs, z)
+    if dist is None:
+        dist = shortest_costs(links, costs, z)
     by_tail: dict[str, list] = defaultdict(list)
     for link in links:
         by_tail[link.from_node].append(link)
@@ -123,6 +125,32 @@ def update_attractiveness(
     return out
 
 
+def weighted_draw(weights, rng: random.Random) -> int | None:
+    """Index k drawn with probability weights[k] / total, by one rng.random().
+
+    The total is summed left to right, not by sum(), whose compensated
+    summation (Python 3.12+) can move the last bits. Roundoff past the
+    last boundary returns the last positive weight; a non-positive total
+    returns None without drawing.
+    """
+    total = 0.0
+    for w in weights:
+        total += w
+    if not total > 0.0:
+        return None
+    r = rng.random() * total
+    acc = 0.0
+    last_positive = None
+    for k, w in enumerate(weights):
+        if w <= 0.0:
+            continue
+        acc += w
+        last_positive = k
+        if r < acc:
+            return k
+    return last_positive
+
+
 def choose_outgoing(platoon, node, table: AttractivenessTable, rng: random.Random):
     """Sample the platoon's next link among the node's outgoing links.
 
@@ -139,34 +167,16 @@ def choose_outgoing(platoon, node, table: AttractivenessTable, rng: random.Rando
     z = platoon.destination
     row = table.B.get(z)
     if row:
-        total = 0.0
-        weights = []
-        for link in candidates:
-            w = row.get(link.name, 0.0)
-            weights.append(w)
-            total += w
-        if total > 0.0:
-            r = rng.random() * total
-            acc = 0.0
-            last_positive = None
-            for link, w in zip(candidates, weights):
-                if w <= 0.0:
-                    continue
-                acc += w
-                last_positive = link
-                if r < acc:
-                    return link
-            return last_positive
-    reach = table.reach.get(z, frozenset())
+        k = weighted_draw([row.get(link.name, 0.0) for link in candidates], rng)
+        if k is not None:
+            return candidates[k]
+    reach = table.reach.get(z, ())
     fallback = [link for link in candidates if link.spec.to_node in reach]
     if not fallback:
         raise NoCandidate(f"no outgoing link from {node.name} reaches {z}")
     if len(fallback) == 1:
         return fallback[0]
-    idx = int(rng.random() * len(fallback))
-    if idx >= len(fallback):
-        idx = len(fallback) - 1
-    return fallback[idx]
+    return fallback[weighted_draw([1.0] * len(fallback), rng)]
 
 
 def maybe_refresh(world, i: int) -> AttractivenessTable:

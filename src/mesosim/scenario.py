@@ -36,6 +36,17 @@ log = logging.getLogger(__name__)
 DEFAULT_MERGE_PRIORITY = 0.5
 
 
+def _require_finite(owner: str, spec, *fields: str) -> None:
+    for name in fields:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{owner}{name} must be finite, got {value!r}")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Global simulation parameters.
@@ -71,13 +82,14 @@ class SimConfig:
     v_min: float = 1.0
 
     def __post_init__(self):
+        _require_finite("", self, "reaction_time", "duration", "route_weight", "v_min")
         if self.reaction_time <= 0:
             raise ValidationError("reaction_time must be positive")
-        if not isinstance(self.platoon_size, int) or self.platoon_size < 1:
+        if not _is_count(self.platoon_size):
             raise ValidationError("platoon_size must be a positive integer")
         if self.duration <= 0:
             raise ValidationError("duration must be positive")
-        if not isinstance(self.route_update_interval, int) or self.route_update_interval < 1:
+        if not _is_count(self.route_update_interval):
             raise ValidationError("route_update_interval must be a positive integer")
         if not 0.0 <= self.route_weight <= 1.0:
             raise ValidationError("route_weight must lie in [0, 1]")
@@ -132,6 +144,8 @@ class LinkSpec:
     merge_priority: float = DEFAULT_MERGE_PRIORITY
 
     def __post_init__(self):
+        fields = ("length", "free_flow_speed", "jam_density", "merge_priority")
+        _require_finite(f"link {self.name}: ", self, *fields)
         if self.from_node == self.to_node:
             raise ValidationError(f"link {self.name}: self-loops are not allowed")
         if self.length <= 0:
@@ -164,6 +178,7 @@ class DemandSpec:
     flow: float
 
     def __post_init__(self):
+        _require_finite("demand ", self, "t_start", "t_end", "flow")
         if self.origin == self.destination:
             raise ValidationError("demand origin and destination must differ")
         if self.t_start >= self.t_end:
@@ -340,7 +355,8 @@ def build_world(
 
     Checks endpoint resolution, per-link platoon capacity, signal coverage,
     and OD reachability; rounds the duration up to a whole number of steps;
-    seeds the RNG; and initializes route attractiveness from free-flow costs.
+    seeds the RNG; and initializes route attractiveness from free-flow costs,
+    whose per-destination searches the demand checks then reuse.
     """
     from .engine import World  # deferred: engine depends on scenario types
 
@@ -396,25 +412,8 @@ def build_world(
         )
         duration = adjusted
 
-    adjacency: dict[str, set[str]] = {n.name: set() for n in nodes}
-    for l in links:
-        adjacency[l.from_node].add(l.to_node)
-
-    reachable_cache: dict[str, set[str]] = {}
-
-    def reachable_from(origin: str) -> set[str]:
-        if origin not in reachable_cache:
-            seen = {origin}
-            frontier = [origin]
-            while frontier:
-                here = frontier.pop()
-                for nxt in adjacency[here]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            reachable_cache[origin] = seen
-        return reachable_cache[origin]
-
+    world = World(config=config, nodes=nodes, links=links, demands=demands, duration=duration)
+    reach = world.attractiveness.reach
     for d in demands:
         if d.origin not in node_names:
             raise UnknownNode(f"demand origin {d.origin!r} is not a node")
@@ -424,9 +423,8 @@ def build_world(
             raise ValidationError(
                 f"demand band ends at {d.t_end} s, beyond the {duration} s horizon"
             )
-        if d.destination not in reachable_from(d.origin):
+        if d.origin not in reach[d.destination]:
             raise UnreachableDemand(
                 f"no directed path from {d.origin!r} to {d.destination!r}"
             )
-
-    return World(config=config, nodes=nodes, links=links, demands=demands, duration=duration)
+    return world

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from mesosim import (
+    LinkSpec,
     SimConfig,
     build_world,
     parse_demand,
@@ -50,6 +51,26 @@ def make_world(nodes_text: str, links_text: str, demand_text: str, **config):
         parse_links(links_text),
         parse_demand(demand_text),
     )
+
+
+def random_digraph(n: int, rng, n_arcs: int, spanning_cycle: bool = True) -> list[LinkSpec]:
+    """Links e0, e1, ... of a random simple digraph on nodes n0..n{n-1}.
+
+    With spanning_cycle the arcs include n0 -> n1 -> ... -> n0, so every
+    node reaches every other; random arcs are then added up to n_arcs.
+    Lengths come in 25 m grains at 20 m/s, which keeps every free-flow
+    cost sum exact in floats.
+    """
+    arcs = {(i, (i + 1) % n) for i in range(n)} if spanning_cycle else set()
+    while len(arcs) < n_arcs:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            arcs.add((a, b))
+    return [
+        LinkSpec(name=f"e{k}", from_node=f"n{a}", to_node=f"n{b}",
+                 length=25.0 * rng.randint(4, 40), free_flow_speed=20.0, jam_density=0.2)
+        for k, (a, b) in enumerate(sorted(arcs))
+    ]
 
 
 def single_link_texts(length: float = 1000.0, u: float = 20.0):

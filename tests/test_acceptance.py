@@ -13,16 +13,11 @@ import random
 import time
 from collections import defaultdict
 
-from mesosim import (
-    LinkSpec,
-    export_csv,
-    link_capacity,
-    mfd_points,
-    run,
-    shortest_costs,
-    signal_permits,
-)
+from mesosim import export_csv, mfd_points, run
 from mesosim.analyzer import export_bin
+from mesosim.kinematics import link_capacity
+from mesosim.node_transfer import signal_permits
+from mesosim.routing import shortest_costs
 
 import conftest
 from conftest import (
@@ -31,6 +26,7 @@ from conftest import (
     make_world,
     merge_world,
     parallel_world,
+    random_digraph,
     single_link_texts,
     sioux_falls_world,
     uroboros_world,
@@ -300,20 +296,8 @@ def test_criterion_10_routing_oracle():
     for n in range(2, 9):
         rng = random.Random(100 + n)
         names = [f"n{i}" for i in range(n)]
-        arcs = {(i, (i + 1) % n) for i in range(n)}  # spanning cycle
-        while len(arcs) < min(2 * n, n * (n - 1)):
-            a, b = rng.randrange(n), rng.randrange(n)
-            if a != b:
-                arcs.add((a, b))
-        links = []
-        costs = {}
-        for k, (a, b) in enumerate(sorted(arcs)):
-            # lengths in 25 m grains keep every cost sum exact in floats
-            length = 25.0 * rng.randint(4, 40)
-            name = f"e{k}"
-            links.append(LinkSpec(name=name, from_node=names[a], to_node=names[b],
-                                  length=length, free_flow_speed=20.0, jam_density=0.2))
-            costs[name] = length / 20.0
+        links = random_digraph(n, rng, min(2 * n, n * (n - 1)))
+        costs = {link.name: link.length / 20.0 for link in links}
         adjacency = defaultdict(list)
         for link in links:
             adjacency[link.from_node].append((link.to_node, costs[link.name]))

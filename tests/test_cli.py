@@ -77,6 +77,20 @@ def test_zero_platoon_size_is_validation_error(tiny_scenario, capsys):
     assert "platoon_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--duration", "inf"),
+    ("--duration", "nan"),
+    ("--tau", "nan"),
+    ("--tau", "inf"),
+])
+def test_non_finite_flag_is_validation_error(tiny_scenario, capsys, flag, value):
+    code = cli.main(base_args(tiny_scenario, flag, value))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_links_file_is_validation_error(tiny_scenario, tmp_path, capsys):
     bad = tmp_path / "bad_links.csv"
     bad.write_text("name,from,to,length,free_flow_speed,jam_density,merge_priority\nAB,A,B,x,20,0.2,\n")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from mesosim import ConsistencyError, generate_demand, run, step
+from mesosim import ConsistencyError, run, step
+from mesosim.engine import generate_demand
 
 from conftest import bottleneck_world, chain_texts, make_world, merge_world, single_link_texts
 

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mesosim import (
-    ConsistencyError,
-    LinkSpec,
+from mesosim import ConsistencyError, LinkSpec
+from mesosim.kinematics import (
     LinkState,
     Platoon,
     advance_platoon,

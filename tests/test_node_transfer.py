@@ -4,14 +4,10 @@ import random
 
 import pytest
 
-from mesosim import (
-    LinkSpec,
-    LinkState,
-    NodeSpec,
-    Platoon,
-    SignalPlan,
+from mesosim import ConsistencyError, LinkSpec, NodeSpec, SignalPlan
+from mesosim.kinematics import LinkState, Platoon, link_capacity
+from mesosim.node_transfer import (
     finalize_arrival,
-    link_capacity,
     process_node,
     select_incoming_order,
     signal_permits,
@@ -264,6 +260,15 @@ def test_finalize_arrival_not_at_end_is_noop():
     assert p.state == "running"
     assert p.arrival_t is None
     assert link.platoons[0] is p
+
+
+def test_finalize_arrival_behind_head_is_consistency_error():
+    link = make_link("IN", "A", "Z", positions=[1000.0, 1000.0])
+    behind = link.platoons[1]
+    with pytest.raises(ConsistencyError):
+        finalize_arrival(behind, 500.0)
+    assert behind.state == "running"
+    assert len(link.platoons) == 2 and link.exited_count == 0
 
 
 def test_finalize_two_links_same_step():

@@ -6,20 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mesosim import (
+from mesosim import LinkSpec, NoCandidate, NodeSpec
+from mesosim.kinematics import LinkState, Platoon
+from mesosim.routing import (
     AttractivenessTable,
-    LinkSpec,
-    LinkState,
-    NoCandidate,
-    NodeSpec,
-    Platoon,
     choose_outgoing,
     maybe_refresh,
     shortest_costs,
     shortest_path_indicator,
     update_attractiveness,
+    weighted_draw,
 )
 from mesosim.engine import NodeRuntime
+from mesosim.node_transfer import select_incoming_order
 
 from conftest import make_world, single_link_texts
 
@@ -181,6 +180,125 @@ def test_choose_zero_row_nothing_reaches_raises():
     p = Platoon(0, "n", "Z", 0.0)
     with pytest.raises(NoCandidate):
         choose_outgoing(p, node, table, random.Random(0))
+
+
+def _old_select_incoming_order(incoming, alphas, rng):
+    """Reference: the merge-order loop before the shared draw existed."""
+    remaining = list(zip(incoming, alphas))
+    order = []
+    while len(remaining) > 1:
+        total = 0.0
+        for _, w in remaining:
+            total += w
+        r = rng.random() * total
+        acc = 0.0
+        chosen = len(remaining) - 1
+        for k, (_, w) in enumerate(remaining):
+            acc += w
+            if r < acc:
+                chosen = k
+                break
+        order.append(remaining.pop(chosen)[0])
+    if remaining:
+        order.append(remaining[0][0])
+    return order
+
+
+def _old_weighted_choice(weights, rng):
+    """Reference: choose_outgoing's weighted branch; None when it fell back."""
+    total = 0.0
+    for w in weights:
+        total += w
+    if not total > 0.0:
+        return None
+    r = rng.random() * total
+    acc = 0.0
+    last_positive = None
+    for k, w in enumerate(weights):
+        if w <= 0.0:
+            continue
+        acc += w
+        last_positive = k
+        if r < acc:
+            return k
+    return last_positive
+
+
+def _old_uniform_choice(n, rng):
+    """Reference: choose_outgoing's uniform fallback over n candidates."""
+    idx = int(rng.random() * n)
+    if idx >= n:
+        idx = n - 1
+    return idx
+
+
+class _FixedRng:
+    """Returns one value from random(), for boundary draws real seeds rarely hit."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+_EDGE_DRAWS = [0.0, 0.5, 1.0 - 2.0**-53, 1.0]
+
+
+def _weight_vectors(rng, count):
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        kind = rng.randrange(3)
+        if kind == 0:  # merge priorities: positive
+            yield [rng.choice([0.5, 1.0, 2.0, rng.uniform(0.01, 5.0)]) for _ in range(n)]
+        elif kind == 1:  # attractiveness rows: zeros and fractions
+            yield [rng.choice([0.0, 0.0, 1.0, rng.random()]) for _ in range(n)]
+        else:
+            yield [0.0] * n
+
+
+def test_weighted_draw_matches_old_choice_branch():
+    source = random.Random(2024)
+    for weights in _weight_vectors(source, 3000):
+        seed = source.randrange(1 << 30)
+        new_rng, old_rng = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert weighted_draw(weights, new_rng) == _old_weighted_choice(weights, old_rng)
+        assert new_rng.getstate() == old_rng.getstate()
+        for value in _EDGE_DRAWS:
+            assert weighted_draw(weights, _FixedRng(value)) == _old_weighted_choice(
+                weights, _FixedRng(value)
+            )
+
+
+def test_weighted_draw_matches_old_uniform_fallback():
+    for n in range(1, 12):
+        for seed in range(300):
+            new_rng, old_rng = random.Random(seed), random.Random(seed)
+            assert weighted_draw([1.0] * n, new_rng) == _old_uniform_choice(n, old_rng)
+            assert new_rng.getstate() == old_rng.getstate()
+        for value in _EDGE_DRAWS:
+            assert weighted_draw([1.0] * n, _FixedRng(value)) == _old_uniform_choice(
+                n, _FixedRng(value)
+            )
+
+
+def test_incoming_order_matches_old_loop():
+    source = random.Random(77)
+    for weights in _weight_vectors(source, 3000):
+        if not all(w > 0.0 for w in weights):
+            continue  # merge priorities are validated positive
+        items = [f"l{k}" for k in range(len(weights))]
+        seed = source.randrange(1 << 30)
+        new_rng, old_rng = random.Random(seed), random.Random(seed)
+        assert select_incoming_order(items, weights, new_rng) == _old_select_incoming_order(
+            items, weights, old_rng
+        )
+        assert new_rng.getstate() == old_rng.getstate()
+        for value in _EDGE_DRAWS:
+            assert select_incoming_order(
+                items, weights, _FixedRng(value)
+            ) == _old_select_incoming_order(items, weights, _FixedRng(value))
 
 
 def _refresh_world(**config):

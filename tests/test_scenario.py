@@ -1,6 +1,7 @@
 """Scenario parsing, validation, and world assembly."""
 
 import logging
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +23,10 @@ from mesosim import (
     parse_links,
     parse_nodes,
     parse_signal,
-    serialize_demand,
-    serialize_links,
-    serialize_nodes,
 )
+from mesosim.scenario import serialize_demand, serialize_links, serialize_nodes
 
-from conftest import make_world, read_demo, single_link_texts
+from conftest import make_world, random_digraph, read_demo, single_link_texts
 
 LINK_HEADER = "name,from,to,length,free_flow_speed,jam_density,merge_priority"
 
@@ -185,6 +184,61 @@ def test_build_world_unreachable_demand():
         make_world(nodes, links, "orig,dest,start_t,end_t,flow\nB,A,0,100,0.4\n")
 
 
+@pytest.mark.parametrize("rows, error, fragment", [
+    # one fault per row: the first row's fault wins
+    (["B,A,0,100,0.4", "Z,B,0,100,0.4"], UnreachableDemand, "'B' to 'A'"),
+    (["A,B,0,900,0.4", "B,A,0,100,0.4"], ValidationError, "900"),
+    (["A,Z,0,100,0.4", "Z,B,0,900,0.4"], UnknownNode, "destination 'Z'"),
+    # several faults in one row: origin, destination, horizon, reachability
+    (["Y,Z,0,900,0.4"], UnknownNode, "origin 'Y'"),
+    (["A,Z,0,900,0.4"], UnknownNode, "destination 'Z'"),
+    (["B,A,0,900,0.4"], ValidationError, "900"),
+])
+def test_build_world_reports_first_demand_error(rows, error, fragment):
+    nodes, links = single_link_texts()
+    demand = "orig,dest,start_t,end_t,flow\n" + "\n".join(rows) + "\n"
+    with pytest.raises(error, match=fragment):
+        make_world(nodes, links, demand, duration=500.0)
+
+
+def _reaching(links, z):
+    """Nodes with a directed path to z, by fixed-point iteration over arcs."""
+    found = {z}
+    grew = True
+    while grew:
+        grew = False
+        for link in links:
+            if link.to_node in found and link.from_node not in found:
+                found.add(link.from_node)
+                grew = True
+    return found
+
+
+def test_reach_keys_are_exactly_the_reaching_nodes():
+    unreachable_pairs = 0
+    for n in range(2, 8):
+        for seed in range(6):
+            rng = random.Random(1000 * n + seed)
+            links = random_digraph(n, rng, rng.randint(0, n * (n - 1)), spanning_cycle=False)
+            names = [f"n{i}" for i in range(n)]
+            nodes = [NodeSpec(name=name, x=0.0, y=0.0) for name in names]
+            for z in names:
+                expected = _reaching(links, z)
+                for origin in names:
+                    if origin == z:
+                        continue
+                    demand = [DemandSpec(origin, z, 0.0, 10.0, 0.1)]
+                    config = SimConfig(duration=100.0)
+                    if origin not in expected:
+                        unreachable_pairs += 1
+                        with pytest.raises(UnreachableDemand):
+                            build_world(config, nodes, links, demand)
+                        continue
+                    world = build_world(config, nodes, links, demand)
+                    assert set(world.attractiveness.reach[z]) == expected, (n, seed, z)
+    assert unreachable_pairs > 0
+
+
 def test_build_world_link_too_short_for_platoon():
     # jam spacing 5 m times 5 vehicles needs 25 m of storage
     nodes, links = single_link_texts(length=20.0)
@@ -245,6 +299,41 @@ def test_sim_config_validation():
         SimConfig(route_weight=1.5)
     with pytest.raises(ValidationError):
         SimConfig(v_min=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("reaction_time", float("nan")),
+    ("reaction_time", float("inf")),
+    ("duration", float("nan")),
+    ("duration", float("inf")),
+    ("route_weight", float("nan")),
+    ("v_min", float("nan")),
+    ("v_min", float("inf")),
+    ("platoon_size", True),
+    ("route_update_interval", True),
+])
+def test_sim_config_rejects_non_finite_and_bool(field, value):
+    with pytest.raises(ValidationError):
+        SimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["length", "free_flow_speed", "jam_density", "merge_priority"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_link_spec_rejects_non_finite(field, value):
+    fields = dict(name="X", from_node="A", to_node="B", length=1000.0,
+                  free_flow_speed=20.0, jam_density=0.2, merge_priority=0.5)
+    fields[field] = value
+    with pytest.raises(ValidationError):
+        LinkSpec(**fields)
+
+
+@pytest.mark.parametrize("field", ["t_start", "t_end", "flow"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_demand_spec_rejects_non_finite(field, value):
+    fields = dict(origin="A", destination="B", t_start=0.0, t_end=100.0, flow=0.4)
+    fields[field] = value
+    with pytest.raises(ValidationError):
+        DemandSpec(**fields)
 
 
 def test_sim_config_time_step():
