@@ -1,7 +1,8 @@
 """Command-line entry point: load CSVs, simulate, export tables and plots.
 
 Exit codes: 0 on success, 1 on scenario validation problems, 2 on IO
-problems. The final stdout line is machine-parseable:
+problems, 3 on an internal consistency failure (an engine bug, reported
+as ``internal error:``). The final stdout line is machine-parseable:
 
     trips=<int> ttt=<float>s delay=<float>s wall=<float>s
 
@@ -16,7 +17,7 @@ import sys
 import time
 
 from . import analyzer, engine, scenario, svgplot
-from .errors import MesosimError
+from .errors import ConsistencyError, MesosimError
 
 # horizon appended after the last demand band when --duration is omitted,
 # so trips in flight at the end of demand can finish
@@ -189,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
                 os.path.join(args.out, f"cumulative_{args.plot_cumulative}.svg"),
             )
         stats = analyzer.basic_stats(world.log, world)
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except MesosimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ from collections import deque
 from . import node_transfer, routing
 from .errors import ConsistencyError
 from .kinematics import LinkState, Platoon, update_link
-from .routing import AttractivenessTable, shortest_costs, shortest_path_indicator
+from .routing import AttractivenessTable
 from .scenario import DemandSpec, LinkSpec, NodeSpec, SimConfig
 
 _ACC_TOL = 1e-9
@@ -43,6 +43,15 @@ class NodeRuntime:
 
     def __repr__(self):
         return f"NodeRuntime({self.name}, in={len(self.incoming)}, out={len(self.outgoing)})"
+
+
+def index_nodes(nodes: list[NodeSpec], links: list[LinkState]) -> dict[str, NodeRuntime]:
+    """The network index: name -> NodeRuntime in node order, links in link order."""
+    runtimes = {spec.name: NodeRuntime(spec) for spec in nodes}
+    for link in links:
+        runtimes[link.spec.from_node].outgoing.append(link)
+        runtimes[link.spec.to_node].incoming.append(link)
+    return runtimes
 
 
 class RunLog:
@@ -91,21 +100,19 @@ class World:
         self.duration = duration
         dt = config.time_step
         self.total_steps = int(round(duration / dt))
-        self.node_specs = list(nodes)
         self.demands = list(demands)
 
         self.links = [LinkState(spec, config.platoon_size) for spec in links]
         self.links_by_name = {link.name: link for link in self.links}
-        runtimes = {spec.name: NodeRuntime(spec) for spec in nodes}
-        for link in self.links:
-            runtimes[link.spec.from_node].outgoing.append(link)
-            runtimes[link.spec.to_node].incoming.append(link)
-        self.node_runtimes = [runtimes[spec.name] for spec in nodes]
-        self.nodes_by_name = runtimes
+        self.nodes_by_name = index_nodes(nodes, self.links)
 
         self.waiting: dict[str, deque[Platoon]] = {}
+        self.attractiveness = AttractivenessTable()
         for demand in demands:
             self.waiting.setdefault(demand.origin, deque())
+            # destinations that are not nodes get no row; build_world reports them
+            if demand.destination in self.nodes_by_name:
+                self.attractiveness.B.setdefault(demand.destination, {})
         self.accumulators = [0.0] * len(demands)
         self.platoons: list[Platoon] = []
 
@@ -119,20 +126,7 @@ class World:
         self.log = RunLog(
             dt, config.platoon_size, duration, {link.name: link.spec for link in self.links}
         )
-
-        specs = [link.spec for link in self.links]
-        free_costs = {link.name: link.length / link.u for link in self.links}
-        table = AttractivenessTable()
-        for demand in demands:
-            z = demand.destination
-            if z in table.B:
-                continue
-            dist = shortest_costs(specs, free_costs, z)
-            table.reach[z] = dist
-            b0 = shortest_path_indicator(specs, free_costs, z, dist)
-            table.B[z] = {name: float(v) for name, v in b0.items()}
-            table.tree_computations += 1
-        self.attractiveness = table
+        routing.blend_trees(self, 1.0, self.attractiveness.reach)
 
     def counts(self) -> dict[str, int]:
         """Platoon totals by state, for conservation checks and stats."""
@@ -188,7 +182,7 @@ def step(world: World) -> World:
 
     rng = world.rng
     events = world.log.transfer_events
-    for node in world.node_runtimes:
+    for node in world.nodes_by_name.values():
         for link in node.incoming:
             platoons = link.platoons
             if platoons:
@@ -197,9 +191,7 @@ def step(world: World) -> World:
                     node_transfer.finalize_arrival(head, t)
                     world.arrived_platoons += 1
                     world.running_count -= 1
-        new_events = node_transfer.process_node(node, world, t, rng)
-        if new_events:
-            events.extend(new_events)
+        events.extend(node_transfer.process_node(node, world, t, rng))
 
     for link in world.links:
         update_link(link, dt)

@@ -67,8 +67,8 @@ def select_incoming_order(incoming, alphas, rng: random.Random) -> list:
     return order
 
 
-def signal_permits(node: NodeSpec, t: float, link) -> bool:
-    """Whether the node's signal lets the given incoming link discharge at t.
+def signal_permits(node: NodeSpec, t: float, link_name: str) -> bool:
+    """Whether the node's signal lets the named incoming link discharge at t.
 
     Unsignalized nodes always permit. Otherwise the active phase is the
     one covering ((t + offset) mod cycle) in the cyclic phase sequence.
@@ -76,15 +76,14 @@ def signal_permits(node: NodeSpec, t: float, link) -> bool:
     plan = node.signal
     if plan is None:
         return True
-    name = getattr(link, "name", link)
     phase_t = (t + plan.offset) % plan.cycle
     acc = 0.0
     for duration, permitted in plan.phases:
         acc += duration
         if phase_t < acc:
-            return name in permitted
+            return link_name in permitted
     # phase_t == cycle can only arise from float roundoff; wraps to phase 0
-    return name in plan.phases[0][1]
+    return link_name in plan.phases[0][1]
 
 
 def process_node(node, world, t: float, rng: random.Random) -> list[TransferEvent]:

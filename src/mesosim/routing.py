@@ -8,16 +8,17 @@ running weights:
 
     B = (1 - route_weight) * B_prev + route_weight * b
 
-starting from B equal to the free-flow indicator. Platoons at a node
-then sample their outgoing link with probability B / sum(B) over the
-node's candidates. The smoothing damps the volatility of instantaneous
-costs; route_weight = 1 reduces to pure follow-the-latest-tree routing.
+The World's first blend, weight 1 into empty rows on empty links, makes
+B the free-flow indicator. Searches walk the World's node index, the
+only adjacency there is. Platoons at a node then sample their outgoing
+link with probability B / sum(B) over the node's candidates. The
+smoothing damps the volatility of instantaneous costs; route_weight = 1
+reduces to pure follow-the-latest-tree routing.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from heapq import heappop, heappush
 
 from . import kinematics
@@ -30,11 +31,11 @@ class AttractivenessTable:
     """Per-destination, per-link sampling weights plus routing metadata.
 
     B maps destination name to {link name: weight}. reach maps
-    destination name to its one free-flow shortest_costs result,
-    {node: cost}, keyed by exactly the nodes with a path to it; it
-    serves the fallback filter, demand checks and delay baselines.
-    tree_computations counts shortest-path builds, including the
-    free-flow initialization.
+    destination name to the shortest_costs result of the first,
+    free-flow blend, {node: cost}, keyed by exactly the nodes with a
+    path to it; it serves the fallback filter, demand checks and delay
+    baselines. tree_computations counts shortest-path builds, including
+    the free-flow blend.
     """
 
     __slots__ = ("B", "reach", "last_update_step", "tree_computations")
@@ -46,55 +47,48 @@ class AttractivenessTable:
         self.tree_computations = 0
 
 
-def shortest_costs(links, costs: dict[str, float], z: str) -> dict[str, float]:
+def shortest_costs(nodes, costs: dict[str, float], z: str) -> dict[str, float]:
     """Cost of the cheapest directed path from every node into z.
 
-    Runs a single-destination search on the reverse graph. Nodes with no
-    path to z are absent from the result. links is any iterable with
-    name/from_node/to_node fields; costs maps link name to seconds.
+    Runs a single-destination search backwards over each node's incoming
+    links. Nodes with no path to z are absent from the result. nodes is
+    the World node index (name -> NodeRuntime); costs maps link name to
+    seconds.
     """
-    incoming: dict[str, list[tuple[str, float]]] = defaultdict(list)
-    for link in links:
-        incoming[link.to_node].append((link.from_node, costs[link.name]))
     dist = {z: 0.0}
     heap = [(0.0, z)]
     while heap:
         d, node = heappop(heap)
         if d > dist.get(node, float("inf")):
             continue
-        for tail, cost in incoming[node]:
-            nd = cost + d
+        for link in nodes[node].incoming:
+            tail = link.spec.from_node
+            nd = costs[link.name] + d
             if nd < dist.get(tail, float("inf")):
                 dist[tail] = nd
                 heappush(heap, (nd, tail))
     return dist
 
 
-def shortest_path_indicator(links, costs: dict[str, float], z: str, dist=None) -> dict[str, int]:
+def shortest_path_indicator(nodes, costs, z: str, dist) -> dict[str, int]:
     """0/1 per link: 1 iff the link starts the cheapest route from its tail to z.
 
-    Exactly one outgoing link per reaching node is marked; cost ties
-    break on the lexicographically smallest link name. Links whose tail
-    cannot reach z stay 0. dist is shortest_costs(links, costs, z) if known.
+    Exactly one outgoing link per reaching node other than z is marked;
+    cost ties break on the lexicographically smallest link name. Links
+    whose head cannot reach z stay 0, which covers every link whose tail
+    cannot. dist is shortest_costs(nodes, costs, z).
     """
-    if dist is None:
-        dist = shortest_costs(links, costs, z)
-    by_tail: dict[str, list] = defaultdict(list)
-    for link in links:
-        by_tail[link.from_node].append(link)
-    b = {link.name: 0 for link in links}
-    for tail, outs in by_tail.items():
-        if tail == z or tail not in dist:
-            continue
+    b = {}
+    for node in nodes.values():
         best = None
-        for link in outs:
-            d_head = dist.get(link.to_node)
-            if d_head is None:
-                continue
-            key = (costs[link.name] + d_head, link.name)
-            if best is None or key < best:
-                best = key
-        if best is not None:
+        for link in node.outgoing:
+            b[link.name] = 0
+            d_head = dist.get(link.spec.to_node)
+            if d_head is not None:
+                key = (costs[link.name] + d_head, link.name)
+                if best is None or key < best:
+                    best = key
+        if best is not None and node.name != z:
             b[best[1]] = 1
     return b
 
@@ -107,12 +101,8 @@ def update_attractiveness(
     Elementwise convex combination (1-lam)*B_prev + lam*b over the union
     of keys; each result must land between the two inputs.
     """
-    keys = list(B_prev)
-    for key in b:
-        if key not in B_prev:
-            keys.append(key)
     out = {}
-    for key in keys:
+    for key in B_prev | b:
         prev = B_prev.get(key, 0.0)
         new = float(b.get(key, 0))
         value = (1.0 - lam) * prev + lam * new
@@ -179,25 +169,35 @@ def choose_outgoing(platoon, node, table: AttractivenessTable, rng: random.Rando
     return fallback[weighted_draw([1.0] * len(fallback), rng)]
 
 
-def maybe_refresh(world, i: int) -> AttractivenessTable:
-    """Rebuild all destination trees when step i falls on the refresh cadence.
+def blend_trees(world, lam: float, reach: dict | None = None) -> None:
+    """Blend each destination's tree under current link costs into its B row.
 
-    Off-cadence steps are a no-op. On refresh, link costs are measured
-    from current mean speeds and every destination row is re-blended.
+    An empty link costs its free-flow time. reach, when given, receives
+    each destination's shortest_costs result; refreshes keep none.
     """
     table = world.attractiveness
-    if i % world.config.route_update_interval != 0:
-        return table
     v_min = world.config.v_min
     costs = {
         link.name: kinematics.instantaneous_travel_time(link, v_min)
         for link in world.links
     }
-    specs = [link.spec for link in world.links]
-    lam = world.config.route_weight
+    nodes = world.nodes_by_name
     for z in table.B:
-        b = shortest_path_indicator(specs, costs, z)
+        dist = shortest_costs(nodes, costs, z)
+        b = shortest_path_indicator(nodes, costs, z, dist)
         table.B[z] = update_attractiveness(table.B[z], b, lam)
         table.tree_computations += 1
-    table.last_update_step = i
+        if reach is not None:
+            reach[z] = dist
+
+
+def maybe_refresh(world, i: int) -> AttractivenessTable:
+    """Re-blend all destination trees when step i falls on the refresh cadence.
+
+    Off-cadence steps are a no-op.
+    """
+    table = world.attractiveness
+    if i % world.config.route_update_interval == 0:
+        blend_trees(world, world.config.route_weight)
+        table.last_update_step = i
     return table

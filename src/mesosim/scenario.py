@@ -110,11 +110,12 @@ class SignalPlan:
     offset: float = 0.0
 
     def __post_init__(self):
+        _require_finite("signal ", self, "offset")
         if not self.phases:
             raise ValidationError("signal plan needs at least one phase")
         for dur, _ in self.phases:
-            if dur <= 0:
-                raise ValidationError("signal phase durations must be positive")
+            if not 0.0 < dur < math.inf:
+                raise ValidationError("signal phase durations must be positive and finite")
 
     @property
     def cycle(self) -> float:
@@ -129,6 +130,9 @@ class NodeSpec:
     x: float
     y: float
     signal: SignalPlan | None = None
+
+    def __post_init__(self):
+        _require_finite(f"node {self.name}: ", self, "x", "y")
 
 
 @dataclass(frozen=True)
@@ -353,10 +357,11 @@ def build_world(
 ):
     """Cross-validate the scenario and assemble the simulation World.
 
-    Checks endpoint resolution, per-link platoon capacity, signal coverage,
-    and OD reachability; rounds the duration up to a whole number of steps;
-    seeds the RNG; and initializes route attractiveness from free-flow costs,
-    whose per-destination searches the demand checks then reuse.
+    Checks endpoint resolution and per-link platoon capacity; rounds the
+    duration up to a whole number of steps; builds the World, which seeds
+    the RNG and blends the free-flow trees into route attractiveness; then
+    checks signal coverage against the World's node index and each demand
+    row, whose reachability reuses the free-flow searches.
     """
     from .engine import World  # deferred: engine depends on scenario types
 
@@ -379,27 +384,6 @@ def build_world(
                 f"(needs at least {min_len} m)"
             )
 
-    incoming_names: dict[str, set[str]] = {n.name: set() for n in nodes}
-    for l in links:
-        incoming_names[l.to_node].add(l.name)
-    for n in nodes:
-        if n.signal is None:
-            continue
-        permitted = set()
-        for _, phase_links in n.signal.phases:
-            unknown = phase_links - incoming_names[n.name]
-            if unknown:
-                raise ValidationError(
-                    f"node {n.name}: signal permits {sorted(unknown)} which are "
-                    f"not incoming links of this node"
-                )
-            permitted |= phase_links
-        missing = incoming_names[n.name] - permitted
-        if missing:
-            raise ValidationError(
-                f"node {n.name}: incoming links {sorted(missing)} appear in no signal phase"
-            )
-
     duration = config.duration
     steps = duration / dt
     if abs(steps - round(steps)) > 1e-9:
@@ -413,6 +397,23 @@ def build_world(
         duration = adjusted
 
     world = World(config=config, nodes=nodes, links=links, demands=demands, duration=duration)
+    for node in world.nodes_by_name.values():
+        plan = node.spec.signal
+        if plan is None:
+            continue
+        incoming = {link.name for link in node.incoming}
+        permitted = set().union(*(phase_links for _, phase_links in plan.phases))
+        unknown = permitted - incoming
+        if unknown:
+            raise ValidationError(
+                f"node {node.name}: signal permits {sorted(unknown)} which are "
+                f"not incoming links of this node"
+            )
+        missing = incoming - permitted
+        if missing:
+            raise ValidationError(
+                f"node {node.name}: incoming links {sorted(missing)} appear in no signal phase"
+            )
     reach = world.attractiveness.reach
     for d in demands:
         if d.origin not in node_names:

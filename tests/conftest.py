@@ -8,6 +8,7 @@ import pytest
 
 from mesosim import (
     LinkSpec,
+    NodeSpec,
     SimConfig,
     build_world,
     parse_demand,
@@ -15,6 +16,7 @@ from mesosim import (
     parse_nodes,
     run,
 )
+from mesosim.engine import index_nodes
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 
@@ -71,6 +73,19 @@ def random_digraph(n: int, rng, n_arcs: int, spanning_cycle: bool = True) -> lis
                  length=25.0 * rng.randint(4, 40), free_flow_speed=20.0, jam_density=0.2)
         for k, (a, b) in enumerate(sorted(arcs))
     ]
+
+
+def node_index(links, *nodes: NodeSpec):
+    """The engine's network index over hand-built link states.
+
+    The given nodes come first; every other link endpoint becomes a plain
+    node, in order of first mention.
+    """
+    specs = {node.name: node for node in nodes}
+    for link in links:
+        for name in (link.spec.from_node, link.spec.to_node):
+            specs.setdefault(name, NodeSpec(name=name, x=0.0, y=0.0))
+    return index_nodes(list(specs.values()), links)
 
 
 def single_link_texts(length: float = 1000.0, u: float = 20.0):

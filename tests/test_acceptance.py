@@ -15,7 +15,7 @@ from collections import defaultdict
 
 from mesosim import export_csv, mfd_points, run
 from mesosim.analyzer import export_bin
-from mesosim.kinematics import link_capacity
+from mesosim.kinematics import LinkState, link_capacity
 from mesosim.node_transfer import signal_permits
 from mesosim.routing import shortest_costs
 
@@ -25,6 +25,7 @@ from conftest import (
     bottleneck_world,
     make_world,
     merge_world,
+    node_index,
     parallel_world,
     random_digraph,
     single_link_texts,
@@ -164,6 +165,31 @@ def _export_digest(world, out_dir):
     return digests
 
 
+# sha256 of each export of the three determinism scenarios, recorded at
+# commit 584b935; a change that alters any of them must say why and
+# record the new values here
+PINNED_DIGESTS = {
+    "ring": {
+        "vehicles.csv": "a5160cd43b3a513a00c489df524a323c21ee4c593f9f60eb44e276b08ddd7d5e",
+        "links.csv": "36c37f00a3d78c05be2846d006ffae6275e9ab71f5beac27e334657c125d1eaf",
+        "summary.csv": "84fe1974f597cf598c04b51b8e59e427a986d1cba84115eee0ffce8bd6c95e35",
+        "mfd.csv": "095860e6d8ce0762429c9e5f842368941606d6888daa1f300b46b151e65fb9f0",
+    },
+    "ring_managed": {
+        "vehicles.csv": "6e5aac0ce2466aa7624dea1af1d630f4ef4ba19bbcade3636bd8e45f6c5a6aea",
+        "links.csv": "617b19250504294efc72de54ed6534cc2e1dd991abb1cd2a71ae5aea8ecd5f88",
+        "summary.csv": "8bc9eeed284523db4fccec84e0713790f8f2f9796f8e71e1e4d995d9db80cae7",
+        "mfd.csv": "726b5ca0c17854501a983bcad6354d8c5a12dce918270f3dc77bc12ea76c7904",
+    },
+    "benchmark": {
+        "vehicles.csv": "636cd60d84fb07b44e8e51be40741cffcc92c53e893087f29c0005107cf8079c",
+        "links.csv": "63f57607f5d2d9f1b001eeadc89c5a5d1356cce6bdf1a5733d97383cc075b4b1",
+        "summary.csv": "08379ed7bdad1d70692845d95036103309fccc8c7fafe041163b34ba53e9f29b",
+        "mfd.csv": "3f015bc756a858380a3d6e09c4f5e4df14eee6b4a56077cc1c33b04a163e1559",
+    },
+}
+
+
 @criterion(8, "reruns with the same seed export byte-identical CSV files")
 def test_criterion_08_determinism(tmp_path):
     scenarios = {
@@ -176,6 +202,7 @@ def test_criterion_08_determinism(tmp_path):
         second = _export_digest(run(build()), str(tmp_path / label / "b"))
         assert first == second, label
         assert set(first) == {"vehicles.csv", "links.csv", "summary.csv", "mfd.csv"}
+        assert first == PINNED_DIGESTS[label], label
 
 
 def _scan_record_conservation(world):
@@ -229,8 +256,7 @@ def _scan_attractiveness(world):
 
 
 def _scan_signals(world):
-    specs = {spec.name: spec for spec in world.node_specs}
-    heads = {link.name: specs[link.spec.to_node] for link in world.links}
+    heads = {link.name: world.nodes_by_name[link.spec.to_node].spec for link in world.links}
     for ev in world.log.transfer_events:
         assert signal_permits(heads[ev.from_link], ev.t, ev.from_link), ev
 
@@ -297,12 +323,13 @@ def test_criterion_10_routing_oracle():
         rng = random.Random(100 + n)
         names = [f"n{i}" for i in range(n)]
         links = random_digraph(n, rng, min(2 * n, n * (n - 1)))
+        nodes = node_index([LinkState(link, 5) for link in links])
         costs = {link.name: link.length / 20.0 for link in links}
         adjacency = defaultdict(list)
         for link in links:
             adjacency[link.from_node].append((link.to_node, costs[link.name]))
         for z in names:
-            dist = shortest_costs(links, costs, z)
+            dist = shortest_costs(nodes, costs, z)
             for tail in names:
                 expected = _brute_force_cost(adjacency, tail, z)
                 assert dist.get(tail) == expected, (n, tail, z)

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from mesosim import cli
+from mesosim import ConsistencyError, cli, engine
 from mesosim.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
 
 SUMMARY_RE = re.compile(
@@ -88,6 +88,18 @@ def test_non_finite_flag_is_validation_error(tiny_scenario, capsys, flag, value)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
+    assert "Traceback" not in err
+
+
+def test_consistency_error_is_internal_error(tiny_scenario, capsys, monkeypatch):
+    def broken_step(world):
+        raise ConsistencyError("platoon conservation violated")
+
+    monkeypatch.setattr(engine, "step", broken_step)
+    code = cli.main(base_args(tiny_scenario, "--duration", "200"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "conservation" in err
     assert "Traceback" not in err
 
 

@@ -13,7 +13,8 @@ from mesosim.node_transfer import (
     signal_permits,
     vacant_space,
 )
-from mesosim.engine import NodeRuntime
+
+from conftest import node_index
 
 
 def make_link(name, from_node="A", to_node="M", length=1000.0, u=20.0,
@@ -41,10 +42,8 @@ class StubWorld:
 
 
 def make_node(name, incoming=(), outgoing=(), signal=None):
-    node = NodeRuntime(NodeSpec(name=name, x=0.0, y=0.0, signal=signal))
-    node.incoming.extend(incoming)
-    node.outgoing.extend(outgoing)
-    return node
+    spec = NodeSpec(name=name, x=0.0, y=0.0, signal=signal)
+    return node_index([*incoming, *outgoing], spec)[name]
 
 
 def test_vacant_space_empty_link():

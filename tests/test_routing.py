@@ -17,10 +17,9 @@ from mesosim.routing import (
     update_attractiveness,
     weighted_draw,
 )
-from mesosim.engine import NodeRuntime
 from mesosim.node_transfer import select_incoming_order
 
-from conftest import make_world, single_link_texts
+from conftest import make_world, node_index, single_link_texts
 
 
 def spec(name, tail, head):
@@ -28,30 +27,39 @@ def spec(name, tail, head):
                     free_flow_speed=20.0, jam_density=0.2)
 
 
+def index(links):
+    return node_index([LinkState(link, 5) for link in links])
+
+
+def indicator(links, costs, z):
+    nodes = index(links)
+    return shortest_path_indicator(nodes, costs, z, shortest_costs(nodes, costs, z))
+
+
 def test_indicator_prefers_cheaper_parallel():
     links = [spec("A", "n", "z"), spec("B", "n", "z")]
-    b = shortest_path_indicator(links, {"A": 50.0, "B": 60.0}, "z")
+    b = indicator(links, {"A": 50.0, "B": 60.0}, "z")
     assert b == {"A": 1, "B": 0}
 
 
 def test_indicator_tie_breaks_on_name():
     links = [spec("L1", "n", "z"), spec("L2", "n", "z")]
-    assert shortest_path_indicator(links, {"L1": 50.0, "L2": 50.0}, "z") == {"L1": 1, "L2": 0}
+    assert indicator(links, {"L1": 50.0, "L2": 50.0}, "z") == {"L1": 1, "L2": 0}
     # swap the names: the winner must follow the name, not the list position
     links = [spec("M2", "n", "z"), spec("M1", "n", "z")]
-    assert shortest_path_indicator(links, {"M2": 50.0, "M1": 50.0}, "z") == {"M1": 1, "M2": 0}
+    assert indicator(links, {"M2": 50.0, "M1": 50.0}, "z") == {"M1": 1, "M2": 0}
 
 
 def test_indicator_marks_whole_chain():
     links = [spec("o1", "a", "b"), spec("o2", "b", "z")]
-    b = shortest_path_indicator(links, {"o1": 10.0, "o2": 10.0}, "z")
+    b = indicator(links, {"o1": 10.0, "o2": 10.0}, "z")
     assert b == {"o1": 1, "o2": 1}
 
 
 def test_indicator_unreachable_tail_is_zero():
     # nothing leads from c to z
     links = [spec("az", "a", "z"), spec("cb", "c", "b")]
-    b = shortest_path_indicator(links, {"az": 10.0, "cb": 10.0}, "z")
+    b = indicator(links, {"az": 10.0, "cb": 10.0}, "z")
     assert b == {"az": 1, "cb": 0}
 
 
@@ -64,9 +72,9 @@ def test_shortest_costs_hand_instance():
         spec("zA", "z", "A"),
     ]
     costs = {"AB": 10.0, "Bz": 20.0, "Az": 35.0, "BA": 1.0, "zA": 100.0}
-    dist = shortest_costs(links, costs, "z")
+    dist = shortest_costs(index(links), costs, "z")
     assert dist == {"z": 0.0, "B": 20.0, "A": 30.0}
-    b = shortest_path_indicator(links, costs, "z")
+    b = indicator(links, costs, "z")
     assert b == {"AB": 1, "Bz": 1, "Az": 0, "BA": 0, "zA": 0}
 
 
@@ -105,8 +113,7 @@ def test_update_stays_convex(prev, b, lam):
 def _choice_node():
     la = LinkState(spec("A", "n", "m1"), 5)
     lb = LinkState(spec("B", "n", "m2"), 5)
-    node = NodeRuntime(NodeSpec(name="n", x=0.0, y=0.0))
-    node.outgoing.extend([la, lb])
+    node = node_index([la, lb])["n"]
     return node, la, lb
 
 
@@ -144,14 +151,13 @@ def test_choose_weighted_row():
 
 def test_choose_single_candidate_needs_no_rng():
     la = LinkState(spec("A", "n", "m1"), 5)
-    node = NodeRuntime(NodeSpec(name="n", x=0.0, y=0.0))
-    node.outgoing.append(la)
+    node = node_index([la])["n"]
     p = Platoon(0, "n", "Z", 0.0)
     assert choose_outgoing(p, node, AttractivenessTable(), None) is la
 
 
 def test_choose_no_outgoing_raises():
-    node = NodeRuntime(NodeSpec(name="n", x=0.0, y=0.0))
+    node = node_index([], NodeSpec(name="n", x=0.0, y=0.0))["n"]
     p = Platoon(0, "n", "Z", 0.0)
     with pytest.raises(NoCandidate):
         choose_outgoing(p, node, AttractivenessTable(), random.Random(0))

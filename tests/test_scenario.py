@@ -269,6 +269,15 @@ def test_build_world_signal_must_cover_incoming():
     assert "BC" in str(err.value)
 
 
+def test_build_world_signal_error_precedes_demand_errors():
+    # BC is in no phase and Z is not a node: the signal fault is reported
+    nodes_text = 'name,x,y,signal\nA,0,0,\nB,1000,0,\nC,2000,0,"0:30:AC"\n'
+    links_text = f"{LINK_HEADER}\nAC,A,C,1000,20,0.2,\nBC,B,C,1000,20,0.2,\n"
+    demand_text = "orig,dest,start_t,end_t,flow\nA,Z,0,100,0.4\n"
+    with pytest.raises(ValidationError, match="BC"):
+        make_world(nodes_text, links_text, demand_text)
+
+
 def test_build_world_signal_unknown_link():
     nodes_text = 'name,x,y,signal\nA,0,0,\nB,1000,0,"0:30:ZZ"\n'
     links_text = f"{LINK_HEADER}\nAB,A,B,1000,20,0.2,\n"
@@ -334,6 +343,26 @@ def test_demand_spec_rejects_non_finite(field, value):
     fields[field] = value
     with pytest.raises(ValidationError):
         DemandSpec(**fields)
+
+
+@pytest.mark.parametrize("field", ["x", "y"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_node_spec_rejects_non_finite(field, value):
+    fields = dict(name="N", x=0.0, y=0.0)
+    fields[field] = value
+    with pytest.raises(ValidationError):
+        NodeSpec(**fields)
+
+
+@pytest.mark.parametrize("offset, duration", [
+    (float("nan"), 30.0),
+    (float("inf"), 30.0),
+    (0.0, float("nan")),
+    (0.0, float("inf")),
+])
+def test_signal_plan_rejects_non_finite(offset, duration):
+    with pytest.raises(ValidationError):
+        SignalPlan(phases=((duration, frozenset({"A"})),), offset=offset)
 
 
 def test_sim_config_time_step():
