@@ -211,3 +211,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def cli_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    cli_entry()

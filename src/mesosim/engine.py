@@ -22,10 +22,16 @@ import random
 from collections import deque
 
 from . import node_transfer, routing
-from .errors import ConsistencyError
+from .errors import (
+    ConsistencyError,
+    DuplicateNode,
+    UnknownNode,
+    UnreachableDemand,
+    ValidationError,
+)
 from .kinematics import LinkState, Platoon, update_link
 from .routing import AttractivenessTable
-from .scenario import DemandSpec, LinkSpec, NodeSpec, SimConfig
+from .scenario import DemandSpec, LinkSpec, NodeSpec, SimConfig, horizon
 
 _ACC_TOL = 1e-9
 
@@ -86,7 +92,10 @@ class RunLog:
 
 
 class World:
-    """Complete mutable simulation state, assembled from a validated scenario."""
+    """Complete mutable simulation state; the constructor cross-checks the scenario.
+
+    Order: node names, links one by one, signals, then demand rows in file order.
+    """
 
     def __init__(
         self,
@@ -94,24 +103,59 @@ class World:
         nodes: list[NodeSpec],
         links: list[LinkSpec],
         demands: list[DemandSpec],
-        duration: float,
     ):
+        node_names: set[str] = set()
+        for spec in nodes:
+            if spec.name in node_names:
+                raise DuplicateNode(f"node name {spec.name!r} appears more than once")
+            node_names.add(spec.name)
+        self.links_by_name: dict[str, LinkState] = {}
+        for spec in links:
+            link = LinkState(spec, config.platoon_size)
+            if link.name in self.links_by_name:
+                raise ValidationError(f"link name {link.name!r} appears more than once")
+            for end, name in (("from", spec.from_node), ("to", spec.to_node)):
+                if name not in node_names:
+                    raise UnknownNode(f"link {link.name}: unknown {end} node {name!r}")
+            if link.length < link.spacing:
+                raise ValidationError(
+                    f"link {link.name}: length {link.length} m cannot hold one platoon "
+                    f"(needs at least {link.spacing} m)"
+                )
+            self.links_by_name[link.name] = link
+        self.links = list(self.links_by_name.values())
+
         self.config = config
-        self.duration = duration
+        self.duration = duration = horizon(config)
         dt = config.time_step
         self.total_steps = int(round(duration / dt))
         self.demands = list(demands)
 
-        self.links = [LinkState(spec, config.platoon_size) for spec in links]
-        self.links_by_name = {link.name: link for link in self.links}
         self.nodes_by_name = index_nodes(nodes, self.links)
+        for node in self.nodes_by_name.values():
+            plan = node.spec.signal
+            if plan is None:
+                continue
+            incoming = {link.name for link in node.incoming}
+            permitted = set().union(*(phase_links for _, phase_links in plan.phases))
+            unknown = permitted - incoming
+            if unknown:
+                raise ValidationError(
+                    f"node {node.name}: signal permits {sorted(unknown)} which are "
+                    f"not incoming links of this node"
+                )
+            missing = incoming - permitted
+            if missing:
+                raise ValidationError(
+                    f"node {node.name}: incoming links {sorted(missing)} appear in no signal phase"
+                )
 
         self.waiting: dict[str, deque[Platoon]] = {}
         self.attractiveness = AttractivenessTable()
         for demand in demands:
             self.waiting.setdefault(demand.origin, deque())
-            # destinations that are not nodes get no row; build_world reports them
-            if demand.destination in self.nodes_by_name:
+            # destinations that are not nodes get no row; the demand check reports them
+            if demand.destination in node_names:
                 self.attractiveness.B.setdefault(demand.destination, {})
         self.accumulators = [0.0] * len(demands)
         self.platoons: list[Platoon] = []
@@ -127,6 +171,19 @@ class World:
             dt, config.platoon_size, duration, {link.name: link.spec for link in self.links}
         )
         routing.blend_trees(self, 1.0, self.attractiveness.reach)
+        for d in self.demands:
+            if d.origin not in node_names:
+                raise UnknownNode(f"demand origin {d.origin!r} is not a node")
+            if d.destination not in node_names:
+                raise UnknownNode(f"demand destination {d.destination!r} is not a node")
+            if d.t_end > duration:
+                raise ValidationError(
+                    f"demand band ends at {d.t_end} s, beyond the {duration} s horizon"
+                )
+            if d.origin not in self.attractiveness.reach[d.destination]:
+                raise UnreachableDemand(
+                    f"no directed path from {d.origin!r} to {d.destination!r}"
+                )
 
     def counts(self) -> dict[str, int]:
         """Platoon totals by state, for conservation checks and stats."""
@@ -223,7 +280,12 @@ def step(world: World) -> World:
 
 
 def run(world: World) -> World:
-    """Step to the horizon, mark unfinished platoons stranded, seal the log."""
+    """Step to the horizon, mark unfinished platoons stranded, seal the log.
+
+    A world whose log is already sealed is returned unchanged.
+    """
+    if world.log.sealed:
+        return world
     while world.clock < world.total_steps:
         step(world)
     for queue in world.waiting.values():

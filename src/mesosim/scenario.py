@@ -1,8 +1,9 @@
 """Scenario data model and CSV ingestion.
 
 A scenario is three CSV files (nodes, links, demand) plus a global
-configuration. All types here are immutable; ``build_world`` assembles
-them into the mutable simulation state.
+configuration. All types here are immutable; ``build_world`` (or
+``engine.World`` directly, the same constructor) cross-checks them and
+assembles the mutable simulation state.
 
 CSV formats (UTF-8, comma-separated, exact headers):
 
@@ -23,13 +24,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DuplicateNode,
-    ParseError,
-    UnknownNode,
-    UnreachableDemand,
-    ValidationError,
-)
+from .errors import DuplicateNode, ParseError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -59,8 +54,8 @@ class SimConfig:
     platoon_size : int
         Number of vehicles aggregated into one simulated platoon.
     duration : float
-        Simulated horizon in seconds. Rounded up to a whole number of time
-        steps by ``build_world`` if needed.
+        Simulated horizon in seconds. The World rounds it up to a whole
+        number of time steps if needed (see ``horizon``).
     seed : int
         Seed for the single RNG stream that drives all stochastic choices.
     route_update_interval : int
@@ -349,83 +344,29 @@ def serialize_demand(demands: list[DemandSpec]) -> str:
     return "\n".join(out) + "\n"
 
 
+def horizon(config: SimConfig) -> float:
+    """config.duration, rounded up to a whole number of time steps if needed."""
+    dt = config.time_step
+    steps = config.duration / dt
+    if abs(steps - round(steps)) <= 1e-9:
+        return config.duration
+    adjusted = math.ceil(steps - 1e-9) * dt
+    log.info(
+        "duration %.6g s is not a multiple of the %.6g s time step; rounded up to %.6g s",
+        config.duration,
+        dt,
+        adjusted,
+    )
+    return adjusted
+
+
 def build_world(
     config: SimConfig,
     nodes: list[NodeSpec],
     links: list[LinkSpec],
     demands: list[DemandSpec],
 ):
-    """Cross-validate the scenario and assemble the simulation World.
-
-    Checks endpoint resolution and per-link platoon capacity; rounds the
-    duration up to a whole number of steps; builds the World, which seeds
-    the RNG and blends the free-flow trees into route attractiveness; then
-    checks signal coverage against the World's node index and each demand
-    row, whose reachability reuses the free-flow searches.
-    """
+    """Assemble the simulation World, whose constructor cross-checks the scenario."""
     from .engine import World  # deferred: engine depends on scenario types
 
-    node_names = set()
-    for n in nodes:
-        if n.name in node_names:
-            raise DuplicateNode(f"node name {n.name!r} appears more than once")
-        node_names.add(n.name)
-
-    dt = config.time_step
-    for l in links:
-        if l.from_node not in node_names:
-            raise UnknownNode(f"link {l.name}: unknown from node {l.from_node!r}")
-        if l.to_node not in node_names:
-            raise UnknownNode(f"link {l.name}: unknown to node {l.to_node!r}")
-        min_len = l.jam_spacing * config.platoon_size
-        if l.length < min_len:
-            raise ValidationError(
-                f"link {l.name}: length {l.length} m cannot hold one platoon "
-                f"(needs at least {min_len} m)"
-            )
-
-    duration = config.duration
-    steps = duration / dt
-    if abs(steps - round(steps)) > 1e-9:
-        adjusted = math.ceil(steps - 1e-9) * dt
-        log.info(
-            "duration %.6g s is not a multiple of the %.6g s time step; rounded up to %.6g s",
-            duration,
-            dt,
-            adjusted,
-        )
-        duration = adjusted
-
-    world = World(config=config, nodes=nodes, links=links, demands=demands, duration=duration)
-    for node in world.nodes_by_name.values():
-        plan = node.spec.signal
-        if plan is None:
-            continue
-        incoming = {link.name for link in node.incoming}
-        permitted = set().union(*(phase_links for _, phase_links in plan.phases))
-        unknown = permitted - incoming
-        if unknown:
-            raise ValidationError(
-                f"node {node.name}: signal permits {sorted(unknown)} which are "
-                f"not incoming links of this node"
-            )
-        missing = incoming - permitted
-        if missing:
-            raise ValidationError(
-                f"node {node.name}: incoming links {sorted(missing)} appear in no signal phase"
-            )
-    reach = world.attractiveness.reach
-    for d in demands:
-        if d.origin not in node_names:
-            raise UnknownNode(f"demand origin {d.origin!r} is not a node")
-        if d.destination not in node_names:
-            raise UnknownNode(f"demand destination {d.destination!r} is not a node")
-        if d.t_end > duration:
-            raise ValidationError(
-                f"demand band ends at {d.t_end} s, beyond the {duration} s horizon"
-            )
-        if d.origin not in reach[d.destination]:
-            raise UnreachableDemand(
-                f"no directed path from {d.origin!r} to {d.destination!r}"
-            )
-    return world
+    return World(config, nodes, links, demands)

@@ -188,3 +188,14 @@ def test_console_script_help():
     )
     assert result.returncode == 0
     assert "--plot-tsd" in result.stdout
+
+
+def test_module_run_writes_outputs(tiny_scenario, tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "mesosim.cli", *base_args(tiny_scenario, "--duration", "200")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert SUMMARY_RE.match(result.stdout.strip().splitlines()[-1])
+    assert (tmp_path / "out" / "summary.csv").is_file()

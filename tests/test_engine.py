@@ -153,6 +153,11 @@ def test_run_seals_log_and_strands_leftovers():
     assert counts["generated"] == counts["arrived"] + counts["stranded"]
     assert counts["stranded"] == counts["waiting"] + counts["running"]
     assert all(p.state in ("arrived", "stranded") for p in world.platoons)
+    # a second run returns the sealed world unchanged
+    records = len(world.log.link_records)
+    assert run(world) is world
+    assert world.counts() == counts
+    assert len(world.log.link_records) == records
 
 
 def test_free_flow_link_traversal_times():

@@ -18,6 +18,7 @@ from mesosim import (
     UnknownNode,
     UnreachableDemand,
     ValidationError,
+    World,
     build_world,
     parse_demand,
     parse_links,
@@ -237,6 +238,23 @@ def test_reach_keys_are_exactly_the_reaching_nodes():
                     world = build_world(config, nodes, links, demand)
                     assert set(world.attractiveness.reach[z]) == expected, (n, seed, z)
     assert unreachable_pairs > 0
+
+
+@pytest.mark.parametrize("door", [build_world, World], ids=["build_world", "World"])
+def test_both_doors_cross_check_the_scenario(door):
+    a, b = NodeSpec("A", 0.0, 0.0), NodeSpec("B", 1000.0, 0.0)
+    ab = LinkSpec("AB", "A", "B", 1000.0, 20.0, 0.2)
+    with pytest.raises(UnknownNode, match="unknown to node 'B'"):
+        door(SimConfig(), [a], [ab], [])
+    with pytest.raises(DuplicateNode, match="'A'"):
+        door(SimConfig(), [a, b, a], [ab], [])
+    twin = LinkSpec("AB", "B", "A", 1000.0, 20.0, 0.2)
+    with pytest.raises(ValidationError, match="link name 'AB' appears more than once"):
+        door(SimConfig(), [a, b], [ab, twin], [])
+    # 7 s at dt = 5 s rounds up to two steps
+    world = door(SimConfig(duration=7.0), [a, b], [ab], [])
+    assert world.duration == world.log.duration == 10.0
+    assert world.total_steps == 2
 
 
 def test_build_world_link_too_short_for_platoon():
