@@ -173,6 +173,16 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
+def _write_table(out_dir: str, name: str, header: list[str], rows) -> str:
+    """Write one export table (UTF-8, LF endings) and return its path."""
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def export_csv(log, world, out_dir: str) -> list[str]:
     """Write vehicles.csv, links.csv, summary.csv, and mfd.csv into out_dir.
 
@@ -181,60 +191,28 @@ def export_csv(log, world, out_dir: str) -> list[str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     dn = log.platoon_size
-    paths = []
-
-    path = os.path.join(out_dir, "vehicles.csv")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["t", "platoon_id", "orig", "dest", "link", "x", "v"])
-        for platoon in world.platoons:
-            pid = platoon.id
-            orig = platoon.origin
-            dest = platoon.destination
-            for t, name, x, v in platoon.trajectory:
-                writer.writerow([_fmt(t), pid, orig, dest, name, _fmt(x), _fmt(v)])
-    paths.append(path)
-
-    path = os.path.join(out_dir, "links.csv")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["t", "link", "count", "mean_speed", "A", "D"])
-        for t, name, count, mean_speed, entered, exited in log.link_records:
-            writer.writerow(
-                [_fmt(t), name, count * dn, _fmt(mean_speed), entered * dn, exited * dn]
-            )
-    paths.append(path)
-
+    vehicles = (
+        [_fmt(t), p.id, p.origin, p.destination, name, _fmt(x), _fmt(v)]
+        for p in world.platoons
+        for t, name, x, v in p.trajectory
+    )
+    links = (
+        [_fmt(t), name, count * dn, _fmt(speed), entered * dn, exited * dn]
+        for t, name, count, speed, entered, exited in log.link_records
+    )
     stats = basic_stats(log, world)
-    path = os.path.join(out_dir, "summary.csv")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(
-            [
-                "completed_trips",
-                "stranded_trips",
-                "total_travel_time",
-                "average_travel_time",
-                "total_delay",
-            ]
-        )
-        writer.writerow(
-            [
-                stats.completed_trips,
-                stats.stranded_trips,
-                _fmt(stats.total_travel_time),
-                _fmt(stats.average_travel_time),
-                _fmt(stats.total_delay),
-            ]
-        )
-    paths.append(path)
-
-    path = os.path.join(out_dir, "mfd.csv")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["t_bin", "density", "flow"])
-        for point in mfd_points(log, world, export_bin(log)):
-            writer.writerow([_fmt(point.t_bin), _fmt(point.density), _fmt(point.flow)])
-    paths.append(path)
-
-    return paths
+    summary = [stats.completed_trips, stats.stranded_trips, _fmt(stats.total_travel_time),
+               _fmt(stats.average_travel_time), _fmt(stats.total_delay)]
+    mfd = (
+        [_fmt(point.t_bin), _fmt(point.density), _fmt(point.flow)]
+        for point in mfd_points(log, world, export_bin(log))
+    )
+    return [
+        _write_table(
+            out_dir, "vehicles.csv", ["t", "platoon_id", "orig", "dest", "link", "x", "v"], vehicles
+        ),
+        _write_table(out_dir, "links.csv", ["t", "link", "count", "mean_speed", "A", "D"], links),
+        _write_table(out_dir, "summary.csv", ["completed_trips", "stranded_trips",
+                     "total_travel_time", "average_travel_time", "total_delay"], [summary]),
+        _write_table(out_dir, "mfd.csv", ["t_bin", "density", "flow"], mfd),
+    ]

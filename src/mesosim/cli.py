@@ -135,14 +135,17 @@ def render_cumulative_svg(series, link: str, out_path: str) -> str:
     )
     chart.polyline([(t, a) for t, a, _d in series], svgplot.PALETTE[0], width=1.5)
     chart.polyline([(t, d) for t, _a, d in series], svgplot.PALETTE[1], width=1.5)
-    chart.text(svgplot.WIDTH - 150, svgplot.MARGIN_TOP + 16, "entered", anchor="start")
-    chart.text(svgplot.WIDTH - 150, svgplot.MARGIN_TOP + 34, "exited", anchor="start")
+    chart.text(svgplot.WIDTH - 150, svgplot.MARGIN_TOP + 16, "entered")
+    chart.text(svgplot.WIDTH - 150, svgplot.MARGIN_TOP + 34, "exited")
     return svgplot.write_chart(chart, out_path)
 
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise MesosimError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -23,6 +23,7 @@ from .errors import ConsistencyError
 from .scenario import LinkSpec
 
 _SPACING_TOL = 1e-9
+V_MIN = 1.0  # speed floor, m/s, for link costs (see instantaneous_travel_time)
 
 
 class Platoon:
@@ -196,18 +197,19 @@ def update_link(link: LinkState, dt: float) -> LinkState:
     return link
 
 
-def instantaneous_travel_time(link: LinkState, v_min: float) -> float:
+def instantaneous_travel_time(link: LinkState) -> float:
     """Current cost of traversing the link, seconds.
 
     Empty links cost their free-flow time; otherwise length over the mean
-    of the platoon speeds logged in the latest step, floored at v_min so
-    a fully stopped link stays finitely expensive.
+    of the platoon speeds logged in the latest step, floored at V_MIN:
+    a fully stopped link has mean speed 0, and the floor makes its cost
+    length / V_MIN, large but finite, instead of a division by zero.
     """
     if not link.platoons:
         return link.length / link.u
     v_bar = link.mean_speed
-    if v_bar < v_min:
-        v_bar = v_min
+    if v_bar < V_MIN:
+        v_bar = V_MIN
     return link.length / v_bar
 
 

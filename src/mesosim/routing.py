@@ -38,12 +38,11 @@ class AttractivenessTable:
     the free-flow blend.
     """
 
-    __slots__ = ("B", "reach", "last_update_step", "tree_computations")
+    __slots__ = ("B", "reach", "tree_computations")
 
     def __init__(self):
         self.B: dict[str, dict[str, float]] = {}
         self.reach: dict[str, dict[str, float]] = {}
-        self.last_update_step = 0
         self.tree_computations = 0
 
 
@@ -176,11 +175,7 @@ def blend_trees(world, lam: float, reach: dict | None = None) -> None:
     each destination's shortest_costs result; refreshes keep none.
     """
     table = world.attractiveness
-    v_min = world.config.v_min
-    costs = {
-        link.name: kinematics.instantaneous_travel_time(link, v_min)
-        for link in world.links
-    }
+    costs = {link.name: kinematics.instantaneous_travel_time(link) for link in world.links}
     nodes = world.nodes_by_name
     for z in table.B:
         dist = shortest_costs(nodes, costs, z)
@@ -196,8 +191,6 @@ def maybe_refresh(world, i: int) -> AttractivenessTable:
 
     Off-cadence steps are a no-op.
     """
-    table = world.attractiveness
     if i % world.config.route_update_interval == 0:
         blend_trees(world, world.config.route_weight)
-        table.last_update_step = i
-    return table
+    return world.attractiveness

@@ -63,9 +63,6 @@ class SimConfig:
     route_weight : float
         Smoothing weight in [0, 1] blending the new shortest-path indicator
         into link attractiveness (1 = follow the latest tree exactly).
-    v_min : float
-        Floor speed in m/s used when converting link state to travel cost,
-        so fully stopped links get a large finite cost.
     """
 
     reaction_time: float = 1.0
@@ -74,10 +71,9 @@ class SimConfig:
     seed: int = 0
     route_update_interval: int = 60
     route_weight: float = 0.5
-    v_min: float = 1.0
 
     def __post_init__(self):
-        _require_finite("", self, "reaction_time", "duration", "route_weight", "v_min")
+        _require_finite("", self, "reaction_time", "duration", "route_weight")
         if self.reaction_time <= 0:
             raise ValidationError("reaction_time must be positive")
         if not _is_count(self.platoon_size):
@@ -88,8 +84,6 @@ class SimConfig:
             raise ValidationError("route_update_interval must be a positive integer")
         if not 0.0 <= self.route_weight <= 1.0:
             raise ValidationError("route_weight must lie in [0, 1]")
-        if self.v_min <= 0:
-            raise ValidationError("v_min must be positive")
 
     @property
     def time_step(self) -> float:
@@ -202,9 +196,18 @@ def _float_field(row_idx: int, name: str, raw: str) -> float:
     return value
 
 
+def _csv_rows(text: str):
+    """Yield text's CSV rows; malformed CSV (a bare CR, a huge field) raises ParseError."""
+    rows = csv.reader(io.StringIO(text))
+    try:
+        yield from rows
+    except csv.Error as exc:
+        raise ParseError(rows.line_num - 1, f"malformed CSV: {exc}") from None
+
+
 def _reader(text: str, expected: list[str], optional: list[str] | None = None):
     """Yield (row_index, row_dict), checking the header first."""
-    rows = csv.reader(io.StringIO(text))
+    rows = _csv_rows(text)
     try:
         header = [h.strip() for h in next(rows)]
     except StopIteration:

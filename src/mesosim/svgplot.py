@@ -98,13 +98,11 @@ class Chart:
             f'r="{_fmt(r)}" fill="{color}" />'
         )
 
-    def text(self, px: float, py: float, content: str, size: int = 13, anchor: str = "middle", rotate: float | None = None):
-        transform = ""
-        if rotate is not None:
-            transform = f' transform="rotate({_fmt(rotate)} {_fmt(px)} {_fmt(py)})"'
+    def text(self, px: float, py: float, content: str):
+        """Left-aligned 13 px label at pixel position (px, py)."""
         self.body.append(
             f'<text x="{_fmt(px)}" y="{_fmt(py)}" font-family="sans-serif" '
-            f'font-size="{size}" text-anchor="{anchor}"{transform}>{escape(content)}</text>'
+            f'font-size="13" text-anchor="start">{escape(content)}</text>'
         )
 
     def render(self) -> str:

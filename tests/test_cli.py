@@ -1,5 +1,6 @@
 """End-to-end command line runs and SVG rendering."""
 
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 
 from mesosim import ConsistencyError, cli, engine
 from mesosim.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
+
+from conftest import demo_path
 
 SUMMARY_RE = re.compile(
     r"^trips=\d+ ttt=[0-9.eE+-]+s delay=[0-9.eE+-]+s wall=[0-9.]+s$"
@@ -112,6 +115,21 @@ def test_malformed_links_file_is_validation_error(tiny_scenario, tmp_path, capsy
     assert "row 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b"name,x,y\nA\xe9,0,0\nB,1000,0\n",  # Latin-1 byte, not UTF-8
+    b"name,x,y\nA,0,0\nB," + b"1" * 131073 + b",0\n",  # over the csv field size limit
+], ids=["not-utf8", "huge-field"])
+def test_malformed_nodes_file_exits_1(tiny_scenario, tmp_path, capsys, content):
+    bad = tmp_path / "bad_nodes.csv"
+    bad.write_bytes(content)
+    tiny_scenario["nodes"] = str(bad)
+    code = cli.main(base_args(tiny_scenario))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_default_duration_appends_cooldown(tiny_scenario, tmp_path, capsys):
     code = cli.main(base_args(tiny_scenario))
     assert code == 0
@@ -199,3 +217,32 @@ def test_module_run_writes_outputs(tiny_scenario, tmp_path):
     assert result.returncode == 0, result.stderr
     assert SUMMARY_RE.match(result.stdout.strip().splitlines()[-1])
     assert (tmp_path / "out" / "summary.csv").is_file()
+
+
+def test_outputs_do_not_depend_on_hash_seed(tmp_path):
+    runs = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"hash{hash_seed}"
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "mesosim.cli",
+                "--nodes", demo_path("parallel", "nodes.csv"),
+                "--links", demo_path("parallel", "links.csv"),
+                "--demand", demo_path("parallel", "demand.csv"),
+                "--out", str(out),
+                "--duration", "8000", "--route-interval", "12", "--plot-mfd",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert result.returncode == 0, result.stderr
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        stdout = re.sub(r"wall=[0-9.]+s", "wall=", result.stdout)
+        runs.append((files, stdout))
+    (files_a, stdout_a), (files_b, stdout_b) = runs
+    assert sorted(files_a) == ["links.csv", "mfd.csv", "mfd.svg", "summary.csv", "vehicles.csv"]
+    assert sorted(files_b) == sorted(files_a)
+    for name in files_a:
+        assert files_a[name] == files_b[name], name
+    assert stdout_a == stdout_b

@@ -90,20 +90,20 @@ def test_update_detects_spacing_violation():
 
 def test_instantaneous_empty_link():
     link = make_link()
-    assert instantaneous_travel_time(link, 0.1) == pytest.approx(50.0)
+    assert instantaneous_travel_time(link) == pytest.approx(50.0)
 
 
 def test_instantaneous_stopped_link_uses_floor():
     link = make_link(positions=[1000.0])
     update_link(link, 5.0)
     assert link.mean_speed == pytest.approx(0.0)
-    assert instantaneous_travel_time(link, 0.1) == pytest.approx(10000.0)
+    assert instantaneous_travel_time(link) == pytest.approx(1000.0)
 
 
 def test_instantaneous_single_free_platoon():
     link = make_link(positions=[100.0])
     update_link(link, 5.0)
-    assert instantaneous_travel_time(link, 0.1) == pytest.approx(50.0)
+    assert instantaneous_travel_time(link) == pytest.approx(50.0)
 
 
 def test_capacity_reference_values():

@@ -318,7 +318,6 @@ def test_refresh_on_cadence():
     table = world.attractiveness
     assert table.tree_computations == 1  # free-flow initialization
     maybe_refresh(world, 240)
-    assert table.last_update_step == 240
     assert table.tree_computations == 2
 
 
@@ -334,7 +333,6 @@ def test_refresh_at_step_zero():
     world = _refresh_world(route_update_interval=120)
     maybe_refresh(world, 0)
     assert world.attractiveness.tree_computations == 2
-    assert world.attractiveness.last_update_step == 0
 
 
 def test_refresh_count_over_run():
