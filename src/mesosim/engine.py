@@ -52,9 +52,10 @@ class NodeRuntime:
 
 
 def index_nodes(nodes: list[NodeSpec], links: list[LinkState]) -> dict[str, NodeRuntime]:
-    """The network index: name -> NodeRuntime in node order, links in link order."""
+    """The network index: name -> NodeRuntime in node order; link ids follow link order."""
     runtimes = {spec.name: NodeRuntime(spec) for spec in nodes}
-    for link in links:
+    for link_id, link in enumerate(links):
+        link.id = link_id
         runtimes[link.spec.from_node].outgoing.append(link)
         runtimes[link.spec.to_node].incoming.append(link)
     return runtimes
@@ -156,7 +157,7 @@ class World:
             self.waiting.setdefault(demand.origin, deque())
             # destinations that are not nodes get no row; the demand check reports them
             if demand.destination in node_names:
-                self.attractiveness.B.setdefault(demand.destination, {})
+                self.attractiveness.B.setdefault(demand.destination, [0.0] * len(self.links))
         self.accumulators = [0.0] * len(demands)
         self.platoons: list[Platoon] = []
 

@@ -78,11 +78,13 @@ class LinkState:
 
     platoons[0] is the front platoon (nearest the link end); new entrants
     append at the back with x = 0. entered_count / exited_count are
-    cumulative platoon counts used for cumulative-curve analysis.
+    cumulative platoon counts used for cumulative-curve analysis; id is the
+    link's position in link order, set by engine.index_nodes.
     """
 
     __slots__ = (
         "spec",
+        "id",
         "name",
         "length",
         "u",
@@ -107,49 +109,6 @@ class LinkState:
 
     def __repr__(self):
         return f"LinkState({self.name}, platoons={len(self.platoons)})"
-
-
-def advance_platoon(
-    x_self: float,
-    x_leader_prev: float | None,
-    u: float,
-    dt: float,
-    delta: float,
-    dn: int,
-) -> float:
-    """Next position of a platoon under the two-regime motion rule.
-
-    Parameters
-    ----------
-    x_self : float
-        Current position of the platoon, meters from link start.
-    x_leader_prev : float or None
-        The leader platoon's position at the start of the step, or None
-        when the platoon has no leader on its link.
-    u : float
-        Link free-flow speed, m/s.
-    dt : float
-        Step width, seconds.
-    delta : float
-        Jam spacing, meters per vehicle.
-    dn : int
-        Vehicles per platoon.
-
-    Returns
-    -------
-    float
-        min(x_self + u*dt, x_leader_prev - delta*dn), or the free-flow
-        term alone without a leader. Never below x_self; the floor only
-        matters for corrupted inputs, valid states cannot trigger it.
-    """
-    x_new = x_self + u * dt
-    if x_leader_prev is not None:
-        bound = x_leader_prev - delta * dn
-        if bound < x_new:
-            x_new = bound
-    if x_new < x_self:
-        return x_self
-    return x_new
 
 
 def update_link(link: LinkState, dt: float) -> LinkState:

@@ -1,14 +1,14 @@
 """Reactive route choice over periodically refreshed shortest-path trees.
 
-For every destination appearing in demand, the router keeps one
-attractiveness weight per link. Every refresh it rebuilds the
-shortest-path tree into the destination from current link costs,
-encodes tree membership as a 0/1 indicator b, and blends it into the
-running weights:
+For every destination appearing in demand, the router keeps a row of
+attractiveness weights indexed by LinkState.id. Every refresh one
+backward search over current link costs builds the shortest-path tree
+into the destination, picking each node's next link, and the tree's 0/1
+indicator b is blended into the row:
 
     B = (1 - route_weight) * B_prev + route_weight * b
 
-The World's first blend, weight 1 into empty rows on empty links, makes
+The World's first blend, weight 1 into zero rows on empty links, makes
 B the free-flow indicator. Searches walk the World's node index, the
 only adjacency there is. Platoons at a node then sample their outgoing
 link with probability B / sum(B) over the node's candidates. The
@@ -30,87 +30,71 @@ _CONVEXITY_TOL = 1e-12
 class AttractivenessTable:
     """Per-destination, per-link sampling weights plus routing metadata.
 
-    B maps destination name to {link name: weight}. reach maps
-    destination name to the shortest_costs result of the first,
-    free-flow blend, {node: cost}, keyed by exactly the nodes with a
-    path to it; it serves the fallback filter, demand checks and delay
-    baselines. tree_computations counts shortest-path builds, including
-    the free-flow blend.
+    B maps destination name to a list of weights indexed by LinkState.id.
+    reach maps destination name to the cost of the first, free-flow tree,
+    {node: cost}, keyed by exactly the nodes with a path to it; it serves
+    the fallback filter, demand checks and delay baselines.
+    tree_computations counts shortest-path builds, including the
+    free-flow blend.
     """
 
     __slots__ = ("B", "reach", "tree_computations")
 
     def __init__(self):
-        self.B: dict[str, dict[str, float]] = {}
+        self.B: dict[str, list[float]] = {}
         self.reach: dict[str, dict[str, float]] = {}
         self.tree_computations = 0
 
 
-def shortest_costs(nodes, costs: dict[str, float], z: str) -> dict[str, float]:
-    """Cost of the cheapest directed path from every node into z.
+def shortest_tree(nodes, costs: list[float], z: str) -> tuple[dict, dict]:
+    """Cheapest route into z from every node: (dist, next_link).
 
-    Runs a single-destination search backwards over each node's incoming
-    links. Nodes with no path to z are absent from the result. nodes is
-    the World node index (name -> NodeRuntime); costs maps link name to
+    One single-destination search runs backwards over each node's
+    incoming links. dist maps every node with a path to z to its cost;
+    next_link maps every such node but z to the outgoing link that starts
+    its cheapest route, cost ties going to the smallest link name. nodes
+    is the World node index (name -> NodeRuntime); costs[link.id] is in
     seconds.
     """
     dist = {z: 0.0}
+    next_link = {}
     heap = [(0.0, z)]
     while heap:
         d, node = heappop(heap)
-        if d > dist.get(node, float("inf")):
+        if d > dist[node]:
             continue
         for link in nodes[node].incoming:
             tail = link.spec.from_node
-            nd = costs[link.name] + d
-            if nd < dist.get(tail, float("inf")):
+            nd = costs[link.id] + d
+            best = dist.get(tail)
+            if best is None or nd < best:
                 dist[tail] = nd
+                next_link[tail] = link
                 heappush(heap, (nd, tail))
-    return dist
+            elif nd == best and tail != z and link.name < next_link[tail].name:
+                next_link[tail] = link
+    return dist, next_link
 
 
-def shortest_path_indicator(nodes, costs, z: str, dist) -> dict[str, int]:
-    """0/1 per link: 1 iff the link starts the cheapest route from its tail to z.
+def blend_row(prev: list[float], chosen, lam: float) -> list[float]:
+    """Blend a tree's indicator into a row: (1-lam)*prev + lam*b elementwise.
 
-    Exactly one outgoing link per reaching node other than z is marked;
-    cost ties break on the lexicographically smallest link name. Links
-    whose head cannot reach z stay 0, which covers every link whose tail
-    cannot. dist is shortest_costs(nodes, costs, z).
+    b is 1.0 at the link ids in chosen and 0.0 elsewhere; each result
+    must land between the two inputs.
     """
-    b = {}
-    for node in nodes.values():
-        best = None
-        for link in node.outgoing:
-            b[link.name] = 0
-            d_head = dist.get(link.spec.to_node)
-            if d_head is not None:
-                key = (costs[link.name] + d_head, link.name)
-                if best is None or key < best:
-                    best = key
-        if best is not None and node.name != z:
-            b[best[1]] = 1
-    return b
-
-
-def update_attractiveness(
-    B_prev: dict[str, float], b: dict[str, int], lam: float
-) -> dict[str, float]:
-    """Blend the fresh tree indicator into the previous weights.
-
-    Elementwise convex combination (1-lam)*B_prev + lam*b over the union
-    of keys; each result must land between the two inputs.
-    """
-    out = {}
-    for key in B_prev | b:
-        prev = B_prev.get(key, 0.0)
-        new = float(b.get(key, 0))
-        value = (1.0 - lam) * prev + lam * new
-        lo, hi = (prev, new) if prev <= new else (new, prev)
+    b = [0.0] * len(prev)
+    for link_id in chosen:
+        b[link_id] = 1.0
+    keep = 1.0 - lam
+    out = []
+    for link_id, (old, new) in enumerate(zip(prev, b)):
+        value = keep * old + lam * new
+        lo, hi = (old, new) if old <= new else (new, old)
         if value < lo - _CONVEXITY_TOL or value > hi + _CONVEXITY_TOL:
             raise ConsistencyError(
-                f"attractiveness update left [{lo}, {hi}]: {value} for {key}"
+                f"attractiveness update left [{lo}, {hi}]: {value} for link id {link_id}"
             )
-        out[key] = value
+        out.append(value)
     return out
 
 
@@ -156,7 +140,7 @@ def choose_outgoing(platoon, node, table: AttractivenessTable, rng: random.Rando
     z = platoon.destination
     row = table.B.get(z)
     if row:
-        k = weighted_draw([row.get(link.name, 0.0) for link in candidates], rng)
+        k = weighted_draw([row[link.id] for link in candidates], rng)
         if k is not None:
             return candidates[k]
     reach = table.reach.get(z, ())
@@ -172,15 +156,14 @@ def blend_trees(world, lam: float, reach: dict | None = None) -> None:
     """Blend each destination's tree under current link costs into its B row.
 
     An empty link costs its free-flow time. reach, when given, receives
-    each destination's shortest_costs result; refreshes keep none.
+    each destination's dist; refreshes keep none.
     """
     table = world.attractiveness
-    costs = {link.name: kinematics.instantaneous_travel_time(link) for link in world.links}
+    costs = [kinematics.instantaneous_travel_time(link) for link in world.links]
     nodes = world.nodes_by_name
-    for z in table.B:
-        dist = shortest_costs(nodes, costs, z)
-        b = shortest_path_indicator(nodes, costs, z, dist)
-        table.B[z] = update_attractiveness(table.B[z], b, lam)
+    for z, row in table.B.items():
+        dist, next_link = shortest_tree(nodes, costs, z)
+        table.B[z] = blend_row(row, [link.id for link in next_link.values()], lam)
         table.tree_computations += 1
         if reach is not None:
             reach[z] = dist

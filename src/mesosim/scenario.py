@@ -84,6 +84,16 @@ class SimConfig:
             raise ValidationError("route_update_interval must be a positive integer")
         if not 0.0 <= self.route_weight <= 1.0:
             raise ValidationError("route_weight must lie in [0, 1]")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        try:
+            dt = self.time_step
+        except OverflowError:  # platoon_size beyond float range
+            dt = math.inf
+        if dt == math.inf:
+            raise ValidationError("time step reaction_time * platoon_size overflows")
+        if self.duration / dt == math.inf:
+            raise ValidationError("step count duration / time step overflows")
 
     @property
     def time_step(self) -> float:
@@ -155,10 +165,6 @@ class LinkSpec:
         """Minimum per-vehicle spacing at standstill, meters (1/jam_density)."""
         return 1.0 / self.jam_density
 
-    @property
-    def free_flow_time(self) -> float:
-        return self.length / self.free_flow_speed
-
 
 @dataclass(frozen=True)
 class DemandSpec:
@@ -180,10 +186,6 @@ class DemandSpec:
             raise ValidationError("demand t_start must be non-negative")
         if self.flow < 0:
             raise ValidationError("demand flow must be non-negative")
-
-    @property
-    def total_vehicles(self) -> float:
-        return (self.t_end - self.t_start) * self.flow
 
 
 def _float_field(row_idx: int, name: str, raw: str) -> float:
@@ -314,37 +316,6 @@ def parse_demand(text: str) -> list[DemandSpec]:
             )
         )
     return demands
-
-
-def serialize_nodes(nodes: list[NodeSpec]) -> str:
-    """Inverse of parse_nodes (used for round-trip checks and fixtures)."""
-    out = ["name,x,y,signal"]
-    for n in nodes:
-        sig = ""
-        if n.signal is not None:
-            phases = ";".join(
-                f"{dur:g}:{'|'.join(sorted(links))}" for dur, links in n.signal.phases
-            )
-            sig = f"{n.signal.offset:g}:{phases}"
-        out.append(f"{n.name},{n.x:g},{n.y:g},{sig}")
-    return "\n".join(out) + "\n"
-
-
-def serialize_links(links: list[LinkSpec]) -> str:
-    out = ["name,from,to,length,free_flow_speed,jam_density,merge_priority"]
-    for l in links:
-        out.append(
-            f"{l.name},{l.from_node},{l.to_node},{l.length:g},"
-            f"{l.free_flow_speed:g},{l.jam_density:g},{l.merge_priority:g}"
-        )
-    return "\n".join(out) + "\n"
-
-
-def serialize_demand(demands: list[DemandSpec]) -> str:
-    out = ["orig,dest,start_t,end_t,flow"]
-    for d in demands:
-        out.append(f"{d.origin},{d.destination},{d.t_start:g},{d.t_end:g},{d.flow:g}")
-    return "\n".join(out) + "\n"
 
 
 def horizon(config: SimConfig) -> float:

@@ -75,6 +75,19 @@ def random_digraph(n: int, rng, n_arcs: int, spanning_cycle: bool = True) -> lis
     ]
 
 
+def reaching(links: list[LinkSpec], z: str) -> set[str]:
+    """Nodes with a directed path to z, by fixed-point iteration over arcs."""
+    found = {z}
+    grew = True
+    while grew:
+        grew = False
+        for link in links:
+            if link.to_node in found and link.from_node not in found:
+                found.add(link.from_node)
+                grew = True
+    return found
+
+
 def node_index(links, *nodes: NodeSpec):
     """The engine's network index over hand-built link states.
 

@@ -17,7 +17,7 @@ from mesosim import export_csv, mfd_points, run
 from mesosim.analyzer import export_bin
 from mesosim.kinematics import LinkState, link_capacity
 from mesosim.node_transfer import signal_permits
-from mesosim.routing import shortest_costs
+from mesosim.routing import shortest_tree
 
 import conftest
 from conftest import (
@@ -250,7 +250,7 @@ def _scan_counts(world):
 
 def _scan_attractiveness(world):
     for row in world.attractiveness.B.values():
-        for value in row.values():
+        for value in row:
             assert math.isfinite(value)
             assert -1e-9 <= value <= 1.0 + 1e-9
 
@@ -324,12 +324,12 @@ def test_criterion_10_routing_oracle():
         names = [f"n{i}" for i in range(n)]
         links = random_digraph(n, rng, min(2 * n, n * (n - 1)))
         nodes = node_index([LinkState(link, 5) for link in links])
-        costs = {link.name: link.length / 20.0 for link in links}
+        costs = [link.length / 20.0 for link in links]
         adjacency = defaultdict(list)
-        for link in links:
-            adjacency[link.from_node].append((link.to_node, costs[link.name]))
+        for link_id, link in enumerate(links):
+            adjacency[link.from_node].append((link.to_node, costs[link_id]))
         for z in names:
-            dist = shortest_costs(nodes, costs, z)
+            dist, _ = shortest_tree(nodes, costs, z)
             for tail in names:
                 expected = _brute_force_cost(adjacency, tail, z)
                 assert dist.get(tail) == expected, (n, tail, z)

@@ -94,6 +94,18 @@ def test_non_finite_flag_is_validation_error(tiny_scenario, capsys, flag, value)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tau", "1e-320"),
+    ("--deltan", "1" + "0" * 400),
+])
+def test_overflowing_flag_is_validation_error(tiny_scenario, capsys, flag, value):
+    code = cli.main(base_args(tiny_scenario, flag, value))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err
+    assert "Traceback" not in err
+
+
 def test_consistency_error_is_internal_error(tiny_scenario, capsys, monkeypatch):
     def broken_step(world):
         raise ConsistencyError("platoon conservation violated")

@@ -10,11 +10,55 @@ from mesosim import ConsistencyError, LinkSpec
 from mesosim.kinematics import (
     LinkState,
     Platoon,
-    advance_platoon,
     instantaneous_travel_time,
     link_capacity,
     update_link,
 )
+
+
+def advance_platoon(
+    x_self: float,
+    x_leader_prev: float | None,
+    u: float,
+    dt: float,
+    delta: float,
+    dn: int,
+) -> float:
+    """Next position of a platoon under the two-regime motion rule.
+
+    The oracle for update_link: the rule stated for one platoon at a time.
+
+    Parameters
+    ----------
+    x_self : float
+        Current position of the platoon, meters from link start.
+    x_leader_prev : float or None
+        The leader platoon's position at the start of the step, or None
+        when the platoon has no leader on its link.
+    u : float
+        Link free-flow speed, m/s.
+    dt : float
+        Step width, seconds.
+    delta : float
+        Jam spacing, meters per vehicle.
+    dn : int
+        Vehicles per platoon.
+
+    Returns
+    -------
+    float
+        min(x_self + u*dt, x_leader_prev - delta*dn), or the free-flow
+        term alone without a leader. Never below x_self; the floor only
+        matters for corrupted inputs, valid states cannot trigger it.
+    """
+    x_new = x_self + u * dt
+    if x_leader_prev is not None:
+        bound = x_leader_prev - delta * dn
+        if bound < x_new:
+            x_new = bound
+    if x_new < x_self:
+        return x_self
+    return x_new
 
 
 def make_link(length=1000.0, u=20.0, kappa=0.2, platoon_size=5, positions=()):

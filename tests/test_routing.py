@@ -6,20 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mesosim import LinkSpec, NoCandidate, NodeSpec
+from mesosim import ConsistencyError, LinkSpec, NoCandidate, NodeSpec
 from mesosim.kinematics import LinkState, Platoon
 from mesosim.routing import (
     AttractivenessTable,
+    blend_row,
     choose_outgoing,
     maybe_refresh,
-    shortest_costs,
-    shortest_path_indicator,
-    update_attractiveness,
+    shortest_tree,
     weighted_draw,
 )
 from mesosim.node_transfer import select_incoming_order
 
-from conftest import make_world, node_index, single_link_texts
+from conftest import make_world, node_index, random_digraph, reaching, single_link_texts
 
 
 def spec(name, tail, head):
@@ -27,13 +26,17 @@ def spec(name, tail, head):
                     free_flow_speed=20.0, jam_density=0.2)
 
 
-def index(links):
-    return node_index([LinkState(link, 5) for link in links])
+def tree(links, costs, z):
+    """shortest_tree over hand links, costs keyed by link name; next links by name."""
+    states = [LinkState(link, 5) for link in links]
+    dist, next_link = shortest_tree(node_index(states), [costs[s.name] for s in states], z)
+    return dist, {node: link.name for node, link in next_link.items()}
 
 
 def indicator(links, costs, z):
-    nodes = index(links)
-    return shortest_path_indicator(nodes, costs, z, shortest_costs(nodes, costs, z))
+    """The tree as a 0/1 mark per link: 1 on each reaching node's next link."""
+    chosen = set(tree(links, costs, z)[1].values())
+    return {link.name: int(link.name in chosen) for link in links}
 
 
 def test_indicator_prefers_cheaper_parallel():
@@ -54,6 +57,7 @@ def test_indicator_marks_whole_chain():
     links = [spec("o1", "a", "b"), spec("o2", "b", "z")]
     b = indicator(links, {"o1": 10.0, "o2": 10.0}, "z")
     assert b == {"o1": 1, "o2": 1}
+    assert tree(links, {"o1": 10.0, "o2": 10.0}, "z")[1] == {"a": "o1", "b": "o2"}
 
 
 def test_indicator_unreachable_tail_is_zero():
@@ -61,9 +65,10 @@ def test_indicator_unreachable_tail_is_zero():
     links = [spec("az", "a", "z"), spec("cb", "c", "b")]
     b = indicator(links, {"az": 10.0, "cb": 10.0}, "z")
     assert b == {"az": 1, "cb": 0}
+    assert tree(links, {"az": 10.0, "cb": 10.0}, "z") == ({"z": 0.0, "a": 10.0}, {"a": "az"})
 
 
-def test_shortest_costs_hand_instance():
+def test_shortest_tree_hand_instance():
     links = [
         spec("AB", "A", "B"),
         spec("Bz", "B", "z"),
@@ -72,41 +77,90 @@ def test_shortest_costs_hand_instance():
         spec("zA", "z", "A"),
     ]
     costs = {"AB": 10.0, "Bz": 20.0, "Az": 35.0, "BA": 1.0, "zA": 100.0}
-    dist = shortest_costs(index(links), costs, "z")
+    dist, next_link = tree(links, costs, "z")
     assert dist == {"z": 0.0, "B": 20.0, "A": 30.0}
+    assert next_link == {"A": "AB", "B": "Bz"}
     b = indicator(links, costs, "z")
     assert b == {"AB": 1, "Bz": 1, "Az": 0, "BA": 0, "zA": 0}
 
 
+def _reference_next_links(nodes, costs, z, dist):
+    """The two-pass indicator: each reaching node but z takes the argmin of
+    (cost + dist[head], link name) over its outgoing links."""
+    out = {}
+    for node in nodes.values():
+        keys = [
+            (costs[link.id] + dist[link.spec.to_node], link.name)
+            for link in node.outgoing
+            if link.spec.to_node in dist
+        ]
+        if keys and node.name != z:
+            out[node.name] = min(keys)[1]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32),
+    st.data(),
+)
+def test_tree_matches_two_pass_indicator(n, spanning_cycle, seed, data):
+    rng = random.Random(seed)
+    links = random_digraph(n, rng, rng.randint(0, n * (n - 1)), spanning_cycle)
+    rng.shuffle(links)  # ids then follow neither the names nor the arc order
+    states = [LinkState(link, 5) for link in links]
+    names = [f"n{i}" for i in range(n)]
+    nodes = node_index(states, *(NodeSpec(name=name, x=0.0, y=0.0) for name in names))
+    # few distinct, exactly summing costs make ties common
+    costs = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+                               min_size=len(states), max_size=len(states)))
+    for z in names:
+        dist, next_link = shortest_tree(nodes, costs, z)
+        assert set(dist) == reaching(links, z)
+        assert z not in next_link
+        chosen = {node: link.name for node, link in next_link.items()}
+        assert chosen == _reference_next_links(nodes, costs, z, dist)
+        for node, link in next_link.items():
+            assert link.spec.from_node == node
+            assert dist[node] == costs[link.id] + dist[link.spec.to_node]
+
+
 def test_update_blends_halfway():
-    assert update_attractiveness({"o": 1.0}, {"o": 0}, 0.5) == {"o": 0.5}
+    assert blend_row([1.0], [], 0.5) == [0.5]
 
 
 def test_update_full_weight_copies_indicator():
-    assert update_attractiveness({"o": 0.3, "p": 0.7}, {"o": 1, "p": 0}, 1.0) == {"o": 1.0, "p": 0.0}
+    assert blend_row([0.3, 0.7], [0], 1.0) == [1.0, 0.0]
 
 
 def test_update_zero_weight_keeps_previous():
-    prev = {"o": 0.3, "p": 0.7}
-    assert update_attractiveness(prev, {"o": 1, "p": 0}, 0.0) == prev
+    prev = [0.3, 0.7]
+    assert blend_row(prev, [0], 0.0) == prev
 
 
-def test_update_covers_key_union():
-    out = update_attractiveness({"o": 1.0}, {"p": 1}, 0.5)
-    assert out == {"o": 0.5, "p": 0.5}
+def test_update_covers_every_link():
+    out = blend_row([1.0, 0.0], [1], 0.5)
+    assert out == [0.5, 0.5]
+
+
+def test_update_outside_unit_weight_raises():
+    with pytest.raises(ConsistencyError):
+        blend_row([1.0, 0.0], [1], 1.5)
 
 
 @settings(max_examples=120)
 @given(
-    st.dictionaries(st.sampled_from("abcde"), st.floats(min_value=0.0, max_value=1.0), max_size=5),
-    st.dictionaries(st.sampled_from("abcde"), st.sampled_from([0, 1]), max_size=5),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=5, max_size=5),
+    st.lists(st.sampled_from([0, 1]), min_size=5, max_size=5),
     st.floats(min_value=0.0, max_value=1.0),
 )
 def test_update_stays_convex(prev, b, lam):
-    out = update_attractiveness(prev, b, lam)
-    for key, value in out.items():
-        lo = min(prev.get(key, 0.0), float(b.get(key, 0)))
-        hi = max(prev.get(key, 0.0), float(b.get(key, 0)))
+    out = blend_row(prev, [k for k, mark in enumerate(b) if mark], lam)
+    for key, value in enumerate(out):
+        lo = min(prev[key], float(b[key]))
+        hi = max(prev[key], float(b[key]))
         assert lo - 1e-12 <= value <= hi + 1e-12
 
 
@@ -118,8 +172,9 @@ def _choice_node():
 
 
 def _table(row, reach=frozenset({"m1", "m2", "Z"})):
+    """A table whose row for Z holds row[0] for link A and row[1] for link B."""
     table = AttractivenessTable()
-    table.B["Z"] = dict(row)
+    table.B["Z"] = list(row)
     table.reach["Z"] = set(reach)
     return table
 
@@ -134,19 +189,19 @@ def _sample_share(row, draws=10000, seed=11):
 
 
 def test_choose_symmetric_row():
-    assert _sample_share({"A": 0.5, "B": 0.5}) == pytest.approx(0.5, abs=0.02)
+    assert _sample_share([0.5, 0.5]) == pytest.approx(0.5, abs=0.02)
 
 
 def test_choose_degenerate_row_always_wins():
     node, la, _ = _choice_node()
-    table = _table({"A": 1.0, "B": 0.0})
+    table = _table([1.0, 0.0])
     rng = random.Random(12)
     p = Platoon(0, "n", "Z", 0.0)
     assert all(choose_outgoing(p, node, table, rng) is la for _ in range(200))
 
 
 def test_choose_weighted_row():
-    assert _sample_share({"A": 0.75, "B": 0.25}) == pytest.approx(0.75, abs=0.02)
+    assert _sample_share([0.75, 0.25]) == pytest.approx(0.75, abs=0.02)
 
 
 def test_choose_single_candidate_needs_no_rng():
@@ -165,7 +220,7 @@ def test_choose_no_outgoing_raises():
 
 def test_choose_zero_row_falls_back_to_topology():
     node, la, lb = _choice_node()
-    table = _table({"A": 0.0, "B": 0.0}, reach={"m2", "Z"})
+    table = _table([0.0, 0.0], reach={"m2", "Z"})
     p = Platoon(0, "n", "Z", 0.0)
     for _ in range(50):
         assert choose_outgoing(p, node, table, random.Random(0)) is lb
@@ -173,7 +228,7 @@ def test_choose_zero_row_falls_back_to_topology():
 
 def test_choose_zero_row_uniform_over_reaching():
     node, la, _ = _choice_node()
-    table = _table({"A": 0.0, "B": 0.0})
+    table = _table([0.0, 0.0])
     rng = random.Random(13)
     p = Platoon(0, "n", "Z", 0.0)
     hits = sum(choose_outgoing(p, node, table, rng) is la for _ in range(10000))
@@ -182,7 +237,7 @@ def test_choose_zero_row_uniform_over_reaching():
 
 def test_choose_zero_row_nothing_reaches_raises():
     node, _, _ = _choice_node()
-    table = _table({"A": 0.0, "B": 0.0}, reach={"Z"})
+    table = _table([0.0, 0.0], reach={"Z"})
     p = Platoon(0, "n", "Z", 0.0)
     with pytest.raises(NoCandidate):
         choose_outgoing(p, node, table, random.Random(0))
@@ -323,7 +378,7 @@ def test_refresh_on_cadence():
 
 def test_refresh_off_cadence_is_noop():
     world = _refresh_world(route_update_interval=120)
-    before = dict(world.attractiveness.B["B"])
+    before = list(world.attractiveness.B["B"])
     maybe_refresh(world, 241)
     assert world.attractiveness.tree_computations == 1
     assert world.attractiveness.B["B"] == before
@@ -365,6 +420,6 @@ def test_full_weight_static_network_is_all_or_nothing():
 
 def test_zero_weight_freezes_initial_table():
     world = _refresh_world(route_weight=0.0, route_update_interval=10)
-    initial = {z: dict(row) for z, row in world.attractiveness.B.items()}
+    initial = {z: list(row) for z, row in world.attractiveness.B.items()}
     maybe_refresh(world, 10)
     assert world.attractiveness.B == initial

@@ -27,9 +27,7 @@ from mesosim import (
     parse_nodes,
     parse_signal,
 )
-from mesosim.scenario import serialize_demand, serialize_links, serialize_nodes
-
-from conftest import make_world, random_digraph, read_demo, single_link_texts
+from conftest import make_world, random_digraph, reaching, read_demo, single_link_texts
 
 LINK_HEADER = "name,from,to,length,free_flow_speed,jam_density,merge_priority"
 
@@ -88,7 +86,7 @@ def test_parse_links_example_row():
     (link,) = parse_links(f"{LINK_HEADER}\nNE,N,E,1000,20,0.2,0.5")
     assert link.jam_spacing == pytest.approx(5.0)
     assert link.from_node == "N" and link.to_node == "E"
-    assert link.free_flow_time == pytest.approx(50.0)
+    assert link.length / link.free_flow_speed == pytest.approx(50.0)
 
 
 def test_parse_links_blank_priority_defaults():
@@ -120,7 +118,7 @@ def test_parse_links_duplicate_name_rejected():
 
 def test_parse_demand_band_total():
     (band,) = parse_demand("orig,dest,start_t,end_t,flow\nW,E,0,1200,0.4")
-    assert band.total_vehicles == pytest.approx(480.0)
+    assert (band.t_end - band.t_start) * band.flow == pytest.approx(480.0)
 
 
 def test_parse_demand_zero_flow_is_valid():
@@ -219,19 +217,6 @@ def test_build_world_reports_first_demand_error(rows, error, fragment):
         make_world(nodes, links, demand, duration=500.0)
 
 
-def _reaching(links, z):
-    """Nodes with a directed path to z, by fixed-point iteration over arcs."""
-    found = {z}
-    grew = True
-    while grew:
-        grew = False
-        for link in links:
-            if link.to_node in found and link.from_node not in found:
-                found.add(link.from_node)
-                grew = True
-    return found
-
-
 def test_reach_keys_are_exactly_the_reaching_nodes():
     unreachable_pairs = 0
     for n in range(2, 8):
@@ -241,7 +226,7 @@ def test_reach_keys_are_exactly_the_reaching_nodes():
             names = [f"n{i}" for i in range(n)]
             nodes = [NodeSpec(name=name, x=0.0, y=0.0) for name in names]
             for z in names:
-                expected = _reaching(links, z)
+                expected = reaching(links, z)
                 for origin in names:
                     if origin == z:
                         continue
@@ -351,10 +336,24 @@ def test_sim_config_validation():
     ("route_weight", float("nan")),
     ("platoon_size", True),
     ("route_update_interval", True),
+    ("seed", True),
+    ("seed", None),
+    ("seed", [1]),
+    ("seed", 1.0),
 ])
 def test_sim_config_rejects_non_finite_and_bool(field, value):
     with pytest.raises(ValidationError):
         SimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("overrides, fragment", [
+    (dict(reaction_time=1e-320), "step count"),
+    (dict(reaction_time=1e308), "time step"),
+    (dict(platoon_size=10**400), "time step"),
+])
+def test_sim_config_rejects_overflowing_step(overrides, fragment):
+    with pytest.raises(ValidationError, match=f"{fragment} .* overflows"):
+        SimConfig(**overrides)
 
 
 @pytest.mark.parametrize("field", ["length", "free_flow_speed", "jam_density", "merge_priority"])
@@ -418,6 +417,37 @@ def test_capacity_finite_on_demo_links():
             denom = link.free_flow_speed * tau + link.jam_spacing
             assert denom > 0
             assert math.isfinite(link.free_flow_speed / denom)
+
+
+def serialize_nodes(nodes: list[NodeSpec]) -> str:
+    """Inverse of parse_nodes, for the round-trip tests below."""
+    out = ["name,x,y,signal"]
+    for n in nodes:
+        sig = ""
+        if n.signal is not None:
+            phases = ";".join(
+                f"{dur:g}:{'|'.join(sorted(links))}" for dur, links in n.signal.phases
+            )
+            sig = f"{n.signal.offset:g}:{phases}"
+        out.append(f"{n.name},{n.x:g},{n.y:g},{sig}")
+    return "\n".join(out) + "\n"
+
+
+def serialize_links(links: list[LinkSpec]) -> str:
+    out = ["name,from,to,length,free_flow_speed,jam_density,merge_priority"]
+    for l in links:
+        out.append(
+            f"{l.name},{l.from_node},{l.to_node},{l.length:g},"
+            f"{l.free_flow_speed:g},{l.jam_density:g},{l.merge_priority:g}"
+        )
+    return "\n".join(out) + "\n"
+
+
+def serialize_demand(demands: list[DemandSpec]) -> str:
+    out = ["orig,dest,start_t,end_t,flow"]
+    for d in demands:
+        out.append(f"{d.origin},{d.destination},{d.t_start:g},{d.t_end:g},{d.flow:g}")
+    return "\n".join(out) + "\n"
 
 
 _name = st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_", min_size=1, max_size=8)
