@@ -9,13 +9,20 @@ a time bin: density is accumulated vehicle-time divided by (total road
 length * bin width), flow is accumulated vehicle-distance divided by
 the same. On stationary traffic these reduce to the usual point
 measures, and their ratio is the space-mean speed.
+
+The export renders each distinct number (6 significant digits) and
+name (quoted by the csv module's rules) once per call, in bounded
+memos, and writes each table as pre-rendered lines: one chunk per
+platoon for vehicles.csv and one per step for links.csv.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import DisconnectedPath, UnknownLink, ValidationError
 
@@ -86,10 +93,12 @@ def cumulative_counts(log, link: str) -> list[tuple[float, int, int]]:
     if link not in log.link_meta:
         raise UnknownLink(f"no link named {link!r} in this run")
     dn = log.platoon_size
+    # records are step-major, in link order within a step
+    names = list(log.link_meta)
     return [
         (t, entered * dn, exited * dn)
-        for t, name, _count, _speed, entered, exited in log.link_records
-        if name == link
+        for t, _name, _count, _speed, entered, exited
+        in log.link_records[names.index(link)::len(names)]
     ]
 
 
@@ -168,50 +177,105 @@ def export_bin(log) -> float:
     return min(bin_s, log.duration)
 
 
+# most entries one export memo holds; a full memo is emptied
+_MEMO_LIMIT = 65536
+
+
+class _Memo(dict):
+    """render(key) of each distinct key, computed once per export.
+
+    Holds at most _MEMO_LIMIT entries. Zero keys are kept only when
+    keep_zero: 0.0 and -0.0 are the same key but render as "0" and "-0".
+    """
+
+    __slots__ = ("render", "keep_zero")
+
+    def __init__(self, render, keep_zero: bool = True):
+        super().__init__()
+        self.render = render
+        self.keep_zero = keep_zero
+
+    def __missing__(self, key):
+        text = self.render(key)
+        if key or self.keep_zero:
+            if len(self) >= _MEMO_LIMIT:
+                self.clear()
+            self[key] = text
+        return text
+
+
 def _fmt(value: float) -> str:
     """Deterministic number rendering: up to 6 significant digits."""
     return format(value, ".6g")
 
 
-def _write_table(out_dir: str, name: str, header: list[str], rows) -> str:
-    """Write one export table (UTF-8, LF endings) and return its path."""
+def _csv_field(name: str) -> str:
+    """name as the csv module writes it inside a row, quoted if needed."""
+    buffer = io.StringIO()
+    # a second, empty field keeps a lone empty name from being written as '""'
+    csv.writer(buffer, lineterminator="\n").writerow([name, ""])
+    return buffer.getvalue()[:-2]
+
+
+def _lines(*columns) -> str:
+    """CSV lines, each ending in LF, from equal-length columns of rendered cells."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _write_table(out_dir: str, name: str, header: list[str], chunks) -> str:
+    """Write a header and pre-rendered lines (UTF-8, LF endings); return the path."""
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        f.write(",".join(header) + "\n")
+        f.writelines(chunks)
     return path
 
 
 def export_csv(log, world, out_dir: str) -> list[str]:
     """Write vehicles.csv, links.csv, summary.csv, and mfd.csv into out_dir.
 
-    Rendering is deterministic (6 significant digits, LF endings), so
-    re-exporting the same run reproduces the files byte for byte.
+    Rendering is deterministic (6 significant digits, LF endings, names
+    quoted as the csv module quotes them), so re-exporting the same run
+    reproduces the files byte for byte. Each distinct number and name is
+    rendered once; the tables are written one platoon (vehicles.csv) or
+    one step (links.csv) at a time.
     """
     os.makedirs(out_dir, exist_ok=True)
     dn = log.platoon_size
-    vehicles = (
-        [_fmt(t), p.id, p.origin, p.destination, name, _fmt(x), _fmt(v)]
-        for p in world.platoons
-        for t, name, x, v in p.trajectory
-    )
-    links = (
-        [_fmt(t), name, count * dn, _fmt(speed), entered * dn, exited * dn]
-        for t, name, count, speed, entered, exited in log.link_records
-    )
+    num = _Memo(_fmt, keep_zero=False).__getitem__
+    name = _Memo(_csv_field).__getitem__
+    scaled = _Memo(lambda count: str(count * dn)).__getitem__  # platoons to vehicles
+
+    def vehicles():
+        for p in world.platoons:
+            if p.trajectory:
+                ids = f"{p.id},{name(p.origin)},{name(p.destination)}"
+                t, link, x, v = zip(*p.trajectory)
+                yield _lines(map(num, t), repeat(ids), map(name, link), map(num, x), map(num, v))
+
+    def links():
+        records = log.link_records
+        width = max(1, len(log.link_meta))
+        for start in range(0, len(records), width):
+            t, link, count, speed, entered, exited = zip(*records[start:start + width])
+            yield _lines(map(num, t), map(name, link), map(scaled, count), map(num, speed),
+                         map(scaled, entered), map(scaled, exited))
+
     stats = basic_stats(log, world)
-    summary = [stats.completed_trips, stats.stranded_trips, _fmt(stats.total_travel_time),
-               _fmt(stats.average_travel_time), _fmt(stats.total_delay)]
-    mfd = (
-        [_fmt(point.t_bin), _fmt(point.density), _fmt(point.flow)]
-        for point in mfd_points(log, world, export_bin(log))
+    summary = (
+        f"{stats.completed_trips},{stats.stranded_trips},{num(stats.total_travel_time)},"
+        f"{num(stats.average_travel_time)},{num(stats.total_delay)}\n"
     )
+    mfd = [
+        f"{num(point.t_bin)},{num(point.density)},{num(point.flow)}\n"
+        for point in mfd_points(log, world, export_bin(log))
+    ]
     return [
         _write_table(
-            out_dir, "vehicles.csv", ["t", "platoon_id", "orig", "dest", "link", "x", "v"], vehicles
+            out_dir, "vehicles.csv", ["t", "platoon_id", "orig", "dest", "link", "x", "v"],
+            vehicles(),
         ),
-        _write_table(out_dir, "links.csv", ["t", "link", "count", "mean_speed", "A", "D"], links),
+        _write_table(out_dir, "links.csv", ["t", "link", "count", "mean_speed", "A", "D"], links()),
         _write_table(out_dir, "summary.csv", ["completed_trips", "stranded_trips",
                      "total_travel_time", "average_travel_time", "total_delay"], [summary]),
         _write_table(out_dir, "mfd.csv", ["t_bin", "density", "flow"], mfd),

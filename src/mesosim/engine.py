@@ -66,7 +66,8 @@ class RunLog:
 
     link_records holds one (t, link, platoon_count, mean_speed,
     entered_cum, exited_cum) tuple per link per step, stamped with the
-    step end time; counts are in platoon units. trajectories maps
+    step end time: step-major, in link_meta order within a step. Counts
+    are in platoon units. trajectories maps
     platoon id to its (t, link, x, v) point list.
     """
 

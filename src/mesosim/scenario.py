@@ -22,6 +22,7 @@ import csv
 import io
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DuplicateNode, ParseError, ValidationError
@@ -92,8 +93,11 @@ class SimConfig:
             dt = math.inf
         if dt == math.inf:
             raise ValidationError("time step reaction_time * platoon_size overflows")
-        if self.duration / dt == math.inf:
-            raise ValidationError("step count duration / time step overflows")
+        steps = self.duration / dt
+        if steps > sys.maxsize:
+            raise ValidationError(
+                f"step count duration / time step = {steps:.6g} overflows the limit {sys.maxsize}"
+            )
 
     @property
     def time_step(self) -> float:
@@ -319,10 +323,17 @@ def parse_demand(text: str) -> list[DemandSpec]:
 
 
 def horizon(config: SimConfig) -> float:
-    """config.duration, rounded up to a whole number of time steps if needed."""
+    """config.duration, rounded up to a whole number of time steps if needed.
+
+    Raises ValidationError when that number of steps would be zero.
+    """
     dt = config.time_step
     steps = config.duration / dt
     if abs(steps - round(steps)) <= 1e-9:
+        if round(steps) == 0:
+            raise ValidationError(
+                f"duration {config.duration:.6g} s rounds to zero time steps of {dt:.6g} s"
+            )
         return config.duration
     adjusted = math.ceil(steps - 1e-9) * dt
     log.info(

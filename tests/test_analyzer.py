@@ -1,20 +1,32 @@
 """Trip stats, cumulative curves, network flow measures, CSV export."""
 
+import csv
+import math
 import os
+import tempfile
+from itertools import cycle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesosim import (
+    DemandSpec,
     DisconnectedPath,
+    LinkSpec,
+    NodeSpec,
+    SimConfig,
     UnknownLink,
     ValidationError,
     basic_stats,
+    build_world,
     cumulative_counts,
     export_csv,
     mfd_points,
     run,
     time_space_points,
 )
+from mesosim import analyzer
 from mesosim.analyzer import export_bin
 
 from conftest import (
@@ -98,6 +110,18 @@ def test_cumulative_monotone_and_ordered(uroboros_default_run):
             assert a >= d
             assert a >= prev_a and d >= prev_d
             prev_a, prev_d = a, d
+
+
+def test_cumulative_matches_full_scan(uroboros_default_run):
+    log = uroboros_default_run.log
+    dn = log.platoon_size
+    for link in log.link_meta:
+        scanned = [
+            (t, entered * dn, exited * dn)
+            for t, name, _count, _speed, entered, exited in log.link_records
+            if name == link
+        ]
+        assert cumulative_counts(log, link) == scanned
 
 
 def test_cumulative_unknown_link():
@@ -274,3 +298,119 @@ def test_export_bin_tracks_time_step():
     assert export_bin(odd.log) == pytest.approx(301.0)
     short = _run_single_link([], duration=100.0)
     assert export_bin(short.log) == pytest.approx(100.0)
+
+
+def _fmt(value: float) -> str:
+    return format(value, ".6g")
+
+
+def _oracle_table(out_dir, name, header, rows):
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _oracle_export(log, world, out_dir):
+    """The row-at-a-time writer export_csv must match byte for byte."""
+    os.makedirs(out_dir, exist_ok=True)
+    dn = log.platoon_size
+    vehicles = (
+        [_fmt(t), p.id, p.origin, p.destination, name, _fmt(x), _fmt(v)]
+        for p in world.platoons
+        for t, name, x, v in p.trajectory
+    )
+    links = (
+        [_fmt(t), name, count * dn, _fmt(speed), entered * dn, exited * dn]
+        for t, name, count, speed, entered, exited in log.link_records
+    )
+    stats = basic_stats(log, world)
+    summary = [stats.completed_trips, stats.stranded_trips, _fmt(stats.total_travel_time),
+               _fmt(stats.average_travel_time), _fmt(stats.total_delay)]
+    mfd = (
+        [_fmt(point.t_bin), _fmt(point.density), _fmt(point.flow)]
+        for point in mfd_points(log, world, export_bin(log))
+    )
+    return [
+        _oracle_table(
+            out_dir, "vehicles.csv", ["t", "platoon_id", "orig", "dest", "link", "x", "v"], vehicles
+        ),
+        _oracle_table(out_dir, "links.csv", ["t", "link", "count", "mean_speed", "A", "D"], links),
+        _oracle_table(out_dir, "summary.csv", ["completed_trips", "stranded_trips",
+                      "total_travel_time", "average_travel_time", "total_delay"], [summary]),
+        _oracle_table(out_dir, "mfd.csv", ["t_bin", "density", "flow"], mfd),
+    ]
+
+
+def _assert_export_matches_oracle(world):
+    with tempfile.TemporaryDirectory() as tmp:
+        expected = _oracle_export(world.log, world, os.path.join(tmp, "oracle"))
+        written = export_csv(world.log, world, os.path.join(tmp, "export"))
+        assert [os.path.basename(p) for p in written] == [os.path.basename(p) for p in expected]
+        for want, got in zip(expected, written):
+            with open(want, "rb") as f_want, open(got, "rb") as f_got:
+                assert f_got.read() == f_want.read(), os.path.basename(got)
+
+
+# zero before negative zero: the two are one dict key but render differently
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 123456789.0, -0.0, 0.0]
+NAME_CHARS = st.sampled_from([",", '"', " ", "\r\n", "\r", "\n", "\t", "a", "Z", "é", "北", "'", ";"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    names=st.lists(st.lists(NAME_CHARS, max_size=6).map("".join), min_size=5, max_size=5,
+                   unique=True),
+    floats=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
+)
+def test_export_matches_oracle(names, floats):
+    a, b, c, ab, bc = names
+    world = build_world(
+        SimConfig(duration=150.0),
+        [NodeSpec(a, 0.0, 0.0), NodeSpec(b, 500.0, 0.0), NodeSpec(c, 1000.0, 0.0)],
+        [LinkSpec(ab, a, b, 500.0, 20.0, 0.2), LinkSpec(bc, b, c, 500.0, 20.0, 0.2)],
+        [DemandSpec(a, c, 0.0, 60.0, 0.5), DemandSpec(b, c, 0.0, 30.0, 0.5)],
+    )
+    run(world)
+    values = cycle(SPECIAL_FLOATS + floats)
+    for p in world.platoons:
+        p.trajectory[:] = [(next(values), name, next(values), next(values))
+                           for _t, name, _x, _v in p.trajectory]
+    log = world.log
+    # record times stay: mfd_points bins links.csv rows by them
+    log.link_records[:] = [(t, name, count, next(values), entered, exited)
+                           for t, name, count, _speed, entered, exited in log.link_records]
+    _assert_export_matches_oracle(world)
+
+
+def test_memo_is_bounded():
+    memo = analyzer._Memo(str)
+    peak = 0
+    for i in range(analyzer._MEMO_LIMIT + 100):
+        assert memo[i + 0.5] == str(i + 0.5)
+        peak = max(peak, len(memo))
+    assert peak == analyzer._MEMO_LIMIT == 65536
+    signed = analyzer._Memo(_fmt, keep_zero=False)
+    assert [signed[0.0], signed[-0.0], signed[0.0]] == ["0", "-0", "0"]
+    assert len(signed) == 0
+
+
+def test_export_memo_stays_bounded(monkeypatch):
+    peak = [0]
+
+    class Recording(analyzer._Memo):
+        __slots__ = ()
+
+        def __missing__(self, key):
+            text = super().__missing__(key)
+            peak[0] = max(peak[0], len(self))
+            return text
+
+    monkeypatch.setattr(analyzer, "_Memo", Recording)
+    world = _run_single_link(["A,B,0,200,0.4"], duration=400.0)
+    n_points = analyzer._MEMO_LIMIT + 5000
+    world.platoons[0].trajectory[:] = [(5.0 * i, "AB", i / 7, 20.0) for i in range(n_points)]
+    _assert_export_matches_oracle(world)
+    assert peak[0] == analyzer._MEMO_LIMIT

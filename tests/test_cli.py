@@ -96,6 +96,7 @@ def test_non_finite_flag_is_validation_error(tiny_scenario, capsys, flag, value)
 
 @pytest.mark.parametrize("flag, value", [
     ("--tau", "1e-320"),
+    ("--tau", "1e-300"),
     ("--deltan", "1" + "0" * 400),
 ])
 def test_overflowing_flag_is_validation_error(tiny_scenario, capsys, flag, value):
@@ -220,15 +221,23 @@ def test_console_script_help():
     assert "--plot-tsd" in result.stdout
 
 
-def test_module_run_writes_outputs(tiny_scenario, tmp_path):
+def _assert_module_run_writes_outputs(module, paths, out_dir):
     result = subprocess.run(
-        [sys.executable, "-m", "mesosim.cli", *base_args(tiny_scenario, "--duration", "200")],
+        [sys.executable, "-m", module, *base_args(paths, "--duration", "200")],
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0, result.stderr
     assert SUMMARY_RE.match(result.stdout.strip().splitlines()[-1])
-    assert (tmp_path / "out" / "summary.csv").is_file()
+    assert (out_dir / "summary.csv").is_file()
+
+
+def test_module_run_writes_outputs(tiny_scenario, tmp_path):
+    _assert_module_run_writes_outputs("mesosim.cli", tiny_scenario, tmp_path / "out")
+
+
+def test_package_run_writes_outputs(tiny_scenario, tmp_path):
+    _assert_module_run_writes_outputs("mesosim", tiny_scenario, tmp_path / "out")
 
 
 def test_outputs_do_not_depend_on_hash_seed(tmp_path):

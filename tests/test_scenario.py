@@ -27,6 +27,8 @@ from mesosim import (
     parse_nodes,
     parse_signal,
 )
+from mesosim.scenario import horizon
+
 from conftest import make_world, random_digraph, reaching, read_demo, single_link_texts
 
 LINK_HEADER = "name,from,to,length,free_flow_speed,jam_density,merge_priority"
@@ -281,6 +283,18 @@ def test_build_world_rounds_duration_up(caplog):
     assert any("rounded up" in rec.getMessage() for rec in caplog.records)
 
 
+def test_horizon_rejects_zero_steps():
+    config = SimConfig(reaction_time=1e13, platoon_size=1, duration=3600.0)
+    with pytest.raises(ValidationError, match=r"duration 3600 s .* 1e\+13 s"):
+        horizon(config)
+    nodes, links = single_link_texts()
+    with pytest.raises(ValidationError, match="zero time steps"):
+        make_world(nodes, links, "orig,dest,start_t,end_t,flow\n",
+                   reaction_time=1e13, platoon_size=1, duration=3600.0)
+    # just over 1e-9 of a 5 s step still rounds up to one step
+    assert horizon(SimConfig(duration=1e-8)) == 5.0
+
+
 def test_build_world_signal_must_cover_incoming():
     nodes_text = 'name,x,y,signal\nA,0,0,\nB,1000,0,\nC,2000,0,"0:30:AC"\n'
     links_text = f"{LINK_HEADER}\nAC,A,C,1000,20,0.2,\nBC,B,C,1000,20,0.2,\n"
@@ -350,6 +364,7 @@ def test_sim_config_rejects_non_finite_and_bool(field, value):
     (dict(reaction_time=1e-320), "step count"),
     (dict(reaction_time=1e308), "time step"),
     (dict(platoon_size=10**400), "time step"),
+    (dict(reaction_time=1e-300), "step count"),
 ])
 def test_sim_config_rejects_overflowing_step(overrides, fragment):
     with pytest.raises(ValidationError, match=f"{fragment} .* overflows"):
