@@ -29,7 +29,6 @@ from .errors import (
     DisconnectedPath,
     DuplicateNode,
     MesosimError,
-    NoCandidate,
     ParseError,
     UnknownLink,
     UnknownNode,
@@ -59,7 +58,6 @@ __all__ = [
     "LinkSpec",
     "MFDPoint",
     "MesosimError",
-    "NoCandidate",
     "NodeSpec",
     "ParseError",
     "RunLog",

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import DisconnectedPath, UnknownLink, ValidationError
+from .scenario import left_sum
 
 DEFAULT_MFD_BIN = 300.0
 
@@ -112,7 +113,7 @@ def mfd_points(log, world, bin_s: float = DEFAULT_MFD_BIN) -> list[MFDPoint]:
     dt = log.dt
     if bin_s <= 0 or abs(bin_s / dt - round(bin_s / dt)) > 1e-9:
         raise ValidationError(f"bin {bin_s} s is not a positive multiple of dt {dt} s")
-    total_length = sum(spec.length for spec in log.link_meta.values())
+    total_length = left_sum(spec.length for spec in log.link_meta.values())
     duration = log.duration
     n_bins = max(1, int(-(-duration // bin_s)))
     time_sum = [0.0] * n_bins

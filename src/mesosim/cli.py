@@ -103,9 +103,12 @@ def render_tsd_svg(polylines, out_path: str, corridor: list[str] | None = None) 
 
 
 def render_mfd_svg(points, out_path: str) -> str:
-    """Density-flow scatter with a chronological trace to expose loops."""
-    d_max = max([p.density for p in points], default=0.0)
-    f_max = max([p.flow for p in points], default=0.0)
+    """Density-flow scatter with a chronological trace to expose loops.
+
+    points is mfd_points output, which always holds at least one bin.
+    """
+    d_max = max(p.density for p in points)
+    f_max = max(p.flow for p in points)
     chart = svgplot.Chart(
         (0.0, d_max or 1.0),
         (0.0, f_max or 1.0),
@@ -117,8 +120,6 @@ def render_mfd_svg(points, out_path: str) -> str:
     chart.polyline(trace, "#bbbbbb", width=1.0)
     for p in points:
         chart.circle(p.density, p.flow, 3.0, svgplot.PALETTE[0])
-    if not points:
-        chart.circle(0.0, 0.0, 3.0, svgplot.PALETTE[0])
     return svgplot.write_chart(chart, out_path)
 
 

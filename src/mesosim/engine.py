@@ -172,7 +172,7 @@ class World:
         self.log = RunLog(
             dt, config.platoon_size, duration, {link.name: link.spec for link in self.links}
         )
-        routing.blend_trees(self, 1.0, self.attractiveness.reach)
+        self.attractiveness.reach = routing.blend_trees(self, 1.0)
         for d in self.demands:
             if d.origin not in node_names:
                 raise UnknownNode(f"demand origin {d.origin!r} is not a node")

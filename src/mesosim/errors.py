@@ -33,10 +33,6 @@ class ConsistencyError(MesosimError):
     """Internal state violated a simulation invariant; indicates an engine bug."""
 
 
-class NoCandidate(MesosimError):
-    """A platoon sits at a node with no outgoing links that is not its destination."""
-
-
 class UnknownLink(MesosimError):
     """An analysis request names a link that is not in the network."""
 

@@ -9,11 +9,14 @@ indicator b is blended into the row:
     B = (1 - route_weight) * B_prev + route_weight * b
 
 The World's first blend, weight 1 into zero rows on empty links, makes
-B the free-flow indicator. Searches walk the World's node index, the
-only adjacency there is. Platoons at a node then sample their outgoing
-link with probability B / sum(B) over the node's candidates. The
-smoothing damps the volatility of instantaneous costs; route_weight = 1
-reduces to pure follow-the-latest-tree routing.
+B the free-flow indicator; its distances are kept as reach. Searches
+walk the World's node index, the only adjacency there is. Platoons at a
+node then sample their outgoing link with probability B / sum(B) over
+the node's candidates. That sum is positive wherever a platoon chooses:
+its node reaches the destination, so the latest tree gave one of its
+links at least route_weight (with route_weight 0 the row stays the
+free-flow indicator). The smoothing damps the volatility of instantaneous costs;
+route_weight = 1 reduces to pure follow-the-latest-tree routing.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import random
 from heapq import heappop, heappush
 
 from . import kinematics
-from .errors import ConsistencyError, NoCandidate
+from .errors import ConsistencyError
+from .scenario import left_sum
 
 _CONVEXITY_TOL = 1e-12
 
@@ -33,7 +37,7 @@ class AttractivenessTable:
     B maps destination name to a list of weights indexed by LinkState.id.
     reach maps destination name to the cost of the first, free-flow tree,
     {node: cost}, keyed by exactly the nodes with a path to it; it serves
-    the fallback filter, demand checks and delay baselines.
+    demand checks and delay baselines.
     tree_computations counts shortest-path builds, including the
     free-flow blend.
     """
@@ -98,19 +102,17 @@ def blend_row(prev: list[float], chosen, lam: float) -> list[float]:
     return out
 
 
-def weighted_draw(weights, rng: random.Random) -> int | None:
+def weighted_draw(weights, rng: random.Random) -> int:
     """Index k drawn with probability weights[k] / total, by one rng.random().
 
-    The total is summed left to right, not by sum(), whose compensated
-    summation (Python 3.12+) can move the last bits. Roundoff past the
-    last boundary returns the last positive weight; a non-positive total
-    returns None without drawing.
+    The total is a left_sum. Roundoff past the last boundary returns the
+    last positive weight. A non-positive total raises ConsistencyError
+    without drawing: merge priorities are validated positive and every
+    row a platoon reads has a positive sum.
     """
-    total = 0.0
-    for w in weights:
-        total += w
+    total = left_sum(weights)
     if not total > 0.0:
-        return None
+        raise ConsistencyError(f"weighted draw over non-positive total {total}")
     r = rng.random() * total
     acc = 0.0
     last_positive = None
@@ -127,46 +129,31 @@ def weighted_draw(weights, rng: random.Random) -> int | None:
 def choose_outgoing(platoon, node, table: AttractivenessTable, rng: random.Random):
     """Sample the platoon's next link among the node's outgoing links.
 
-    Weights come from the platoon's destination row; when the row sums
-    to zero (possible on decayed or unreachable rows) the choice falls
-    back to a uniform draw over the outgoing links that can still reach
-    the destination by topology alone.
+    Weights come from the platoon's destination row. A single candidate
+    is taken without a draw.
     """
     candidates = node.outgoing
-    if not candidates:
-        raise NoCandidate(f"node {node.name} has no outgoing links")
     if len(candidates) == 1:
         return candidates[0]
-    z = platoon.destination
-    row = table.B.get(z)
-    if row:
-        k = weighted_draw([row[link.id] for link in candidates], rng)
-        if k is not None:
-            return candidates[k]
-    reach = table.reach.get(z, ())
-    fallback = [link for link in candidates if link.spec.to_node in reach]
-    if not fallback:
-        raise NoCandidate(f"no outgoing link from {node.name} reaches {z}")
-    if len(fallback) == 1:
-        return fallback[0]
-    return fallback[weighted_draw([1.0] * len(fallback), rng)]
+    row = table.B[platoon.destination]
+    return candidates[weighted_draw([row[link.id] for link in candidates], rng)]
 
 
-def blend_trees(world, lam: float, reach: dict | None = None) -> None:
+def blend_trees(world, lam: float) -> dict:
     """Blend each destination's tree under current link costs into its B row.
 
-    An empty link costs its free-flow time. reach, when given, receives
-    each destination's dist; refreshes keep none.
+    An empty link costs its free-flow time. Returns each destination's
+    dist, {z: {node: cost}}.
     """
     table = world.attractiveness
     costs = [kinematics.instantaneous_travel_time(link) for link in world.links]
     nodes = world.nodes_by_name
+    dists = {}
     for z, row in table.B.items():
-        dist, next_link = shortest_tree(nodes, costs, z)
+        dists[z], next_link = shortest_tree(nodes, costs, z)
         table.B[z] = blend_row(row, [link.id for link in next_link.values()], lam)
         table.tree_computations += 1
-        if reach is not None:
-            reach[z] = dist
+    return dists
 
 
 def maybe_refresh(world, i: int) -> AttractivenessTable:

@@ -22,7 +22,6 @@ import csv
 import io
 import logging
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import DuplicateNode, ParseError, ValidationError
@@ -30,6 +29,21 @@ from .errors import DuplicateNode, ParseError, ValidationError
 log = logging.getLogger(__name__)
 
 DEFAULT_MERGE_PRIORITY = 0.5
+# Below this many steps, consecutive step times i * dt are distinct floats
+# (ulp(i * dt) < dt); above it they can collide.
+_MAX_STEPS = 2**52
+
+
+def left_sum(values) -> float:
+    """Float total added left to right.
+
+    Builtin sum() compensates float addition on Python 3.12+, which can
+    move the last bits away from results recorded on earlier versions.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _require_finite(owner: str, spec, *fields: str) -> None:
@@ -94,9 +108,9 @@ class SimConfig:
         if dt == math.inf:
             raise ValidationError("time step reaction_time * platoon_size overflows")
         steps = self.duration / dt
-        if steps > sys.maxsize:
+        if steps > _MAX_STEPS:
             raise ValidationError(
-                f"step count duration / time step = {steps:.6g} overflows the limit {sys.maxsize}"
+                f"step count duration / time step = {steps:.6g} overflows the limit {_MAX_STEPS}"
             )
 
     @property
@@ -122,7 +136,7 @@ class SignalPlan:
 
     @property
     def cycle(self) -> float:
-        return sum(dur for dur, _ in self.phases)
+        return left_sum(dur for dur, _ in self.phases)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import os
+from collections import defaultdict
 
 import pytest
 
@@ -17,6 +19,7 @@ from mesosim import (
     run,
 )
 from mesosim.engine import index_nodes
+from mesosim.node_transfer import signal_permits
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 
@@ -99,6 +102,72 @@ def node_index(links, *nodes: NodeSpec):
         for name in (link.spec.from_node, link.spec.to_node):
             specs.setdefault(name, NodeSpec(name=name, x=0.0, y=0.0))
     return index_nodes(list(specs.values()), links)
+
+
+def scan_record_conservation(world):
+    for _t, name, count, _v, entered, exited in world.log.link_records:
+        assert entered >= exited, name
+        assert entered - exited == count, name
+
+
+def scan_fifo(world):
+    entries = defaultdict(list)
+    exits = defaultdict(list)
+    for platoon in world.platoons:
+        if platoon.trajectory:
+            entries[platoon.trajectory[0][1]].append((platoon.insert_t, platoon.id))
+        if platoon.state == "arrived":
+            exits[platoon.trajectory[-1][1]].append((platoon.arrival_t, platoon.id))
+    for ev in world.log.transfer_events:
+        exits[ev.from_link].append((ev.t, ev.platoon_id))
+        entries[ev.to_link].append((ev.t, ev.platoon_id))
+    for name, ins in entries.items():
+        ins.sort()
+        outs = sorted(exits.get(name, []))
+        in_ids = [pid for _t, pid in ins]
+        out_ids = [pid for _t, pid in outs]
+        assert out_ids == in_ids[: len(out_ids)], name
+
+
+def scan_spacing(world):
+    by_step = defaultdict(list)
+    for trajectory in world.log.trajectories.values():
+        for t, name, x, _v in trajectory:
+            by_step[(t, name)].append(x)
+    for (t, name), xs in by_step.items():
+        spacing = world.links_by_name[name].spacing
+        xs.sort(reverse=True)
+        for front, back in zip(xs, xs[1:]):
+            assert front - back >= spacing - 1e-9, (name, t)
+
+
+def scan_counts(world):
+    counts = world.counts()
+    assert counts["generated"] == counts["waiting"] + counts["running"] + counts["arrived"]
+    assert counts["generated"] == counts["arrived"] + counts["stranded"]
+
+
+def scan_attractiveness(world):
+    for row in world.attractiveness.B.values():
+        for value in row:
+            assert math.isfinite(value)
+            assert -1e-9 <= value <= 1.0 + 1e-9
+
+
+def scan_signals(world):
+    heads = {link.name: world.nodes_by_name[link.spec.to_node].spec for link in world.links}
+    for ev in world.log.transfer_events:
+        assert signal_permits(heads[ev.from_link], ev.t, ev.from_link), ev
+
+
+def scan_run(world):
+    """Every structural invariant of a finished run (acceptance 9)."""
+    scan_record_conservation(world)
+    scan_fifo(world)
+    scan_spacing(world)
+    scan_counts(world)
+    scan_attractiveness(world)
+    scan_signals(world)
 
 
 def single_link_texts(length: float = 1000.0, u: float = 20.0):

@@ -7,7 +7,6 @@ remain visible under pytest's output capturing.
 
 import functools
 import hashlib
-import math
 import os
 import random
 import time
@@ -16,7 +15,6 @@ from collections import defaultdict
 from mesosim import export_csv, mfd_points, run
 from mesosim.analyzer import export_bin
 from mesosim.kinematics import LinkState, link_capacity
-from mesosim.node_transfer import signal_permits
 from mesosim.routing import shortest_tree
 
 import conftest
@@ -28,6 +26,7 @@ from conftest import (
     node_index,
     parallel_world,
     random_digraph,
+    scan_run,
     single_link_texts,
     sioux_falls_world,
     uroboros_world,
@@ -205,62 +204,6 @@ def test_criterion_08_determinism(tmp_path):
         assert first == PINNED_DIGESTS[label], label
 
 
-def _scan_record_conservation(world):
-    for _t, name, count, _v, entered, exited in world.log.link_records:
-        assert entered >= exited, name
-        assert entered - exited == count, name
-
-
-def _scan_fifo(world):
-    entries = defaultdict(list)
-    exits = defaultdict(list)
-    for platoon in world.platoons:
-        if platoon.trajectory:
-            entries[platoon.trajectory[0][1]].append((platoon.insert_t, platoon.id))
-        if platoon.state == "arrived":
-            exits[platoon.trajectory[-1][1]].append((platoon.arrival_t, platoon.id))
-    for ev in world.log.transfer_events:
-        exits[ev.from_link].append((ev.t, ev.platoon_id))
-        entries[ev.to_link].append((ev.t, ev.platoon_id))
-    for name, ins in entries.items():
-        ins.sort()
-        outs = sorted(exits.get(name, []))
-        in_ids = [pid for _t, pid in ins]
-        out_ids = [pid for _t, pid in outs]
-        assert out_ids == in_ids[: len(out_ids)], name
-
-
-def _scan_spacing(world):
-    by_step = defaultdict(list)
-    for trajectory in world.log.trajectories.values():
-        for t, name, x, _v in trajectory:
-            by_step[(t, name)].append(x)
-    for (t, name), xs in by_step.items():
-        spacing = world.links_by_name[name].spacing
-        xs.sort(reverse=True)
-        for front, back in zip(xs, xs[1:]):
-            assert front - back >= spacing - 1e-9, (name, t)
-
-
-def _scan_counts(world):
-    counts = world.counts()
-    assert counts["generated"] == counts["waiting"] + counts["running"] + counts["arrived"]
-    assert counts["generated"] == counts["arrived"] + counts["stranded"]
-
-
-def _scan_attractiveness(world):
-    for row in world.attractiveness.B.values():
-        for value in row:
-            assert math.isfinite(value)
-            assert -1e-9 <= value <= 1.0 + 1e-9
-
-
-def _scan_signals(world):
-    heads = {link.name: world.nodes_by_name[link.spec.to_node].spec for link in world.links}
-    for ev in world.log.transfer_events:
-        assert signal_permits(heads[ev.from_link], ev.t, ev.from_link), ev
-
-
 def _signal_world():
     nodes = (
         'name,x,y,signal\nN1,0,200,\nN2,0,-200,\n'
@@ -291,12 +234,7 @@ def test_criterion_09_property_suites(uroboros_default_run, uroboros_managed_run
         run(_signal_world()),
     ]
     for world in corpus:
-        _scan_record_conservation(world)
-        _scan_fifo(world)
-        _scan_spacing(world)
-        _scan_counts(world)
-        _scan_attractiveness(world)
-        _scan_signals(world)
+        scan_run(world)
 
 
 def _brute_force_cost(adjacency, tail, z):

@@ -195,6 +195,28 @@ def test_mfd_partial_final_bin_normalized(uroboros_default_run):
     assert points[-1].density == pytest.approx(points[-2].density, rel=1e-6)
 
 
+def test_mfd_total_length_adds_left_to_right():
+    lengths = [0.1, 0.2, 0.3]
+    total = 0.0
+    for length in lengths:
+        total += length
+    assert total != math.fsum(lengths)  # a compensated sum() lands elsewhere
+    nodes = "name,x,y\nA,0,0\nB,1,0\nC,2,0\nD,3,0\n"
+    links = "name,from,to,length,free_flow_speed,jam_density,merge_priority\n" + "".join(
+        f"L{k},{tail},{head},{length},20,100,\n"
+        for k, (tail, head, length) in enumerate(zip("ABC", "BCD", lengths))
+    )
+    demand = DEMAND_HEADER + "\nA,D,0,10,0.5\n"
+    world = run(make_world(nodes, links, demand, duration=20.0, reaction_time=1.0, platoon_size=1))
+    log = world.log
+    vehicle_time = 0.0
+    for _t, _name, count, _speed, _entered, _exited in log.link_records:
+        vehicle_time += count * log.platoon_size * log.dt
+    assert vehicle_time > 0.0
+    (point,) = mfd_points(log, world, world.duration)
+    assert point.density == vehicle_time / (total * world.duration)
+
+
 def test_tsd_offsets_chain_lengths():
     nodes, links = chain_texts()
     world = run(make_world(nodes, links, DEMAND_HEADER + "\nA,C,0,10,0.5\n", duration=300.0))

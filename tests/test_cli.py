@@ -97,6 +97,7 @@ def test_non_finite_flag_is_validation_error(tiny_scenario, capsys, flag, value)
 @pytest.mark.parametrize("flag, value", [
     ("--tau", "1e-320"),
     ("--tau", "1e-300"),
+    ("--tau", "1e-14"),
     ("--deltan", "1" + "0" * 400),
 ])
 def test_overflowing_flag_is_validation_error(tiny_scenario, capsys, flag, value):

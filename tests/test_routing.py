@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mesosim import ConsistencyError, LinkSpec, NoCandidate, NodeSpec
+from mesosim import (
+    ConsistencyError,
+    DemandSpec,
+    LinkSpec,
+    MesosimError,
+    NodeSpec,
+    SimConfig,
+    build_world,
+    run,
+    step,
+)
 from mesosim.kinematics import LinkState, Platoon
 from mesosim.routing import (
     AttractivenessTable,
@@ -18,7 +28,14 @@ from mesosim.routing import (
 )
 from mesosim.node_transfer import select_incoming_order
 
-from conftest import make_world, node_index, random_digraph, reaching, single_link_texts
+from conftest import (
+    make_world,
+    node_index,
+    random_digraph,
+    reaching,
+    scan_run,
+    single_link_texts,
+)
 
 
 def spec(name, tail, head):
@@ -214,32 +231,15 @@ def test_choose_single_candidate_needs_no_rng():
 def test_choose_no_outgoing_raises():
     node = node_index([], NodeSpec(name="n", x=0.0, y=0.0))["n"]
     p = Platoon(0, "n", "Z", 0.0)
-    with pytest.raises(NoCandidate):
-        choose_outgoing(p, node, AttractivenessTable(), random.Random(0))
-
-
-def test_choose_zero_row_falls_back_to_topology():
-    node, la, lb = _choice_node()
-    table = _table([0.0, 0.0], reach={"m2", "Z"})
-    p = Platoon(0, "n", "Z", 0.0)
-    for _ in range(50):
-        assert choose_outgoing(p, node, table, random.Random(0)) is lb
-
-
-def test_choose_zero_row_uniform_over_reaching():
-    node, la, _ = _choice_node()
-    table = _table([0.0, 0.0])
-    rng = random.Random(13)
-    p = Platoon(0, "n", "Z", 0.0)
-    hits = sum(choose_outgoing(p, node, table, rng) is la for _ in range(10000))
-    assert hits / 10000 == pytest.approx(0.5, abs=0.02)
+    with pytest.raises(ConsistencyError):
+        choose_outgoing(p, node, _table([]), random.Random(0))
 
 
 def test_choose_zero_row_nothing_reaches_raises():
     node, _, _ = _choice_node()
     table = _table([0.0, 0.0], reach={"Z"})
     p = Platoon(0, "n", "Z", 0.0)
-    with pytest.raises(NoCandidate):
+    with pytest.raises(ConsistencyError):
         choose_outgoing(p, node, table, random.Random(0))
 
 
@@ -266,7 +266,7 @@ def _old_select_incoming_order(incoming, alphas, rng):
 
 
 def _old_weighted_choice(weights, rng):
-    """Reference: choose_outgoing's weighted branch; None when it fell back."""
+    """Reference: choose_outgoing's weighted branch; None on a non-positive total."""
     total = 0.0
     for w in weights:
         total += w
@@ -323,6 +323,11 @@ def test_weighted_draw_matches_old_choice_branch():
     for weights in _weight_vectors(source, 3000):
         seed = source.randrange(1 << 30)
         new_rng, old_rng = random.Random(seed), random.Random(seed)
+        if _old_weighted_choice(weights, random.Random(seed)) is None:
+            with pytest.raises(ConsistencyError):
+                weighted_draw(weights, new_rng)
+            assert new_rng.getstate() == old_rng.getstate()
+            continue
         for _ in range(5):
             assert weighted_draw(weights, new_rng) == _old_weighted_choice(weights, old_rng)
         assert new_rng.getstate() == old_rng.getstate()
@@ -423,3 +428,57 @@ def test_zero_weight_freezes_initial_table():
     initial = {z: list(row) for z, row in world.attractiveness.B.items()}
     maybe_refresh(world, 10)
     assert world.attractiveness.B == initial
+
+
+def _assert_rows_positive(world):
+    """Every node that reaches z, z aside, has outgoing weight toward z."""
+    table = world.attractiveness
+    for z, row in table.B.items():
+        for name in table.reach[z]:
+            if name != z:
+                outgoing = world.nodes_by_name[name].outgoing
+                assert sum(row[link.id] for link in outgoing) > 0.0, (z, name)
+
+
+_BAND = st.tuples(
+    st.integers(0, 5), st.integers(0, 5),
+    st.sampled_from([0.0, 30.0, 100.0]), st.sampled_from([20.0, 150.0, 250.0]),
+    st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    graph_seed=st.integers(0, 2**32 - 1),
+    extra_arcs=st.integers(0, 8),
+    spanning_cycle=st.booleans(),
+    bands=st.lists(_BAND, min_size=1, max_size=4),
+    route_weight=st.sampled_from([0.0, 1e-9, 0.5, 1.0]),
+    route_update_interval=st.sampled_from([1, 60]),
+    platoon_size=st.sampled_from([1, 5]),
+    seed=st.integers(0, 1000),
+)
+def test_random_worlds_run_clean(n, graph_seed, extra_arcs, spanning_cycle, bands,
+                                 route_weight, route_update_interval, platoon_size, seed):
+    rng = random.Random(graph_seed)
+    n_arcs = min(n * (n - 1), (n if spanning_cycle else 0) + extra_arcs)
+    links = random_digraph(n, rng, n_arcs, spanning_cycle=spanning_cycle)
+    nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(n)]
+    config = SimConfig(seed=seed, duration=300.0, route_weight=route_weight,
+                       route_update_interval=route_update_interval, platoon_size=platoon_size)
+    try:
+        demands = [
+            DemandSpec(f"n{o % n}", f"n{(o + 1 + d % (n - 1)) % n}", start, start + width, flow)
+            for o, d, start, width, flow in bands
+        ]
+        world = build_world(config, nodes, links, demands)
+    except MesosimError:
+        return
+    _assert_rows_positive(world)
+    while world.clock < world.total_steps:
+        refreshes = world.clock % route_update_interval == 0
+        step(world)
+        if refreshes:
+            _assert_rows_positive(world)
+    scan_run(run(world))

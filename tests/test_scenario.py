@@ -2,6 +2,7 @@
 
 import contextlib
 import logging
+import math
 import random
 
 import pytest
@@ -149,6 +150,16 @@ def test_parse_signal_two_phase_plan():
     assert plan.offset == 0.0
     assert plan.cycle == pytest.approx(60.0)
     assert plan.phases == ((30.0, frozenset({"A"})), (30.0, frozenset({"B"})))
+
+
+def test_signal_cycle_adds_left_to_right():
+    durations = [0.1, 0.2, 0.3]
+    total = 0.0
+    for dur in durations:
+        total += dur
+    assert total != math.fsum(durations)  # a compensated sum() lands elsewhere
+    plan = SignalPlan(phases=tuple((dur, frozenset({f"L{k}"})) for k, dur in enumerate(durations)))
+    assert plan.cycle == total
 
 
 @pytest.mark.parametrize("cell", [
@@ -365,6 +376,7 @@ def test_sim_config_rejects_non_finite_and_bool(field, value):
     (dict(reaction_time=1e308), "time step"),
     (dict(platoon_size=10**400), "time step"),
     (dict(reaction_time=1e-300), "step count"),
+    (dict(reaction_time=1e-14), "step count"),
 ])
 def test_sim_config_rejects_overflowing_step(overrides, fragment):
     with pytest.raises(ValidationError, match=f"{fragment} .* overflows"):
