@@ -10,10 +10,12 @@ length * bin width), flow is accumulated vehicle-distance divided by
 the same. On stationary traffic these reduce to the usual point
 measures, and their ratio is the space-mean speed.
 
-The export renders each distinct number (6 significant digits) and
-name (quoted by the csv module's rules) once per call, in bounded
-memos, and writes each table as pre-rendered lines: one chunk per
-platoon for vehicles.csv and one per step for links.csv.
+The readers work on the run log's columns: a record's time and link
+follow from its index, a trajectory point's from its step and hops.
+The export renders each distinct number (6 significant digits), step
+time and name (quoted by the csv module's rules) once per call, in
+bounded memos, and writes each table as pre-rendered lines: one chunk
+per platoon for vehicles.csv and one per step for links.csv.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import csv
 import io
 import os
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, compress, repeat
 
 from .errors import DisconnectedPath, UnknownLink, ValidationError
 from .scenario import left_sum
@@ -94,12 +96,16 @@ def cumulative_counts(log, link: str) -> list[tuple[float, int, int]]:
     if link not in log.link_meta:
         raise UnknownLink(f"no link named {link!r} in this run")
     dn = log.platoon_size
+    dt = log.dt
     # records are step-major, in link order within a step
     names = list(log.link_meta)
+    start, width = names.index(link), len(names)
+    records = log.link_records
     return [
-        (t, entered * dn, exited * dn)
-        for t, _name, _count, _speed, entered, exited
-        in log.link_records[names.index(link)::len(names)]
+        (step * dt, entered * dn, exited * dn)
+        for step, (entered, exited) in enumerate(
+            zip(records.entered[start::width], records.exited[start::width]), 1
+        )
     ]
 
 
@@ -119,13 +125,28 @@ def mfd_points(log, world, bin_s: float = DEFAULT_MFD_BIN) -> list[MFDPoint]:
     time_sum = [0.0] * n_bins
     dist_sum = [0.0] * n_bins
     dn = log.platoon_size
-    for t, _name, count, mean_speed, _entered, _exited in log.link_records:
-        if not count:
-            continue
-        idx = int((t - dt) / bin_s + 1e-9)
-        vehicles = count * dn
-        time_sum[idx] += vehicles * dt
-        dist_sum[idx] += vehicles * mean_speed * dt
+    counts = log.link_records.count
+    speeds = log.link_records.mean_speed
+    width = max(1, len(log.link_meta))
+    # a bin's sums stay in locals while its steps run; same terms, same order
+    idx = 0
+    time_acc = dist_acc = 0.0
+    for start in range(0, len(counts), width):
+        t = (start // width + 1) * dt  # the step's end time, as logged
+        step_idx = int((t - dt) / bin_s + 1e-9)
+        if step_idx != idx:
+            time_sum[idx] = time_acc
+            dist_sum[idx] = dist_acc
+            idx = step_idx
+            time_acc = dist_acc = 0.0
+        step_counts = counts[start:start + width]
+        for count, mean_speed in compress(zip(step_counts, speeds[start:start + width]),
+                                          step_counts):
+            vehicles = count * dn
+            time_acc += vehicles * dt
+            dist_acc += vehicles * mean_speed * dt
+    time_sum[idx] = time_acc
+    dist_sum[idx] = dist_acc
     points = []
     for idx in range(n_bins):
         start = idx * bin_s
@@ -160,13 +181,17 @@ def time_space_points(log, link_sequence: list[str]) -> dict[int, list[tuple[flo
         offsets[name] = running
         running += spec.length
         previous = spec
+    dt = log.dt
     polylines: dict[int, list[tuple[float, float]]] = {}
     for pid, trajectory in log.trajectories.items():
-        points = [
-            (t, offsets[name] + x)
-            for t, name, x, _v in trajectory
-            if name in offsets
-        ]
+        points = []
+        for start, end, name in trajectory.segments():
+            if name in offsets:
+                offset = offsets[name]
+                points.extend(
+                    (step * dt, offset + x)
+                    for step, x in enumerate(trajectory.x[start:end], trajectory.first + start)
+                )
         if points:
             polylines[pid] = points
     return polylines
@@ -237,30 +262,41 @@ def export_csv(log, world, out_dir: str) -> list[str]:
 
     Rendering is deterministic (6 significant digits, LF endings, names
     quoted as the csv module quotes them), so re-exporting the same run
-    reproduces the files byte for byte. Each distinct number and name is
-    rendered once; the tables are written one platoon (vehicles.csv) or
-    one step (links.csv) at a time.
+    reproduces the files byte for byte. Each distinct number, step time
+    and name is rendered once; the tables are written one platoon
+    (vehicles.csv) or one step (links.csv) at a time.
     """
     os.makedirs(out_dir, exist_ok=True)
     dn = log.platoon_size
+    dt = log.dt
     num = _Memo(_fmt, keep_zero=False).__getitem__
     name = _Memo(_csv_field).__getitem__
     scaled = _Memo(lambda count: str(count * dn)).__getitem__  # platoons to vehicles
+    step_time = _Memo(lambda step: _fmt(step * dt)).__getitem__  # stamped at the step's end
 
     def vehicles():
         for p in world.platoons:
-            if p.trajectory:
+            trajectory = p.trajectory
+            if trajectory:
                 ids = f"{p.id},{name(p.origin)},{name(p.destination)}"
-                t, link, x, v = zip(*p.trajectory)
-                yield _lines(map(num, t), repeat(ids), map(name, link), map(num, x), map(num, v))
+                first = trajectory.first
+                on_link = chain.from_iterable(
+                    repeat(name(link), end - start) for start, end, link in trajectory.segments()
+                )
+                yield _lines(map(step_time, range(first, first + len(trajectory))), repeat(ids),
+                             on_link, map(num, trajectory.x), map(num, trajectory.v))
 
     def links():
         records = log.link_records
         width = max(1, len(log.link_meta))
+        names = [name(link) for link in log.link_meta]
         for start in range(0, len(records), width):
-            t, link, count, speed, entered, exited = zip(*records[start:start + width])
-            yield _lines(map(num, t), map(name, link), map(scaled, count), map(num, speed),
-                         map(scaled, entered), map(scaled, exited))
+            end = start + width
+            yield _lines(repeat(step_time(start // width + 1)), names,
+                         map(scaled, records.count[start:end]),
+                         map(num, records.mean_speed[start:end]),
+                         map(scaled, records.entered[start:end]),
+                         map(scaled, records.exited[start:end]))
 
     stats = basic_stats(log, world)
     summary = (

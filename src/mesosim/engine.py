@@ -7,7 +7,9 @@ Each step runs five phases in a fixed sequence:
 3. link phase: every link's platoons advance one step,
 4. demand generation into origin waiting queues,
 5. logging: one record per link and one trajectory point per running
-   platoon, stamped with the step's end time.
+   platoon, stamped with the step's end time. The run log keeps both as
+   typed array columns (see RunLog); a record's time and link follow
+   from its index, a point's from its trajectory.
 
 All randomness flows through one seeded generator consumed in this
 deterministic order, so a scenario plus a seed fixes every output bit.
@@ -19,6 +21,7 @@ insertion in the next step's node phase.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 
 from . import node_transfer, routing
@@ -29,7 +32,7 @@ from .errors import (
     UnreachableDemand,
     ValidationError,
 )
-from .kinematics import LinkState, Platoon, update_link
+from .kinematics import LinkState, Platoon, Trajectory, update_link
 from .routing import AttractivenessTable
 from .scenario import DemandSpec, LinkSpec, NodeSpec, SimConfig, horizon
 
@@ -61,14 +64,35 @@ def index_nodes(nodes: list[NodeSpec], links: list[LinkState]) -> dict[str, Node
     return runtimes
 
 
+class LinkRecords:
+    """One record per link per step, as columns of equal length.
+
+    count (platoons on the link), entered and exited (cumulative platoon
+    counts) are array("q"); mean_speed is array("d"). Records are
+    step-major, in link order within a step, so record k belongs to step
+    k // n_links and link k % n_links.
+    """
+
+    __slots__ = ("count", "mean_speed", "entered", "exited")
+
+    def __init__(self):
+        self.count = array("q")
+        self.mean_speed = array("d")
+        self.entered = array("q")
+        self.exited = array("q")
+
+    def __len__(self):
+        return len(self.count)
+
+
 class RunLog:
     """Append-only record of everything the analyzer needs.
 
-    link_records holds one (t, link, platoon_count, mean_speed,
-    entered_cum, exited_cum) tuple per link per step, stamped with the
-    step end time: step-major, in link_meta order within a step. Counts
-    are in platoon units. trajectories maps
-    platoon id to its (t, link, x, v) point list.
+    link_records holds one record per link per step (see LinkRecords),
+    stamped with the step end time: record k of a run with n links is
+    link_meta's (k % n)-th link at ((k // n) + 1) * dt. Counts are in
+    platoon units. trajectories maps platoon id to its Trajectory.
+    link_rows() and Trajectory.rows() give the same data as tuples.
     """
 
     __slots__ = (
@@ -87,10 +111,21 @@ class RunLog:
         self.platoon_size = platoon_size
         self.duration = duration
         self.link_meta: dict[str, LinkSpec] = link_meta
-        self.link_records: list[tuple[float, str, int, float, int, int]] = []
+        self.link_records = LinkRecords()
         self.transfer_events: list[node_transfer.TransferEvent] = []
-        self.trajectories: dict[int, list] = {}
+        self.trajectories: dict[int, Trajectory] = {}
         self.sealed = False
+
+    def link_rows(self):
+        """(t, link, platoon_count, mean_speed, entered, exited) per record, in order."""
+        names = list(self.link_meta)
+        records = self.link_records
+        dt = self.dt
+        for k, row in enumerate(
+            zip(records.count, records.mean_speed, records.entered, records.exited)
+        ):
+            step, j = divmod(k, len(names))
+            yield ((step + 1) * dt, names[j], *row)
 
 
 class World:
@@ -257,8 +292,11 @@ def step(world: World) -> World:
 
     generate_demand(world, t)
 
-    t_next = (i + 1) * dt
     records = world.log.link_records
+    log_count = records.count.append
+    log_speed = records.mean_speed.append
+    log_entered = records.entered.append
+    log_exited = records.exited.append
     for link in world.links:
         platoons = link.platoons
         count = len(platoons)
@@ -269,9 +307,14 @@ def step(world: World) -> World:
                 f"link {link.name}: entered {entered} / exited {exited} "
                 f"inconsistent with {count} platoons on link"
             )
-        records.append((t_next, link.name, count, link.mean_speed, entered, exited))
+        log_count(count)
+        log_speed(link.mean_speed)
+        log_entered(entered)
+        log_exited(exited)
         for platoon in platoons:
-            platoon.trajectory.append((t_next, link.name, platoon.x, platoon.v))
+            trajectory = platoon.trajectory
+            trajectory.x.append(platoon.x)
+            trajectory.v.append(platoon.v)
 
     counts = world.counts()
     if counts["generated"] != counts["waiting"] + counts["running"] + counts["arrived"]:

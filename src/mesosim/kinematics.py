@@ -17,6 +17,7 @@ backward at delta/tau.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from .errors import ConsistencyError
@@ -26,13 +27,50 @@ _SPACING_TOL = 1e-9
 V_MIN = 1.0  # speed floor, m/s, for link costs (see instantaneous_travel_time)
 
 
+class Trajectory:
+    """A platoon's logged points, one per step spent on a link, as columns.
+
+    x and v hold the positions and speeds. Points run without a gap from
+    insertion to arrival or the horizon, so the k-th point is stamped
+    (first + k) * dt, the end time of step first + k - 1. hops lists one
+    (point index, link name) entry per link entered: points from that
+    index up to the next entry's were logged on that link.
+    """
+
+    __slots__ = ("first", "x", "v", "hops")
+
+    def __init__(self):
+        self.first = 0
+        self.x = array("d")
+        self.v = array("d")
+        self.hops: list[tuple[int, str]] = []
+
+    def __len__(self):
+        return len(self.x)
+
+    def segments(self):
+        """(start, end, link) per hop: points start..end-1 were logged on link."""
+        ends = [start for start, _link in self.hops[1:]]
+        ends.append(len(self.x))
+        for (start, link), end in zip(self.hops, ends):
+            yield start, end, link
+
+    def rows(self, dt: float):
+        """(t, link, x, v) per point, in order."""
+        for start, end, link in self.segments():
+            for step, x, v in zip(range(self.first + start, self.first + end),
+                                  self.x[start:end], self.v[start:end]):
+                yield step * dt, link, x, v
+
+
 class Platoon:
     """A group of platoon_size vehicles simulated as one moving unit.
 
     Position x is measured in meters from the start of the current link.
-    The trajectory log accumulates (t, link_name, x, v) tuples, one per
-    step spent on a link. States: waiting (in an origin queue), running
-    (on a link), arrived, stranded (unfinished at horizon end).
+    The trajectory logs the position and speed at the end of every step
+    spent on a link (see Trajectory). States: waiting (in an origin
+    queue), running (on a link), arrived, stranded (unfinished at horizon
+    end).
     """
 
     __slots__ = (
@@ -63,7 +101,7 @@ class Platoon:
         self.insert_t: float | None = None
         # outgoing link chosen at the current node; kept until the node is crossed
         self.next_choice: LinkState | None = None
-        self.trajectory: list[tuple[float, str, float, float]] = []
+        self.trajectory = Trajectory()
 
     def __repr__(self):
         return (

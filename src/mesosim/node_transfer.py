@@ -128,15 +128,19 @@ def process_node(node, world, t: float, rng: random.Random) -> list[TransferEven
             target = routing.choose_outgoing(platoon, node, world.attractiveness, rng)
             platoon.next_choice = target
         if vacant_space(target) > target.spacing:
+            trajectory = platoon.trajectory
             if source is None:
                 queue.popleft()
                 platoon.state = "running"
                 platoon.insert_t = t
                 world.running_count += 1
+                # the first point is logged at the end of this step
+                trajectory.first = world.clock + 1
             else:
                 source.platoons.popleft()
                 source.exited_count += 1
                 events.append(TransferEvent(t, platoon.id, source.name, target.name))
+            trajectory.hops.append((len(trajectory.x), target.name))
             target.platoons.append(platoon)
             target.entered_count += 1
             platoon.link = target

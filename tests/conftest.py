@@ -105,7 +105,7 @@ def node_index(links, *nodes: NodeSpec):
 
 
 def scan_record_conservation(world):
-    for _t, name, count, _v, entered, exited in world.log.link_records:
+    for _t, name, count, _v, entered, exited in world.log.link_rows():
         assert entered >= exited, name
         assert entered - exited == count, name
 
@@ -114,10 +114,11 @@ def scan_fifo(world):
     entries = defaultdict(list)
     exits = defaultdict(list)
     for platoon in world.platoons:
+        hops = platoon.trajectory.hops
         if platoon.trajectory:
-            entries[platoon.trajectory[0][1]].append((platoon.insert_t, platoon.id))
+            entries[hops[0][1]].append((platoon.insert_t, platoon.id))
         if platoon.state == "arrived":
-            exits[platoon.trajectory[-1][1]].append((platoon.arrival_t, platoon.id))
+            exits[hops[-1][1]].append((platoon.arrival_t, platoon.id))
     for ev in world.log.transfer_events:
         exits[ev.from_link].append((ev.t, ev.platoon_id))
         entries[ev.to_link].append((ev.t, ev.platoon_id))
@@ -132,7 +133,7 @@ def scan_fifo(world):
 def scan_spacing(world):
     by_step = defaultdict(list)
     for trajectory in world.log.trajectories.values():
-        for t, name, x, _v in trajectory:
+        for t, name, x, _v in trajectory.rows(world.log.dt):
             by_step[(t, name)].append(x)
     for (t, name), xs in by_step.items():
         spacing = world.links_by_name[name].spacing

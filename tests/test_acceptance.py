@@ -77,7 +77,7 @@ def test_criterion_01_free_flow():
 @criterion(2, "standing queue discharges at 0.8 veh/s within 5%")
 def test_criterion_02_capacity(bottleneck_run):
     world = bottleneck_run
-    exited = {t: d for t, name, _c, _v, _a, d in world.log.link_records if name == "FM"}
+    exited = {t: d for t, name, _c, _v, _a, d in world.log.link_rows() if name == "FM"}
     dn = world.config.platoon_size
     window = 1500.0  # well above the required 100 steps
     flow = (exited[2500.0] - exited[1000.0]) * dn / window
@@ -109,7 +109,7 @@ def test_criterion_04_gridlock():
     dn = world.config.platoon_size
     densities = [
         count * dn / world.links_by_name[name].length
-        for t, name, count, _v, _a, _d in world.log.link_records
+        for t, name, count, _v, _a, _d in world.log.link_rows()
         if name in ring and t >= 0.75 * world.duration
     ]
     jam = 0.2

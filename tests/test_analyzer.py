@@ -4,6 +4,7 @@ import csv
 import math
 import os
 import tempfile
+from array import array
 from itertools import cycle
 
 import pytest
@@ -118,7 +119,7 @@ def test_cumulative_matches_full_scan(uroboros_default_run):
     for link in log.link_meta:
         scanned = [
             (t, entered * dn, exited * dn)
-            for t, name, _count, _speed, entered, exited in log.link_records
+            for t, name, _count, _speed, entered, exited in log.link_rows()
             if name == link
         ]
         assert cumulative_counts(log, link) == scanned
@@ -210,7 +211,7 @@ def test_mfd_total_length_adds_left_to_right():
     world = run(make_world(nodes, links, demand, duration=20.0, reaction_time=1.0, platoon_size=1))
     log = world.log
     vehicle_time = 0.0
-    for _t, _name, count, _speed, _entered, _exited in log.link_records:
+    for _t, _name, count, _speed, _entered, _exited in log.link_rows():
         vehicle_time += count * log.platoon_size * log.dt
     assert vehicle_time > 0.0
     (point,) = mfd_points(log, world, world.duration)
@@ -342,11 +343,11 @@ def _oracle_export(log, world, out_dir):
     vehicles = (
         [_fmt(t), p.id, p.origin, p.destination, name, _fmt(x), _fmt(v)]
         for p in world.platoons
-        for t, name, x, v in p.trajectory
+        for t, name, x, v in p.trajectory.rows(log.dt)
     )
     links = (
         [_fmt(t), name, count * dn, _fmt(speed), entered * dn, exited * dn]
-        for t, name, count, speed, entered, exited in log.link_records
+        for t, name, count, speed, entered, exited in log.link_rows()
     )
     stats = basic_stats(log, world)
     summary = [stats.completed_trips, stats.stranded_trips, _fmt(stats.total_travel_time),
@@ -398,12 +399,12 @@ def test_export_matches_oracle(names, floats):
     run(world)
     values = cycle(SPECIAL_FLOATS + floats)
     for p in world.platoons:
-        p.trajectory[:] = [(next(values), name, next(values), next(values))
-                           for _t, name, _x, _v in p.trajectory]
-    log = world.log
-    # record times stay: mfd_points bins links.csv rows by them
-    log.link_records[:] = [(t, name, count, next(values), entered, exited)
-                           for t, name, count, _speed, entered, exited in log.link_records]
+        for k in range(len(p.trajectory)):
+            p.trajectory.x[k] = next(values)
+            p.trajectory.v[k] = next(values)
+    speeds = world.log.link_records.mean_speed
+    for k in range(len(speeds)):
+        speeds[k] = next(values)
     _assert_export_matches_oracle(world)
 
 
@@ -433,6 +434,9 @@ def test_export_memo_stays_bounded(monkeypatch):
     monkeypatch.setattr(analyzer, "_Memo", Recording)
     world = _run_single_link(["A,B,0,200,0.4"], duration=400.0)
     n_points = analyzer._MEMO_LIMIT + 5000
-    world.platoons[0].trajectory[:] = [(5.0 * i, "AB", i / 7, 20.0) for i in range(n_points)]
+    trajectory = world.platoons[0].trajectory
+    trajectory.x = array("d", [i / 7 for i in range(n_points)])
+    trajectory.v = array("d", [20.0] * n_points)
+    trajectory.hops[:] = [(0, "AB")]
     _assert_export_matches_oracle(world)
     assert peak[0] == analyzer._MEMO_LIMIT

@@ -1,11 +1,27 @@
-"""Step loop: phase order, demand accumulation, conservation, determinism."""
+"""Step loop: phase order, demand accumulation, conservation, determinism, run log."""
+
+import random
+import struct
+import tracemalloc
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mesosim import ConsistencyError, run, step
+from mesosim import ConsistencyError, DemandSpec, NodeSpec, SimConfig, build_world, run, step
+from mesosim import engine
 from mesosim.engine import generate_demand
 
-from conftest import bottleneck_world, chain_texts, make_world, merge_world, single_link_texts
+from conftest import (
+    bottleneck_world,
+    chain_texts,
+    make_world,
+    merge_world,
+    random_digraph,
+    single_link_texts,
+    uroboros_world,
+)
 
 DEMAND_HEADER = "orig,dest,start_t,end_t,flow"
 
@@ -90,7 +106,7 @@ def test_empty_world_steps_and_logs():
     step(world)
     assert world.clock == 1
     assert len(world.log.link_records) == 1
-    t, name, count, v, entered, exited = world.log.link_records[0]
+    (t, name, count, v, entered, exited), = world.log.link_rows()
     assert (t, name, count, entered, exited) == (5.0, "AB", 0, 0, 0)
     assert v == pytest.approx(20.0)
 
@@ -177,12 +193,98 @@ def test_free_flow_link_traversal_times():
 def test_identical_seeds_reproduce_log():
     w1 = run(merge_world(duration=500.0, seed=3))
     w2 = run(merge_world(duration=500.0, seed=3))
-    assert w1.log.link_records == w2.log.link_records
+    assert list(w1.log.link_rows()) == list(w2.log.link_rows())
     assert w1.log.transfer_events == w2.log.transfer_events
-    assert w1.log.trajectories == w2.log.trajectories
+    dt = w1.log.dt
+    assert {pid: list(tr.rows(dt)) for pid, tr in w1.log.trajectories.items()} == {
+        pid: list(tr.rows(dt)) for pid, tr in w2.log.trajectories.items()
+    }
 
 
 def test_different_seeds_diverge():
     w1 = run(merge_world(duration=500.0, seed=3))
     w2 = run(merge_world(duration=500.0, seed=4))
     assert w1.log.transfer_events != w2.log.transfer_events
+
+
+def _bits(row):
+    """row with every float as its IEEE-754 bytes, so -0.0 and nan compare exactly."""
+    return tuple(struct.pack("<d", value) if isinstance(value, float) else value for value in row)
+
+
+_BAND = st.tuples(
+    st.integers(0, 5), st.integers(0, 4),
+    st.sampled_from([0.0, 30.0, 100.0]), st.sampled_from([20.0, 150.0, 250.0]),
+    st.sampled_from([0.05, 0.3, 1.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    graph_seed=st.integers(0, 2**32 - 1),
+    extra_arcs=st.integers(0, 8),
+    bands=st.lists(_BAND, min_size=1, max_size=4),
+    reaction_time=st.sampled_from([1.0, 0.7]),
+    platoon_size=st.sampled_from([1, 5]),
+    route_update_interval=st.sampled_from([1, 60]),
+    seed=st.integers(0, 1000),
+)
+def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reaction_time,
+                                       platoon_size, route_update_interval, seed):
+    """The columnar log reads back as the tuples each step would have logged."""
+    links = random_digraph(n, random.Random(graph_seed), min(n * (n - 1), n + extra_arcs))
+    nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(n)]
+    demands = [
+        DemandSpec(f"n{o % n}", f"n{(o + 1 + d % (n - 1)) % n}", start, start + width, flow)
+        for o, d, start, width, flow in bands
+    ]
+    config = SimConfig(seed=seed, duration=400.0, reaction_time=reaction_time,
+                       platoon_size=platoon_size, route_update_interval=route_update_interval)
+    world = build_world(config, nodes, links, demands)
+    points = defaultdict(list)
+    records = []
+
+    def logging_step(world):
+        step(world)
+        t_next = world.clock * world.config.time_step
+        for link in world.links:
+            records.append((t_next, link.name, len(link.platoons), link.mean_speed,
+                            link.entered_count, link.exited_count))
+            for platoon in link.platoons:
+                points[platoon.id].append((t_next, link.name, platoon.x, platoon.v))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "step", logging_step)
+        run(world)
+    assert records and len(world.log.link_records) == len(records)
+    assert list(map(_bits, world.log.link_rows())) == list(map(_bits, records))
+    dt = world.log.dt
+    for platoon in world.platoons:
+        trajectory = platoon.trajectory
+        assert list(map(_bits, trajectory.rows(dt))) == list(map(_bits, points[platoon.id]))
+        assert len(trajectory) == len(points[platoon.id])
+        starts = [start for start, _link in trajectory.hops]
+        if starts:
+            assert starts[0] == 0
+            assert all(a < b for a, b in zip(starts, starts[1:]))
+            assert starts[-1] < len(trajectory)
+
+
+# bytes a run may retain per trajectory point plus per link record: on
+# this run one tuple per entry retains about 133, the columns about 29
+_LOG_BYTES_PER_ENTRY = 48
+
+
+def test_run_log_memory_per_entry():
+    world = uroboros_world(duration=3000.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run(world)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = sum(len(p.trajectory) for p in world.platoons) + len(world.log.link_records)
+    assert entries > 50000
+    assert grown <= _LOG_BYTES_PER_ENTRY * entries, grown / entries

@@ -231,5 +231,5 @@ def test_platoon_initial_state():
     p = Platoon(3, "A", "B", 40.0)
     assert p.state == "waiting"
     assert p.link is None
-    assert p.trajectory == []
+    assert len(p.trajectory) == 0
     assert p.insert_t is None and p.arrival_t is None

@@ -33,11 +33,12 @@ def make_link(name, from_node="A", to_node="M", length=1000.0, u=20.0,
 
 
 class StubWorld:
-    """Just enough surface for process_node: queues and a running counter."""
+    """Just enough surface for process_node: queues, a running counter and the clock."""
 
     def __init__(self):
         self.waiting = {}
         self.running_count = 0
+        self.clock = 0
         self.attractiveness = None
 
 
@@ -291,7 +292,7 @@ def test_node_preserves_capacity(bottleneck_run):
     world = bottleneck_run
     dn = world.config.platoon_size
     entered = {}
-    for t, name, _count, _v, a, _d in world.log.link_records:
+    for t, name, _count, _v, a, _d in world.log.link_rows():
         if name == "ME":
             entered[t] = a
     flow = (entered[2500.0] - entered[1000.0]) * dn / 1500.0
