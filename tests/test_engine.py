@@ -106,7 +106,7 @@ def test_empty_world_steps_and_logs():
     step(world)
     assert world.clock == 1
     assert len(world.log.link_records) == 1
-    (t, name, count, v, entered, exited), = world.log.link_rows()
+    ((t, name, count, v, entered, exited),) = world.log.link_rows()
     assert (t, name, count, entered, exited) == (5.0, "AB", 0, 0, 0)
     assert v == pytest.approx(20.0)
 
@@ -212,14 +212,21 @@ def _bits(row):
     return tuple(struct.pack("<d", value) if isinstance(value, float) else value for value in row)
 
 
+def _assert_same_rows(got, want):
+    got = list(got)
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert _bits(a) == _bits(b), (k, a, b)
+
+
 _BAND = st.tuples(
     st.integers(0, 5), st.integers(0, 4),
-    st.sampled_from([0.0, 30.0, 100.0]), st.sampled_from([20.0, 150.0, 250.0]),
+    st.sampled_from([0.0, 30.0, 100.0]), st.sampled_from([20.0, 150.0, 200.0]),
     st.sampled_from([0.05, 0.3, 1.0]),
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 6),
     graph_seed=st.integers(0, 2**32 - 1),
@@ -239,7 +246,7 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
         DemandSpec(f"n{o % n}", f"n{(o + 1 + d % (n - 1)) % n}", start, start + width, flow)
         for o, d, start, width, flow in bands
     ]
-    config = SimConfig(seed=seed, duration=400.0, reaction_time=reaction_time,
+    config = SimConfig(seed=seed, duration=300.0, reaction_time=reaction_time,
                        platoon_size=platoon_size, route_update_interval=route_update_interval)
     world = build_world(config, nodes, links, demands)
     points = defaultdict(list)
@@ -258,11 +265,11 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
         patch.setattr(engine, "step", logging_step)
         run(world)
     assert records and len(world.log.link_records) == len(records)
-    assert list(map(_bits, world.log.link_rows())) == list(map(_bits, records))
+    _assert_same_rows(world.log.link_rows(), records)
     dt = world.log.dt
     for platoon in world.platoons:
         trajectory = platoon.trajectory
-        assert list(map(_bits, trajectory.rows(dt))) == list(map(_bits, points[platoon.id]))
+        _assert_same_rows(trajectory.rows(dt), points[platoon.id])
         assert len(trajectory) == len(points[platoon.id])
         starts = [start for start, _link in trajectory.hops]
         if starts:
