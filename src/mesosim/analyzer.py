@@ -121,7 +121,8 @@ def mfd_points(log, world, bin_s: float = DEFAULT_MFD_BIN) -> list[MFDPoint]:
         raise ValidationError(f"bin {bin_s} s is not a positive multiple of dt {dt} s")
     total_length = left_sum(spec.length for spec in log.link_meta.values())
     duration = log.duration
-    n_bins = max(1, int(-(-duration // bin_s)))
+    # counted in whole steps: float division can add an empty bin at the horizon
+    n_bins = max(1, -(-round(duration / dt) // round(bin_s / dt)))
     time_sum = [0.0] * n_bins
     dist_sum = [0.0] * n_bins
     dn = log.platoon_size
@@ -183,7 +184,8 @@ def time_space_points(log, link_sequence: list[str]) -> dict[int, list[tuple[flo
         previous = spec
     dt = log.dt
     polylines: dict[int, list[tuple[float, float]]] = {}
-    for pid, trajectory in log.trajectories.items():
+    for platoon in log.platoons:
+        trajectory = platoon.trajectory
         points = []
         for start, end, name in trajectory.segments():
             if name in offsets:
@@ -193,7 +195,7 @@ def time_space_points(log, link_sequence: list[str]) -> dict[int, list[tuple[flo
                     for step, x in enumerate(trajectory.x[start:end], trajectory.first + start)
                 )
         if points:
-            polylines[pid] = points
+            polylines[platoon.id] = points
     return polylines
 
 

@@ -32,7 +32,7 @@ from .errors import (
     UnreachableDemand,
     ValidationError,
 )
-from .kinematics import LinkState, Platoon, Trajectory, update_link
+from .kinematics import LinkState, Platoon, update_link
 from .routing import AttractivenessTable
 from .scenario import DemandSpec, LinkSpec, NodeSpec, SimConfig, horizon
 
@@ -91,30 +91,36 @@ class RunLog:
     link_records holds one record per link per step (see LinkRecords),
     stamped with the step end time: record k of a run with n links is
     link_meta's (k % n)-th link at ((k // n) + 1) * dt. Counts are in
-    platoon units. trajectories maps platoon id to its Trajectory.
-    link_rows() and Trajectory.rows() give the same data as tuples.
+    platoon units. platoons is the World's platoon list; their
+    trajectories are the only record of where each went. link_rows(),
+    Trajectory.rows() and transfer_events read the columns back.
     """
 
-    __slots__ = (
-        "dt",
-        "platoon_size",
-        "duration",
-        "link_meta",
-        "link_records",
-        "transfer_events",
-        "trajectories",
-        "sealed",
-    )
+    __slots__ = ("dt", "platoon_size", "duration", "link_meta", "link_records", "platoons",
+                 "sealed")
 
-    def __init__(self, dt: float, platoon_size: int, duration: float, link_meta):
+    def __init__(self, dt: float, platoon_size: int, duration: float, link_meta, platoons):
         self.dt = dt
         self.platoon_size = platoon_size
         self.duration = duration
         self.link_meta: dict[str, LinkSpec] = link_meta
         self.link_records = LinkRecords()
-        self.transfer_events: list[node_transfer.TransferEvent] = []
-        self.trajectories: dict[int, Trajectory] = {}
+        self.platoons = platoons
         self.sealed = False
+
+    @property
+    def transfer_events(self) -> list[node_transfer.TransferEvent]:
+        """One event per link-to-link hop, by platoon id, then in hop order.
+
+        Built on each access. A hop at point index k is timed (first + k - 1) * dt,
+        the float of the node phase that made it.
+        """
+        dt = self.dt
+        return [
+            node_transfer.TransferEvent((p.trajectory.first + k - 1) * dt, p.id, from_link, to_link)
+            for p in self.platoons
+            for (_start, from_link), (k, to_link) in zip(p.trajectory.hops, p.trajectory.hops[1:])
+        ]
 
     def link_rows(self):
         """(t, link, platoon_count, mean_speed, entered, exited) per record, in order."""
@@ -131,7 +137,8 @@ class RunLog:
 class World:
     """Complete mutable simulation state; the constructor cross-checks the scenario.
 
-    Order: node names, links one by one, signals, then demand rows in file order.
+    Order: node names, links one by one, signals, demand rows in file order,
+    then at least one link.
     """
 
     def __init__(
@@ -197,16 +204,14 @@ class World:
         self.accumulators = [0.0] * len(demands)
         self.platoons: list[Platoon] = []
 
-        self.generated_platoons = 0
         self.arrived_platoons = 0
         self.stranded_platoons = 0
         self.running_count = 0
 
         self.rng = random.Random(config.seed)
         self.clock = 0
-        self.log = RunLog(
-            dt, config.platoon_size, duration, {link.name: link.spec for link in self.links}
-        )
+        link_meta = {link.name: link.spec for link in self.links}
+        self.log = RunLog(dt, config.platoon_size, duration, link_meta, self.platoons)
         self.attractiveness.reach = routing.blend_trees(self, 1.0)
         for d in self.demands:
             if d.origin not in node_names:
@@ -217,16 +222,22 @@ class World:
                 raise ValidationError(
                     f"demand band ends at {d.t_end} s, beyond the {duration} s horizon"
                 )
+            if d.t_end - d.t_start < dt:
+                raise ValidationError(
+                    f"demand band {d.t_start}-{d.t_end} s is shorter than the {dt} s time step"
+                )
             if d.origin not in self.attractiveness.reach[d.destination]:
                 raise UnreachableDemand(
                     f"no directed path from {d.origin!r} to {d.destination!r}"
                 )
+        if not self.links:
+            raise ValidationError("the scenario has no links")
 
     def counts(self) -> dict[str, int]:
         """Platoon totals by state, for conservation checks and stats."""
         waiting = sum(len(q) for q in self.waiting.values())
         return {
-            "generated": self.generated_platoons,
+            "generated": len(self.platoons),
             "waiting": waiting,
             "running": self.running_count,
             "arrived": self.arrived_platoons,
@@ -257,8 +268,6 @@ def generate_demand(world: World, t: float) -> list[Platoon]:
             platoon = Platoon(len(world.platoons), demand.origin, demand.destination, t)
             world.platoons.append(platoon)
             world.waiting[demand.origin].append(platoon)
-            world.log.trajectories[platoon.id] = platoon.trajectory
-            world.generated_platoons += 1
             created.append(platoon)
         accumulators[idx] = acc
     return created
@@ -275,7 +284,6 @@ def step(world: World) -> World:
     routing.maybe_refresh(world, i)
 
     rng = world.rng
-    events = world.log.transfer_events
     for node in world.nodes_by_name.values():
         for link in node.incoming:
             platoons = link.platoons
@@ -285,7 +293,7 @@ def step(world: World) -> World:
                     node_transfer.finalize_arrival(head, t)
                     world.arrived_platoons += 1
                     world.running_count -= 1
-        events.extend(node_transfer.process_node(node, world, t, rng))
+        node_transfer.process_node(node, world, t, rng)
 
     for link in world.links:
         update_link(link, dt)

@@ -68,9 +68,9 @@ class Platoon:
 
     Position x is measured in meters from the start of the current link.
     The trajectory logs the position and speed at the end of every step
-    spent on a link (see Trajectory). States: waiting (in an origin
-    queue), running (on a link), arrived, stranded (unfinished at horizon
-    end).
+    spent on a link and each link entered; insertion was at
+    (trajectory.first - 1) * dt. States: waiting (in an origin queue),
+    running (on a link), arrived, stranded (unfinished at horizon end).
     """
 
     __slots__ = (
@@ -83,7 +83,6 @@ class Platoon:
         "x",
         "v",
         "arrival_t",
-        "insert_t",
         "next_choice",
         "trajectory",
     )
@@ -98,7 +97,6 @@ class Platoon:
         self.x = 0.0
         self.v = 0.0
         self.arrival_t: float | None = None
-        self.insert_t: float | None = None
         # outgoing link chosen at the current node; kept until the node is crossed
         self.next_choice: LinkState | None = None
         self.trajectory = Trajectory()

@@ -29,7 +29,7 @@ ORIGIN_QUEUE_PRIORITY = DEFAULT_MERGE_PRIORITY
 
 @dataclass(frozen=True)
 class TransferEvent:
-    """One platoon hop between two links, logged for analysis."""
+    """One platoon hop between two links at time t (see RunLog.transfer_events)."""
 
     t: float
     platoon_id: int
@@ -86,17 +86,18 @@ def signal_permits(node: NodeSpec, t: float, link_name: str) -> bool:
     return link_name in plan.phases[0][1]
 
 
-def process_node(node, world, t: float, rng: random.Random) -> list[TransferEvent]:
-    """Run one step of transfers at a node; returns the logged events.
+def process_node(node, world, t: float, rng: random.Random) -> list[Platoon]:
+    """Run one step of transfers at a node; returns the platoons moved between links.
 
     Competitors are the signal-permitted incoming links whose head stands
     at the link end, plus the node's origin queue when platoons wait
     there. Each gets one attempt in the sampled order. A transfer moves
     the platoon to the start of its cached outgoing-link choice (sampled
     on first need, kept until the node is crossed) provided the receiver
-    has strictly more entrance room than its jam footprint.
+    has strictly more entrance room than its jam footprint. Each move,
+    insertions too, appends a hop to the platoon's trajectory, its only record.
     """
-    events: list[TransferEvent] = []
+    moved: list[Platoon] = []
     candidates = []
     weights = []
     for link in node.incoming:
@@ -115,13 +116,9 @@ def process_node(node, world, t: float, rng: random.Random) -> list[TransferEven
         candidates.append(None)
         weights.append(ORIGIN_QUEUE_PRIORITY)
     if not candidates:
-        return events
-    if len(candidates) == 1:
-        order = candidates
-    else:
-        order = select_incoming_order(candidates, weights, rng)
+        return moved
 
-    for source in order:
+    for source in select_incoming_order(candidates, weights, rng):
         platoon: Platoon = queue[0] if source is None else source.platoons[0]
         target = platoon.next_choice
         if target is None:
@@ -132,14 +129,13 @@ def process_node(node, world, t: float, rng: random.Random) -> list[TransferEven
             if source is None:
                 queue.popleft()
                 platoon.state = "running"
-                platoon.insert_t = t
                 world.running_count += 1
                 # the first point is logged at the end of this step
                 trajectory.first = world.clock + 1
             else:
                 source.platoons.popleft()
                 source.exited_count += 1
-                events.append(TransferEvent(t, platoon.id, source.name, target.name))
+                moved.append(platoon)
             trajectory.hops.append((len(trajectory.x), target.name))
             target.platoons.append(platoon)
             target.entered_count += 1
@@ -147,7 +143,7 @@ def process_node(node, world, t: float, rng: random.Random) -> list[TransferEven
             platoon.x = 0.0
             platoon.v = target.u
             platoon.next_choice = None
-    return events
+    return moved
 
 
 def finalize_arrival(platoon: Platoon, t: float) -> Platoon:

@@ -24,7 +24,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .errors import DuplicateNode, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -265,16 +265,12 @@ def parse_signal(cell: str, row_idx: int) -> SignalPlan:
 
 
 def parse_nodes(text: str) -> list[NodeSpec]:
-    """Parse the nodes CSV. Raises DuplicateNode on repeated names."""
+    """Parse the nodes CSV; the World rejects repeated names."""
     nodes: list[NodeSpec] = []
-    seen: set[str] = set()
     for idx, row in _reader(text, ["name", "x", "y"], optional=["signal"]):
         name = row["name"]
         if not name:
             raise ParseError(idx, "node name must not be empty")
-        if name in seen:
-            raise DuplicateNode(f"node name {name!r} appears more than once")
-        seen.add(name)
         signal_cell = row.get("signal", "")
         signal = parse_signal(signal_cell, idx) if signal_cell else None
         nodes.append(
@@ -289,17 +285,16 @@ def parse_nodes(text: str) -> list[NodeSpec]:
 
 
 def parse_links(text: str) -> list[LinkSpec]:
-    """Parse the links CSV. A blank merge_priority falls back to the default."""
+    """Parse the links CSV. A blank merge_priority falls back to the default.
+
+    The World rejects repeated names.
+    """
     links: list[LinkSpec] = []
-    seen: set[str] = set()
     header = ["name", "from", "to", "length", "free_flow_speed", "jam_density", "merge_priority"]
     for idx, row in _reader(text, header):
         name = row["name"]
         if not name:
             raise ParseError(idx, "link name must not be empty")
-        if name in seen:
-            raise ValidationError(f"link name {name!r} appears more than once")
-        seen.add(name)
         priority_cell = row["merge_priority"]
         priority = (
             _float_field(idx, "merge_priority", priority_cell)

@@ -114,9 +114,10 @@ def scan_fifo(world):
     entries = defaultdict(list)
     exits = defaultdict(list)
     for platoon in world.platoons:
-        hops = platoon.trajectory.hops
-        if platoon.trajectory:
-            entries[hops[0][1]].append((platoon.insert_t, platoon.id))
+        trajectory = platoon.trajectory
+        hops = trajectory.hops
+        if trajectory:
+            entries[hops[0][1]].append(((trajectory.first - 1) * world.log.dt, platoon.id))
         if platoon.state == "arrived":
             exits[hops[-1][1]].append((platoon.arrival_t, platoon.id))
     for ev in world.log.transfer_events:
@@ -132,8 +133,8 @@ def scan_fifo(world):
 
 def scan_spacing(world):
     by_step = defaultdict(list)
-    for trajectory in world.log.trajectories.values():
-        for t, name, x, _v in trajectory.rows(world.log.dt):
+    for platoon in world.log.platoons:
+        for t, name, x, _v in platoon.trajectory.rows(world.log.dt):
             by_step[(t, name)].append(x)
     for (t, name), xs in by_step.items():
         spacing = world.links_by_name[name].spacing

@@ -148,7 +148,7 @@ def test_area_rule_matches_trip_times():
         for _t, a, d in cumulative_counts(world.log, name):
             area += (a - d) * dt
     stats = basic_stats(world.log, world)
-    waiting = sum(p.insert_t - p.depart_t for p in world.platoons) * dn
+    waiting = sum((p.trajectory.first - 1) * dt - p.depart_t for p in world.platoons) * dn
     assert area == pytest.approx(stats.total_travel_time - waiting, abs=dt * dn)
 
 
@@ -158,6 +158,16 @@ def test_mfd_empty_network():
     assert len(points) == 4
     assert [p.t_bin for p in points] == [0.0, 300.0, 600.0, 900.0]
     assert all(p.density == 0.0 and p.flow == 0.0 for p in points)
+
+
+def test_mfd_bins_end_at_a_bin_multiple_horizon():
+    # 162 steps of this dt are 6 bins of 27 steps; as floats 162 * dt / (27 * dt) > 6
+    dt = 2.2391783682256916 * 5
+    world = _run_single_link(["A,B,0,30,0.5"], duration=162 * dt, reaction_time=dt / 5)
+    assert world.total_steps == 162
+    points = mfd_points(world.log, world, 27 * dt)
+    assert len(points) == 6
+    assert all(math.isfinite(p.density) and math.isfinite(p.flow) for p in points)
 
 
 def test_mfd_rejects_bad_bins():

@@ -1,14 +1,20 @@
 """End-to-end command line runs and SVG rendering."""
 
+import contextlib
+import io
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
-from mesosim import ConsistencyError, cli, engine
+from mesosim import ConsistencyError, cli, engine, scenario
 from mesosim.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
 
 from conftest import demo_path
@@ -18,9 +24,8 @@ SUMMARY_RE = re.compile(
 )
 
 
-@pytest.fixture
-def tiny_scenario(tmp_path):
-    """One 1000 m link and a single-platoon demand band, on disk."""
+def write_tiny_scenario(tmp_path):
+    """One 1000 m link and a single-platoon demand band, written under tmp_path."""
     nodes = tmp_path / "nodes.csv"
     links = tmp_path / "links.csv"
     demand = tmp_path / "demand.csv"
@@ -36,6 +41,11 @@ def tiny_scenario(tmp_path):
         "demand": str(demand),
         "out": str(tmp_path / "out"),
     }
+
+
+@pytest.fixture
+def tiny_scenario(tmp_path):
+    return write_tiny_scenario(tmp_path)
 
 
 def base_args(paths, *extra):
@@ -129,14 +139,22 @@ def test_malformed_links_file_is_validation_error(tiny_scenario, tmp_path, capsy
     assert "row 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [
-    b"name,x,y\nA\xe9,0,0\nB,1000,0\n",  # Latin-1 byte, not UTF-8
-    b"name,x,y\nA,0,0\nB," + b"1" * 131073 + b",0\n",  # over the csv field size limit
-], ids=["not-utf8", "huge-field"])
-def test_malformed_nodes_file_exits_1(tiny_scenario, tmp_path, capsys, content):
-    bad = tmp_path / "bad_nodes.csv"
-    bad.write_bytes(content)
-    tiny_scenario["nodes"] = str(bad)
+LINKS_HEADER = b"name,from,to,length,free_flow_speed,jam_density,merge_priority\n"
+
+
+@pytest.mark.parametrize("files", [
+    {"nodes": b"name,x,y\nA\xe9,0,0\nB,1000,0\n"},  # Latin-1 byte, not UTF-8
+    {"nodes": b"name,x,y\nA,0,0\nB," + b"1" * 131073 + b",0\n"},  # over the csv field size limit
+    {"nodes": b"name,x,y\nA,0,0\nB,1000,0\nA,5,5\n"},
+    {"links": LINKS_HEADER + b"AB,A,B,1000,20,0.2,\nAB,B,A,1000,20,0.2,\n"},
+    {"links": LINKS_HEADER, "demand": b"orig,dest,start_t,end_t,flow\n"},
+], ids=["not-utf8", "huge-field", "duplicate-node", "duplicate-link", "no-links"])
+def test_malformed_nodes_file_exits_1(tiny_scenario, tmp_path, capsys, files):
+    """A bad nodes file, or the links (and demand) file where the id says so."""
+    for key, content in files.items():
+        bad = tmp_path / f"bad_{key}.csv"
+        bad.write_bytes(content)
+        tiny_scenario[key] = str(bad)
     code = cli.main(base_args(tiny_scenario))
     assert code == 1
     err = capsys.readouterr().err
@@ -268,3 +286,52 @@ def test_outputs_do_not_depend_on_hash_seed(tmp_path):
     for name in files_a:
         assert files_a[name] == files_b[name], name
     assert stdout_a == stdout_b
+
+
+class _TooLong(Exception):
+    """A valid configuration with more steps than the flag fuzz runs."""
+
+
+_MAX_FUZZ_STEPS = 2000
+_ABSURD = ["nan", "inf", "-inf", "-1", "0", "1e309", "abc", "", "1" + "0" * 400, str(2**64)]
+_FLAG_VALUES = {
+    "--seed": st.integers(-(2**70), 2**70).map(str),
+    "--deltan": st.integers(1, 10).map(str),
+    "--tau": st.floats(0.5, 5.0).map(repr),
+    "--duration": st.floats(1.0, 2000.0).map(repr),
+    "--route-interval": st.integers(1, 100).map(str),
+    "--route-weight": st.floats(0.0, 1.0).map(repr),
+}
+
+
+@settings(max_examples=300, deadline=None)
+# a single 9.2e19 s step, in which the 10 s demand band would emit 9.2e18 platoons
+@example(flags={"--tau": str(2**64), "--duration": str(2**64)})
+@given(flags=st.fixed_dictionaries({}, optional={
+    flag: st.one_of(valid, st.sampled_from(_ABSURD)) for flag, valid in _FLAG_VALUES.items()
+}))
+def test_flag_fuzz_exits_0_1_or_2(flags):
+    """Any mix of valid and absurd flag values ends in exit 0, 1 or 2."""
+    build_world = scenario.build_world
+
+    def bounded_build_world(*args):
+        world = build_world(*args)
+        if world.total_steps > _MAX_FUZZ_STEPS:
+            raise _TooLong
+        return world
+
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        paths = write_tiny_scenario(pathlib.Path(tmp))
+        argv = base_args(paths, *(token for flag in flags.items() for token in flag))
+        patch.setattr(scenario, "build_world", bounded_build_world)
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the value with exit 2
+            code = exc.code
+        except _TooLong:
+            assume(False)  # valid, but skipped for run time only
+    event(f"exit {code}")
+    assert code in (0, 1, 2), (flags, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

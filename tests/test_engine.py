@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesosim import ConsistencyError, DemandSpec, NodeSpec, SimConfig, build_world, run, step
-from mesosim import engine
+from mesosim import engine, node_transfer
 from mesosim.engine import generate_demand
 
 from conftest import (
@@ -38,14 +38,14 @@ def test_accumulator_emits_every_other_step():
     counts = []
     for _ in range(5):
         step(world)
-        counts.append(world.generated_platoons)
+        counts.append(len(world.platoons))
     assert counts == [0, 0, 1, 1, 2]
 
 
 def test_band_yields_exact_platoon_count():
     world = _single_link_world(["A,B,0,1200,0.4"], duration=1500.0)
     run(world)
-    assert world.generated_platoons == 96
+    assert len(world.platoons) == 96
     assert world.accumulators[0] == pytest.approx(0.0, abs=1e-9)
     assert world.arrived_platoons == 96
 
@@ -53,7 +53,7 @@ def test_band_yields_exact_platoon_count():
 def test_zero_flow_band_generates_nothing():
     world = _single_link_world(["A,B,0,100,0"])
     run(world)
-    assert world.generated_platoons == 0
+    assert len(world.platoons) == 0
     assert world.counts()["arrived"] == 0
 
 
@@ -73,11 +73,10 @@ def test_first_insertion_lags_one_step():
     run(world)
     first = world.platoons[0]
     assert first.depart_t == 5.0
-    assert first.insert_t == 10.0
+    assert (first.trajectory.first - 1) * world.config.time_step == 10.0
 
 
 def test_step_phase_order(monkeypatch):
-    import mesosim.node_transfer as node_transfer
     import mesosim.routing as routing
 
     calls = []
@@ -182,7 +181,7 @@ def test_free_flow_link_traversal_times():
     world = make_world(nodes, links, DEMAND_HEADER + "\nA,C,0,10,0.5\n", duration=300.0)
     run(world)
     (platoon,) = world.platoons
-    assert platoon.insert_t == 10.0
+    assert (platoon.trajectory.first - 1) * world.config.time_step == 10.0
     (event,) = world.log.transfer_events
     # 730 m at 20 m/s is 36.5 s, rounded up to 8 steps of 5 s
     assert (event.from_link, event.to_link) == ("L1", "L2")
@@ -196,9 +195,9 @@ def test_identical_seeds_reproduce_log():
     assert list(w1.log.link_rows()) == list(w2.log.link_rows())
     assert w1.log.transfer_events == w2.log.transfer_events
     dt = w1.log.dt
-    assert {pid: list(tr.rows(dt)) for pid, tr in w1.log.trajectories.items()} == {
-        pid: list(tr.rows(dt)) for pid, tr in w2.log.trajectories.items()
-    }
+    assert [list(p.trajectory.rows(dt)) for p in w1.log.platoons] == [
+        list(p.trajectory.rows(dt)) for p in w2.log.platoons
+    ]
 
 
 def test_different_seeds_diverge():
@@ -239,7 +238,11 @@ _BAND = st.tuples(
 )
 def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reaction_time,
                                        platoon_size, route_update_interval, seed):
-    """The columnar log reads back as the tuples each step would have logged."""
+    """The columnar log reads back as the tuples each step would have logged.
+
+    transfer_events, built from the trajectory hops, matches the moves
+    process_node returned during the run, and the run builds no event.
+    """
     links = random_digraph(n, random.Random(graph_seed), min(n * (n - 1), n + extra_arcs))
     nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(n)]
     demands = [
@@ -261,10 +264,28 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
             for platoon in link.platoons:
                 points[platoon.id].append((t_next, link.name, platoon.x, platoon.v))
 
+    moves = []
+    process_node = node_transfer.process_node
+
+    def capturing_process_node(node, world, t, rng):
+        heads = {link.platoons[0].id: link.name for link in node.incoming if link.platoons}
+        moved = process_node(node, world, t, rng)
+        moves.extend((t, platoon.id, heads[platoon.id], platoon.link.name) for platoon in moved)
+        return moved
+
+    def no_event(*args):
+        raise AssertionError("run built a TransferEvent")
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "step", logging_step)
+        patch.setattr(node_transfer, "process_node", capturing_process_node)
+        patch.setattr(node_transfer, "TransferEvent", no_event)
         run(world)
     assert records and len(world.log.link_records) == len(records)
+    # the view lists events by platoon id, each platoon's in time order
+    moves.sort(key=lambda move: move[1])
+    events = world.log.transfer_events
+    _assert_same_rows([(e.t, e.platoon_id, e.from_link, e.to_link) for e in events], moves)
     _assert_same_rows(world.log.link_rows(), records)
     dt = world.log.dt
     for platoon in world.platoons:

@@ -232,4 +232,4 @@ def test_platoon_initial_state():
     assert p.state == "waiting"
     assert p.link is None
     assert len(p.trajectory) == 0
-    assert p.insert_t is None and p.arrival_t is None
+    assert p.trajectory.hops == [] and p.arrival_t is None

@@ -137,10 +137,8 @@ def test_transfer_unobstructed():
     p = _ready_platoon(source)
     p.next_choice = target
     node = make_node("M", incoming=[source], outgoing=[target])
-    events = process_node(node, StubWorld(), 40.0, random.Random(0))
-    assert len(events) == 1
-    ev = events[0]
-    assert (ev.t, ev.platoon_id, ev.from_link, ev.to_link) == (40.0, 7, "IN", "OUT")
+    assert process_node(node, StubWorld(), 40.0, random.Random(0)) == [p]
+    assert p.trajectory.hops == [(0, "OUT")]
     assert p.link is target and p.x == 0.0 and p.v == target.u
     assert p.next_choice is None
     assert not source.platoons and source.exited_count == 1
@@ -154,8 +152,7 @@ def test_transfer_blocked_at_exact_jam_gap():
     p = _ready_platoon(source)
     p.next_choice = target
     node = make_node("M", incoming=[source], outgoing=[target])
-    events = process_node(node, StubWorld(), 0.0, random.Random(0))
-    assert events == []
+    assert process_node(node, StubWorld(), 0.0, random.Random(0)) == []
     assert p.link is source and p.x == source.length
 
 
@@ -165,16 +162,14 @@ def test_transfer_succeeds_just_above_jam_gap():
     p = _ready_platoon(source)
     p.next_choice = target
     node = make_node("M", incoming=[source], outgoing=[target])
-    events = process_node(node, StubWorld(), 0.0, random.Random(0))
-    assert len(events) == 1
+    assert process_node(node, StubWorld(), 0.0, random.Random(0)) == [p]
 
 
 def test_transfer_head_not_at_end_stays():
     source = make_link("IN", "A", "M", positions=[900.0])
     target = make_link("OUT", "M", "B")
     node = make_node("M", incoming=[source], outgoing=[target])
-    events = process_node(node, StubWorld(), 0.0, random.Random(0))
-    assert events == []
+    assert process_node(node, StubWorld(), 0.0, random.Random(0)) == []
     assert source.platoons[0].x == 900.0
 
 
@@ -204,9 +199,8 @@ def test_merge_single_slot_follows_priorities():
         p_hi.next_choice = target
         p_lo.next_choice = target
         node = make_node("M", incoming=[hi, lo], outgoing=[target])
-        events = process_node(node, StubWorld(), 0.0, rng)
-        assert len(events) == 1  # the first entrant fills the only slot
-        wins += events[0].from_link == "HI"
+        (moved,) = process_node(node, StubWorld(), 0.0, rng)  # the first entrant fills the slot
+        wins += moved is p_hi
     assert wins / trials == pytest.approx(0.8, abs=0.02)
 
 
@@ -218,10 +212,9 @@ def test_origin_queue_inserts_platoon():
     from collections import deque
 
     world.waiting["M"] = deque([p])
-    events = process_node(node, world, 15.0, random.Random(0))
-    assert events == []  # origin insertions are not link-to-link hops
+    assert process_node(node, world, 15.0, random.Random(0)) == []  # not a link-to-link move
     assert p.state == "running"
-    assert p.insert_t == 15.0
+    assert p.trajectory.first == world.clock + 1 and p.trajectory.hops == [(0, "OUT")]
     assert p.link is target and p.x == 0.0
     assert world.running_count == 1
     assert not world.waiting["M"]

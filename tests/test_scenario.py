@@ -43,8 +43,12 @@ def test_parse_nodes_two_rows():
 
 
 def test_parse_nodes_duplicate_name():
-    with pytest.raises(DuplicateNode):
-        parse_nodes("name,x,y\nW,0,0\nW,1,1")
+    # the parser keeps both rows; the World rejects the repeat
+    nodes = "name,x,y\nW,0,0\nW,1,1\nE,2,0\n"
+    assert [n.name for n in parse_nodes(nodes)] == ["W", "W", "E"]
+    links = f"{LINK_HEADER}\nWE,W,E,1000,20,0.2,\n"
+    with pytest.raises(DuplicateNode, match="node name 'W' appears more than once"):
+        make_world(nodes, links, "orig,dest,start_t,end_t,flow\n")
 
 
 def test_parse_nodes_bad_number_reports_row():
@@ -115,8 +119,9 @@ def test_parse_links_nonpositive_fields_rejected(row):
 
 def test_parse_links_duplicate_name_rejected():
     text = f"{LINK_HEADER}\nX,A,B,1000,20,0.2,\nX,B,A,1000,20,0.2,\n"
-    with pytest.raises(ValidationError):
-        parse_links(text)
+    nodes, _links = single_link_texts()
+    with pytest.raises(ValidationError, match="link name 'X' appears more than once"):
+        make_world(nodes, text, "orig,dest,start_t,end_t,flow\n")
 
 
 def test_parse_demand_band_total():
@@ -222,6 +227,9 @@ def test_build_world_unreachable_demand():
     (["Y,Z,0,900,0.4"], UnknownNode, "origin 'Y'"),
     (["A,Z,0,900,0.4"], UnknownNode, "destination 'Z'"),
     (["B,A,0,900,0.4"], ValidationError, "900"),
+    # a band shorter than one 5 s step, before reachability
+    (["A,B,0,3,0.4", "B,A,0,100,0.4"], ValidationError, "shorter than the 5.0 s time step"),
+    (["B,A,0,3,0.4"], ValidationError, "band 0.0-3.0 s is shorter"),
 ])
 def test_build_world_reports_first_demand_error(rows, error, fragment):
     nodes, links = single_link_texts()
@@ -266,6 +274,8 @@ def test_both_doors_cross_check_the_scenario(door):
     twin = LinkSpec("AB", "B", "A", 1000.0, 20.0, 0.2)
     with pytest.raises(ValidationError, match="link name 'AB' appears more than once"):
         door(SimConfig(), [a, b], [ab, twin], [])
+    with pytest.raises(ValidationError, match="no links"):
+        door(SimConfig(), [a, b], [], [])
     # 7 s at dt = 5 s rounds up to two steps
     world = door(SimConfig(duration=7.0), [a, b], [ab], [])
     assert world.duration == world.log.duration == 10.0
