@@ -240,9 +240,8 @@ def _fmt(value: float) -> str:
 def _csv_field(name: str) -> str:
     """name as the csv module writes it inside a row, quoted if needed."""
     buffer = io.StringIO()
-    # a second, empty field keeps a lone empty name from being written as '""'
-    csv.writer(buffer, lineterminator="\n").writerow([name, ""])
-    return buffer.getvalue()[:-2]
+    csv.writer(buffer, lineterminator="\n").writerow([name])
+    return buffer.getvalue()[:-1]
 
 
 def _lines(*columns) -> str:

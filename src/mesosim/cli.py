@@ -1,8 +1,8 @@
 """Command-line entry point: load CSVs, simulate, export tables and plots.
 
-Exit codes: 0 on success, 1 on scenario validation problems, 2 on IO
-problems, 3 on an internal consistency failure (an engine bug, reported
-as ``internal error:``). The final stdout line is machine-parseable:
+Exit codes: 0 on success, 1 on bad scenario input (a parse failure names
+its file and row), 2 on IO problems, a closed stdout included, 3 on an
+engine bug (``internal error:``). The final stdout line is machine-parseable:
 
     trips=<int> ttt=<float>s delay=<float>s wall=<float>s
 
@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import analyzer, engine, scenario, svgplot
-from .errors import ConsistencyError, MesosimError
+from .errors import ConsistencyError, MesosimError, ParseError
 
 # horizon appended after the last demand band when --duration is omitted,
 # so trips in flight at the end of demand can finish
@@ -141,23 +141,23 @@ def render_cumulative_svg(series, link: str, out_path: str) -> str:
     return svgplot.write_chart(chart, out_path)
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return f.read()
-        except UnicodeDecodeError as exc:
-            raise MesosimError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+def _load(parse, path: str) -> list:
+    """parse(the text of path); a failure to decode or parse it names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return parse(f.read())
+    except UnicodeDecodeError as exc:
+        raise MesosimError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except ParseError as exc:
+        raise MesosimError(f"{path}: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        nodes_text = _read(args.nodes)
-        links_text = _read(args.links)
-        demand_text = _read(args.demand)
-        nodes = scenario.parse_nodes(nodes_text)
-        links = scenario.parse_links(links_text)
-        demands = scenario.parse_demand(demand_text)
+        nodes = _load(scenario.parse_nodes, args.nodes)
+        links = _load(scenario.parse_links, args.links)
+        demands = _load(scenario.parse_demand, args.demand)
         duration = args.duration
         if duration is None:
             latest = max((d.t_end for d in demands), default=0.0)
@@ -194,6 +194,13 @@ def main(argv: list[str] | None = None) -> int:
                 os.path.join(args.out, f"cumulative_{args.plot_cumulative}.svg"),
             )
         stats = analyzer.basic_stats(world.log, world)
+        print(
+            f"trips={stats.completed_trips} "
+            f"ttt={format(stats.total_travel_time, '.6g')}s "
+            f"delay={format(stats.total_delay, '.6g')}s "
+            f"wall={wall:.3f}s",
+            flush=True,
+        )
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
@@ -203,13 +210,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    print(
-        f"trips={stats.completed_trips} "
-        f"ttt={format(stats.total_travel_time, '.6g')}s "
-        f"delay={format(stats.total_delay, '.6g')}s "
-        f"wall={wall:.3f}s"
-    )
     return 0
 
 

@@ -5,14 +5,6 @@ class MesosimError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(MesosimError):
-    """A CSV cell could not be parsed. Carries the 1-based data row index."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(f"row {row}: {message}")
-        self.row = row
-
-
 class DuplicateNode(MesosimError):
     """Two node rows share the same name."""
 
@@ -23,6 +15,14 @@ class UnknownNode(MesosimError):
 
 class ValidationError(MesosimError):
     """A field value violates a scenario invariant."""
+
+
+class ParseError(ValidationError):
+    """A CSV row could not be read or built into a spec. Carries the 1-based data row index."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(f"row {row}: {message}")
+        self.row = row
 
 
 class UnreachableDemand(MesosimError):

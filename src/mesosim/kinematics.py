@@ -206,12 +206,3 @@ def instantaneous_travel_time(link: LinkState) -> float:
     if v_bar < V_MIN:
         v_bar = V_MIN
     return link.length / v_bar
-
-
-def link_capacity(u: float, tau: float, delta: float) -> float:
-    """Saturation flow u / (u*tau + delta) in vehicles per second.
-
-    This is where the free-flow branch (slope u) and the congested branch
-    (slope -delta/tau) of the triangular flow-density relation intersect.
-    """
-    return u / (u * tau + delta)

@@ -14,6 +14,14 @@ CSV formats (UTF-8, comma-separated, exact headers):
 The optional signal cell uses the grammar ``offset:dur1:linkA|linkB;dur2:linkC``
 (semicolon-separated phases, pipe-separated permitted incoming links).
 An empty cell means the node is unsignalized.
+
+Each rule is checked once, in the type that owns it. The spec types check
+their own fields however they are built: non-empty names, finite numbers,
+signal phases of positive duration that permit a link. SimConfig checks
+that the step count lies in [1, 2**52]; World checks the rules across
+records, among them that the bands ask for at most MAX_PLATOONS platoons
+in all (flow * (t_end - t_start) / platoon_size, summed). Every parse
+failure is a ParseError naming its data row; the CLI adds the file.
 """
 
 from __future__ import annotations
@@ -32,6 +40,10 @@ DEFAULT_MERGE_PRIORITY = 0.5
 # Below this many steps, consecutive step times i * dt are distinct floats
 # (ulp(i * dt) < dt); above it they can collide.
 _MAX_STEPS = 2**52
+# a step count within this of a whole number counts as that number
+_STEP_TOL = 1e-9
+# total platoons a scenario's demand may ask for; each one is kept in memory
+MAX_PLATOONS = 10**6
 
 
 def left_sum(values) -> float:
@@ -108,6 +120,10 @@ class SimConfig:
         if dt == math.inf:
             raise ValidationError("time step reaction_time * platoon_size overflows")
         steps = self.duration / dt
+        if steps <= _STEP_TOL:
+            raise ValidationError(
+                f"duration {self.duration:.6g} s rounds to zero time steps of {dt:.6g} s"
+            )
         if steps > _MAX_STEPS:
             raise ValidationError(
                 f"step count duration / time step = {steps:.6g} overflows the limit {_MAX_STEPS}"
@@ -130,9 +146,11 @@ class SignalPlan:
         _require_finite("signal ", self, "offset")
         if not self.phases:
             raise ValidationError("signal plan needs at least one phase")
-        for dur, _ in self.phases:
+        for dur, links in self.phases:
             if not 0.0 < dur < math.inf:
                 raise ValidationError("signal phase durations must be positive and finite")
+            if not links:
+                raise ValidationError("every signal phase must permit at least one link")
 
     @property
     def cycle(self) -> float:
@@ -149,6 +167,8 @@ class NodeSpec:
     signal: SignalPlan | None = None
 
     def __post_init__(self):
+        if not self.name:
+            raise ValidationError("node name must not be empty")
         _require_finite(f"node {self.name}: ", self, "x", "y")
 
 
@@ -165,6 +185,8 @@ class LinkSpec:
     merge_priority: float = DEFAULT_MERGE_PRIORITY
 
     def __post_init__(self):
+        if not self.name:
+            raise ValidationError("link name must not be empty")
         fields = ("length", "free_flow_speed", "jam_density", "merge_priority")
         _require_finite(f"link {self.name}: ", self, *fields)
         if self.from_node == self.to_node:
@@ -206,14 +228,19 @@ class DemandSpec:
             raise ValidationError("demand flow must be non-negative")
 
 
-def _float_field(row_idx: int, name: str, raw: str) -> float:
+def _float_field(name: str, raw: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
-        raise ParseError(row_idx, f"field {name!r}: {raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ParseError(row_idx, f"field {name!r}: {raw!r} is not finite")
-    return value
+        raise ValidationError(f"field {name!r}: {raw!r} is not a number") from None
+
+
+def _at_row(row_idx: int, build, *args):
+    """build(*args); a ValidationError it raises becomes a ParseError at row_idx."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ParseError(row_idx, str(exc)) from None
 
 
 def _csv_rows(text: str):
@@ -225,63 +252,72 @@ def _csv_rows(text: str):
         raise ParseError(rows.line_num - 1, f"malformed CSV: {exc}") from None
 
 
-def _reader(text: str, expected: list[str], optional: list[str] | None = None):
-    """Yield (row_index, row_dict), checking the header first."""
+def _records(text: str, header: list[str], build, optional: list[str] | None = None):
+    """Yield build(row) per non-blank data row (header -> trimmed cell); errors name the row."""
     rows = _csv_rows(text)
     try:
-        header = [h.strip() for h in next(rows)]
+        found = [h.strip() for h in next(rows)]
     except StopIteration:
         raise ParseError(0, "empty file, header row missing") from None
-    allowed = expected + (optional or [])
-    if header[: len(expected)] != expected or header not in (expected, allowed):
-        raise ParseError(0, f"expected header {','.join(allowed)!r}, got {','.join(header)!r}")
+    allowed = header + (optional or [])
+    if found[: len(header)] != header or found not in (header, allowed):
+        raise ParseError(0, f"expected header {','.join(allowed)!r}, got {','.join(found)!r}")
     for idx, row in enumerate(rows, start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
-        if len(row) < len(expected) or len(row) > len(allowed):
-            raise ParseError(idx, f"expected {len(expected)}-{len(allowed)} fields, got {len(row)}")
-        yield idx, dict(zip(header, (cell.strip() for cell in row)))
+        if len(row) < len(header) or len(row) > len(allowed):
+            raise ParseError(idx, f"expected {len(header)}-{len(allowed)} fields, got {len(row)}")
+        yield _at_row(idx, build, dict(zip(found, (cell.strip() for cell in row))))
 
 
-def parse_signal(cell: str, row_idx: int) -> SignalPlan:
-    """Parse ``offset:dur1:linkA|linkB;dur2:linkC`` into a SignalPlan."""
+def _signal_plan(cell: str) -> SignalPlan:
     head, sep, rest = cell.partition(":")
     if not sep:
-        raise ParseError(row_idx, f"signal {cell!r}: missing ':' after offset")
-    offset = _float_field(row_idx, "signal offset", head)
+        raise ValidationError(f"signal {cell!r}: missing ':' after offset")
+    offset = _float_field("signal offset", head)
     phases = []
     for phase_text in rest.split(";"):
         dur_text, sep, links_text = phase_text.partition(":")
         if not sep:
-            raise ParseError(row_idx, f"signal phase {phase_text!r}: missing ':' after duration")
-        dur = _float_field(row_idx, "signal phase duration", dur_text)
-        if dur <= 0:
-            raise ParseError(row_idx, f"signal phase duration must be positive, got {dur}")
+            raise ValidationError(f"signal phase {phase_text!r}: missing ':' after duration")
         links = frozenset(name.strip() for name in links_text.split("|") if name.strip())
-        if not links:
-            raise ParseError(row_idx, f"signal phase {phase_text!r} permits no links")
-        phases.append((dur, links))
+        phases.append((_float_field("signal phase duration", dur_text), links))
     return SignalPlan(phases=tuple(phases), offset=offset)
+
+
+def parse_signal(cell: str, row_idx: int) -> SignalPlan:
+    """Parse ``offset:dur1:linkA|linkB;dur2:linkC`` into a SignalPlan; errors name row_idx."""
+    return _at_row(row_idx, _signal_plan, cell)
+
+
+def _node(row: dict[str, str]) -> NodeSpec:
+    signal = row.get("signal", "")
+    return NodeSpec(
+        name=row["name"],
+        x=_float_field("x", row["x"]),
+        y=_float_field("y", row["y"]),
+        signal=_signal_plan(signal) if signal else None,
+    )
 
 
 def parse_nodes(text: str) -> list[NodeSpec]:
     """Parse the nodes CSV; the World rejects repeated names."""
-    nodes: list[NodeSpec] = []
-    for idx, row in _reader(text, ["name", "x", "y"], optional=["signal"]):
-        name = row["name"]
-        if not name:
-            raise ParseError(idx, "node name must not be empty")
-        signal_cell = row.get("signal", "")
-        signal = parse_signal(signal_cell, idx) if signal_cell else None
-        nodes.append(
-            NodeSpec(
-                name=name,
-                x=_float_field(idx, "x", row["x"]),
-                y=_float_field(idx, "y", row["y"]),
-                signal=signal,
-            )
-        )
-    return nodes
+    return list(_records(text, ["name", "x", "y"], _node, optional=["signal"]))
+
+
+def _link(row: dict[str, str]) -> LinkSpec:
+    priority = row["merge_priority"]
+    return LinkSpec(
+        name=row["name"],
+        from_node=row["from"],
+        to_node=row["to"],
+        length=_float_field("length", row["length"]),
+        free_flow_speed=_float_field("free_flow_speed", row["free_flow_speed"]),
+        jam_density=_float_field("jam_density", row["jam_density"]),
+        merge_priority=(
+            _float_field("merge_priority", priority) if priority else DEFAULT_MERGE_PRIORITY
+        ),
+    )
 
 
 def parse_links(text: str) -> list[LinkSpec]:
@@ -289,62 +325,32 @@ def parse_links(text: str) -> list[LinkSpec]:
 
     The World rejects repeated names.
     """
-    links: list[LinkSpec] = []
     header = ["name", "from", "to", "length", "free_flow_speed", "jam_density", "merge_priority"]
-    for idx, row in _reader(text, header):
-        name = row["name"]
-        if not name:
-            raise ParseError(idx, "link name must not be empty")
-        priority_cell = row["merge_priority"]
-        priority = (
-            _float_field(idx, "merge_priority", priority_cell)
-            if priority_cell
-            else DEFAULT_MERGE_PRIORITY
-        )
-        links.append(
-            LinkSpec(
-                name=name,
-                from_node=row["from"],
-                to_node=row["to"],
-                length=_float_field(idx, "length", row["length"]),
-                free_flow_speed=_float_field(idx, "free_flow_speed", row["free_flow_speed"]),
-                jam_density=_float_field(idx, "jam_density", row["jam_density"]),
-                merge_priority=priority,
-            )
-        )
-    return links
+    return list(_records(text, header, _link))
+
+
+def _demand(row: dict[str, str]) -> DemandSpec:
+    return DemandSpec(
+        origin=row["orig"],
+        destination=row["dest"],
+        t_start=_float_field("start_t", row["start_t"]),
+        t_end=_float_field("end_t", row["end_t"]),
+        flow=_float_field("flow", row["flow"]),
+    )
 
 
 def parse_demand(text: str) -> list[DemandSpec]:
     """Parse the demand CSV into DemandSpec rows in file order."""
-    demands: list[DemandSpec] = []
-    for idx, row in _reader(text, ["orig", "dest", "start_t", "end_t", "flow"]):
-        demands.append(
-            DemandSpec(
-                origin=row["orig"],
-                destination=row["dest"],
-                t_start=_float_field(idx, "start_t", row["start_t"]),
-                t_end=_float_field(idx, "end_t", row["end_t"]),
-                flow=_float_field(idx, "flow", row["flow"]),
-            )
-        )
-    return demands
+    return list(_records(text, ["orig", "dest", "start_t", "end_t", "flow"], _demand))
 
 
 def horizon(config: SimConfig) -> float:
-    """config.duration, rounded up to a whole number of time steps if needed.
-
-    Raises ValidationError when that number of steps would be zero.
-    """
+    """config.duration, rounded up to a whole number of time steps if needed."""
     dt = config.time_step
     steps = config.duration / dt
-    if abs(steps - round(steps)) <= 1e-9:
-        if round(steps) == 0:
-            raise ValidationError(
-                f"duration {config.duration:.6g} s rounds to zero time steps of {dt:.6g} s"
-            )
+    if abs(steps - round(steps)) <= _STEP_TOL:
         return config.duration
-    adjusted = math.ceil(steps - 1e-9) * dt
+    adjusted = math.ceil(steps - _STEP_TOL) * dt
     log.info(
         "duration %.6g s is not a multiple of the %.6g s time step; rounded up to %.6g s",
         config.duration,

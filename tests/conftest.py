@@ -58,6 +58,15 @@ def make_world(nodes_text: str, links_text: str, demand_text: str, **config):
     )
 
 
+def link_capacity(u: float, tau: float, delta: float) -> float:
+    """Saturation flow u / (u*tau + delta) in vehicles per second.
+
+    This is where the free-flow branch (slope u) and the congested branch
+    (slope -delta/tau) of the triangular flow-density relation intersect.
+    """
+    return u / (u * tau + delta)
+
+
 def random_digraph(n: int, rng, n_arcs: int, spanning_cycle: bool = True) -> list[LinkSpec]:
     """Links e0, e1, ... of a random simple digraph on nodes n0..n{n-1}.
 

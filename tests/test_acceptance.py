@@ -14,13 +14,14 @@ from collections import defaultdict
 
 from mesosim import export_csv, mfd_points, run
 from mesosim.analyzer import export_bin
-from mesosim.kinematics import LinkState, link_capacity
+from mesosim.kinematics import LinkState
 from mesosim.routing import shortest_tree
 
 import conftest
 from conftest import (
     UROBOROS_RING,
     bottleneck_world,
+    link_capacity,
     make_world,
     merge_world,
     node_index,

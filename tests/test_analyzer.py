@@ -394,8 +394,9 @@ NAME_CHARS = st.sampled_from([",", '"', " ", "\r\n", "\r", "\n", "\t", "a", "Z",
 
 @settings(max_examples=40, deadline=None)
 @given(
-    names=st.lists(st.lists(NAME_CHARS, max_size=6).map("".join), min_size=5, max_size=5,
-                   unique=True),
+    # names are never empty: NodeSpec and LinkSpec reject an empty one
+    names=st.lists(st.lists(NAME_CHARS, min_size=1, max_size=6).map("".join), min_size=5,
+                   max_size=5, unique=True),
     floats=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
 )
 def test_export_matches_oracle(names, floats):

@@ -142,6 +142,47 @@ def test_malformed_links_file_is_validation_error(tiny_scenario, tmp_path, capsy
 LINKS_HEADER = b"name,from,to,length,free_flow_speed,jam_density,merge_priority\n"
 
 
+@pytest.mark.parametrize("key, text, message", [
+    ("nodes", "name,x,y\nA,zz,0\nB,1000,0\n", "row 1: field 'x': 'zz' is not a number"),
+    ("nodes", "name,x,y\nA,0,0\n,1000,0\n", "row 2: node name must not be empty"),
+    ("nodes", 'name,x,y,signal\nA,0,0,"0:0:AB"\nB,1000,0,\n',
+     "row 1: signal phase durations must be positive and finite"),
+    ("links", LINKS_HEADER.decode() + "AB,A,B,-5,20,0.2,\n",
+     "row 1: link AB: length must be positive"),
+    ("links", LINKS_HEADER.decode() + "AB,A,B,1000,nan,0.2,\n",
+     "row 1: link AB: free_flow_speed must be finite, got nan"),
+    ("demand", "orig,dest,start_t,end_t,flow\nA,B,0,10,zz\n",
+     "row 1: field 'flow': 'zz' is not a number"),
+    ("demand", "orig,dest,start_t,end_t,flow\nA,B,10,0,0.5\n",
+     "row 1: demand band needs t_start < t_end"),
+], ids=["nodes-cell", "nodes-name", "nodes-signal", "links-length", "links-nan", "demand-cell",
+        "demand-band"])
+def test_parse_error_names_file_and_row(tiny_scenario, tmp_path, capsys, key, text, message):
+    bad = tmp_path / f"bad_{key}.csv"
+    bad.write_text(text)
+    tiny_scenario[key] = str(bad)
+    code = cli.main(base_args(tiny_scenario))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def test_closed_stdout_exits_2(tiny_scenario):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the summary line then meets a broken pipe
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "mesosim", *base_args(tiny_scenario, "--duration", "200")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error:") and "Broken pipe" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("files", [
     {"nodes": b"name,x,y\nA\xe9,0,0\nB,1000,0\n"},  # Latin-1 byte, not UTF-8
     {"nodes": b"name,x,y\nA,0,0\nB," + b"1" * 131073 + b",0\n"},  # over the csv field size limit
@@ -306,12 +347,17 @@ _FLAG_VALUES = {
 
 @settings(max_examples=300, deadline=None)
 # a single 9.2e19 s step, in which the 10 s demand band would emit 9.2e18 platoons
-@example(flags={"--tau": str(2**64), "--duration": str(2**64)})
-@given(flags=st.fixed_dictionaries({}, optional={
-    flag: st.one_of(valid, st.sampled_from(_ABSURD)) for flag, valid in _FLAG_VALUES.items()
-}))
-def test_flag_fuzz_exits_0_1_or_2(flags):
-    """Any mix of valid and absurd flag values ends in exit 0, 1 or 2."""
+@example(flags={"--tau": str(2**64), "--duration": str(2**64)}, flow="0.5")
+# a flow that asks for 2e300 platoons; the World caps the total
+@example(flags={}, flow="1e300")
+@given(
+    flags=st.fixed_dictionaries({}, optional={
+        flag: st.one_of(valid, st.sampled_from(_ABSURD)) for flag, valid in _FLAG_VALUES.items()
+    }),
+    flow=st.sampled_from(["0.5", "1e300"]),
+)
+def test_flag_fuzz_exits_0_1_or_2(flags, flow):
+    """Any mix of valid and absurd flag values, on a sane or a huge flow, ends in exit 0, 1 or 2."""
     build_world = scenario.build_world
 
     def bounded_build_world(*args):
@@ -323,6 +369,7 @@ def test_flag_fuzz_exits_0_1_or_2(flags):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         paths = write_tiny_scenario(pathlib.Path(tmp))
+        pathlib.Path(paths["demand"]).write_text(f"orig,dest,start_t,end_t,flow\nA,B,0,10,{flow}\n")
         argv = base_args(paths, *(token for flag in flags.items() for token in flag))
         patch.setattr(scenario, "build_world", bounded_build_world)
         try:

@@ -11,9 +11,10 @@ from mesosim.kinematics import (
     LinkState,
     Platoon,
     instantaneous_travel_time,
-    link_capacity,
     update_link,
 )
+
+from conftest import link_capacity
 
 
 def advance_platoon(

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from mesosim import ConsistencyError, LinkSpec, NodeSpec, SignalPlan
-from mesosim.kinematics import LinkState, Platoon, link_capacity
+from mesosim.kinematics import LinkState, Platoon
 from mesosim.node_transfer import (
     finalize_arrival,
     process_node,
@@ -14,7 +14,7 @@ from mesosim.node_transfer import (
     vacant_space,
 )
 
-from conftest import node_index
+from conftest import link_capacity, node_index
 
 
 def make_link(name, from_node="A", to_node="M", length=1000.0, u=20.0,

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mesosim import (
@@ -28,7 +28,7 @@ from mesosim import (
     parse_nodes,
     parse_signal,
 )
-from mesosim.scenario import horizon
+from mesosim.scenario import MAX_PLATOONS, horizon
 
 from conftest import make_world, random_digraph, reaching, read_demo, single_link_texts
 
@@ -191,6 +191,35 @@ def test_signal_plan_requires_phases():
         SignalPlan(phases=())
 
 
+def test_signal_plan_rejects_empty_phase():
+    with pytest.raises(ValidationError, match="permit at least one link"):
+        SignalPlan(((10.0, frozenset()),))
+    with pytest.raises(ValidationError, match="permit at least one link"):
+        SignalPlan(((10.0, frozenset({"A"})), (20.0, frozenset())))
+
+
+def test_specs_reject_empty_names():
+    with pytest.raises(ValidationError, match="node name must not be empty"):
+        NodeSpec(name="", x=0.0, y=0.0)
+    with pytest.raises(ValidationError, match="link name must not be empty"):
+        LinkSpec(name="", from_node="A", to_node="B", length=1000.0,
+                 free_flow_speed=20.0, jam_density=0.2)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_links, f"{LINK_HEADER}\nAB,A,B,-5,20,0.2,\n", "row 1: link AB: length must be positive"),
+    (parse_demand, "orig,dest,start_t,end_t,flow\nA,B,0,10,inf\n",
+     "row 1: demand flow must be finite, got inf"),
+    (parse_nodes, 'name,x,y,signal\nA,0,0,\nB,0,0,"0:30:"\n',
+     "row 2: every signal phase must permit at least one link"),
+], ids=["link-length", "demand-flow", "signal-phase"])
+def test_spec_errors_name_the_row(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert isinstance(err.value, ValidationError)
+
+
 def test_build_world_minimal_has_one_destination():
     nodes, links = single_link_texts()
     world = make_world(nodes, links, "orig,dest,start_t,end_t,flow\nA,B,0,100,0.4\n")
@@ -282,6 +311,23 @@ def test_both_doors_cross_check_the_scenario(door):
     assert world.total_steps == 2
 
 
+def test_build_world_caps_total_platoons():
+    # band 0-1000 s at 5 vehicles per platoon: flow 5000 veh/s asks for exactly MAX_PLATOONS
+    nodes, links = single_link_texts()
+    at_limit = f"orig,dest,start_t,end_t,flow\nA,B,0,1000,{MAX_PLATOONS * 5 / 1000!r}\n"
+    world = make_world(nodes, links, at_limit, duration=1000.0)
+    assert len(world.platoons) == 0
+    over = f"orig,dest,start_t,end_t,flow\nA,B,0,1000,{(MAX_PLATOONS + 1) * 5 / 1000!r}\n"
+    with pytest.raises(ValidationError, match=f"over {MAX_PLATOONS}"):
+        make_world(nodes, links, over, duration=1000.0)
+    # the cap is on the sum over bands
+    halves = "orig,dest,start_t,end_t,flow\n" + f"A,B,0,1000,{MAX_PLATOONS * 5 / 2000 + 1}\n" * 2
+    with pytest.raises(ValidationError, match="platoons"):
+        make_world(nodes, links, halves, duration=1000.0)
+    with pytest.raises(ValidationError, match=r"2e\+300 platoons"):
+        make_world(nodes, links, "orig,dest,start_t,end_t,flow\nA,B,0,10,1e300\n")
+
+
 def test_build_world_link_too_short_for_platoon():
     # jam spacing 5 m times 5 vehicles needs 25 m of storage
     nodes, links = single_link_texts(length=20.0)
@@ -305,13 +351,9 @@ def test_build_world_rounds_duration_up(caplog):
 
 
 def test_horizon_rejects_zero_steps():
-    config = SimConfig(reaction_time=1e13, platoon_size=1, duration=3600.0)
-    with pytest.raises(ValidationError, match=r"duration 3600 s .* 1e\+13 s"):
-        horizon(config)
-    nodes, links = single_link_texts()
-    with pytest.raises(ValidationError, match="zero time steps"):
-        make_world(nodes, links, "orig,dest,start_t,end_t,flow\n",
-                   reaction_time=1e13, platoon_size=1, duration=3600.0)
+    # SimConfig owns the step-count rule at both ends; horizon only rounds
+    with pytest.raises(ValidationError, match=r"duration 3600 s .* zero time steps of 1e\+13 s"):
+        SimConfig(reaction_time=1e13, platoon_size=1, duration=3600.0)
     # just over 1e-9 of a 5 s step still rounds up to one step
     assert horizon(SimConfig(duration=1e-8)) == 5.0
 
@@ -541,9 +583,52 @@ _fuzz_header = st.sampled_from([
 
 @settings(max_examples=500, deadline=None)
 @given(_fuzz_header, _fuzz_text)
+@example("orig,dest,start_t,end_t,flow\n", "A,B,0,10,1e300\n")  # parses; the World rejects it
 def test_parsers_fail_only_with_mesosim_errors(header, body):
     for parse in (parse_nodes, parse_links, parse_demand):
         with contextlib.suppress(MesosimError):
             parse(header + body)
     with contextlib.suppress(MesosimError):
         parse_signal(body, 1)
+
+
+def _spec_error(build, *args):
+    """The message of the ValidationError build(*args) raises, or None if it builds."""
+    try:
+        build(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+# every float renders as a cell that converts back to it; names may be empty
+_cell_float = st.floats(allow_nan=True, allow_infinity=True)
+_cell_name = st.text(alphabet="AB_1", max_size=2)
+_cell_node = st.sampled_from(["A", "B"])
+_ROW_FORMATS = {
+    # parse, header, a valid row, spec type, cell strategies
+    "nodes": (parse_nodes, "name,x,y", "G,0,0", NodeSpec, [_cell_name, _cell_float, _cell_float]),
+    "links": (parse_links, LINK_HEADER, "G,A,B,1,1,1,", LinkSpec,
+              [_cell_name, _cell_node, _cell_node] + [_cell_float] * 4),
+    "demand": (parse_demand, "orig,dest,start_t,end_t,flow", "A,B,0,1,1", DemandSpec,
+               [_cell_node, _cell_node] + [_cell_float] * 3),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(_ROW_FORMATS)),
+       before=st.integers(min_value=0, max_value=3))
+def test_row_parses_exactly_when_its_spec_builds(data, kind, before):
+    """A parsed row fails exactly when its spec does, with the spec's message at its row."""
+    parse, header, valid, spec, strategies = _ROW_FORMATS[kind]
+    values = [data.draw(strategy) for strategy in strategies]
+    cells = [repr(v) if isinstance(v, float) else v for v in values]
+    text = "\n".join([header] + [valid] * before + [",".join(cells)]) + "\n"
+    expected = _spec_error(spec, *values)
+    if expected is None:
+        assert parse(text)[-1] == spec(*values)
+        return
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.row == before + 1
+    assert str(err.value) == f"row {before + 1}: {expected}"
