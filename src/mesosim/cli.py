@@ -209,6 +209,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # the summary is still buffered; without this its flush at exit fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return 0
 

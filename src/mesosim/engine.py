@@ -34,9 +34,11 @@ from .errors import (
 )
 from .kinematics import LinkState, Platoon, update_link
 from .routing import AttractivenessTable
-from .scenario import MAX_PLATOONS, DemandSpec, LinkSpec, NodeSpec, SimConfig, horizon
+from .scenario import DemandSpec, LinkSpec, NodeSpec, SimConfig, horizon, left_sum
 
 _ACC_TOL = 1e-9
+# total platoons a scenario's demand may ask for; each one is kept in memory
+MAX_PLATOONS = 10**6
 
 
 class NodeRuntime:
@@ -138,7 +140,7 @@ class World:
     """Complete mutable simulation state; the constructor cross-checks the scenario.
 
     Order: node names, links one by one, signals, demand rows in file order,
-    the platoon total, then at least one link.
+    the platoon total (at most MAX_PLATOONS), then at least one link.
     """
 
     def __init__(
@@ -230,7 +232,8 @@ class World:
                 raise UnreachableDemand(
                     f"no directed path from {d.origin!r} to {d.destination!r}"
                 )
-        platoons = sum(d.flow * (d.t_end - d.t_start) for d in self.demands) / config.platoon_size
+        vehicles = left_sum(d.flow * (d.t_end - d.t_start) for d in self.demands)
+        platoons = vehicles / config.platoon_size
         if platoons > MAX_PLATOONS:
             raise ValidationError(f"demand asks for {platoons:.6g} platoons, over {MAX_PLATOONS}")
         if not self.links:

@@ -18,10 +18,8 @@ An empty cell means the node is unsignalized.
 Each rule is checked once, in the type that owns it. The spec types check
 their own fields however they are built: non-empty names, finite numbers,
 signal phases of positive duration that permit a link. SimConfig checks
-that the step count lies in [1, 2**52]; World checks the rules across
-records, among them that the bands ask for at most MAX_PLATOONS platoons
-in all (flow * (t_end - t_start) / platoon_size, summed). Every parse
-failure is a ParseError naming its data row; the CLI adds the file.
+the step count (in [1, 2**52]), World the rules across records. Every
+parse failure is a ParseError naming its data row; the CLI adds the file.
 """
 
 from __future__ import annotations
@@ -42,8 +40,6 @@ DEFAULT_MERGE_PRIORITY = 0.5
 _MAX_STEPS = 2**52
 # a step count within this of a whole number counts as that number
 _STEP_TOL = 1e-9
-# total platoons a scenario's demand may ask for; each one is kept in memory
-MAX_PLATOONS = 10**6
 
 
 def left_sum(values) -> float:
@@ -105,8 +101,6 @@ class SimConfig:
             raise ValidationError("reaction_time must be positive")
         if not _is_count(self.platoon_size):
             raise ValidationError("platoon_size must be a positive integer")
-        if self.duration <= 0:
-            raise ValidationError("duration must be positive")
         if not _is_count(self.route_update_interval):
             raise ValidationError("route_update_interval must be a positive integer")
         if not 0.0 <= self.route_weight <= 1.0:

@@ -147,6 +147,8 @@ LINKS_HEADER = b"name,from,to,length,free_flow_speed,jam_density,merge_priority\
     ("nodes", "name,x,y\nA,0,0\n,1000,0\n", "row 2: node name must not be empty"),
     ("nodes", 'name,x,y,signal\nA,0,0,"0:0:AB"\nB,1000,0,\n',
      "row 1: signal phase durations must be positive and finite"),
+    ("nodes", 'name,x,y,signal\nA,0,0,\nB,1000,0,"0:30:"\n',
+     "row 2: every signal phase must permit at least one link"),
     ("links", LINKS_HEADER.decode() + "AB,A,B,-5,20,0.2,\n",
      "row 1: link AB: length must be positive"),
     ("links", LINKS_HEADER.decode() + "AB,A,B,1000,nan,0.2,\n",
@@ -155,8 +157,8 @@ LINKS_HEADER = b"name,from,to,length,free_flow_speed,jam_density,merge_priority\
      "row 1: field 'flow': 'zz' is not a number"),
     ("demand", "orig,dest,start_t,end_t,flow\nA,B,10,0,0.5\n",
      "row 1: demand band needs t_start < t_end"),
-], ids=["nodes-cell", "nodes-name", "nodes-signal", "links-length", "links-nan", "demand-cell",
-        "demand-band"])
+], ids=["nodes-cell", "nodes-name", "nodes-signal", "nodes-phase", "links-length", "links-nan",
+        "demand-cell", "demand-band"])
 def test_parse_error_names_file_and_row(tiny_scenario, tmp_path, capsys, key, text, message):
     bad = tmp_path / f"bad_{key}.csv"
     bad.write_text(text)
@@ -169,12 +171,15 @@ def test_parse_error_names_file_and_row(tiny_scenario, tmp_path, capsys, key, te
 def test_closed_stdout_exits_2(tiny_scenario):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the summary line then meets a broken pipe
+    # a pipe is block-buffered by default, so the unflushed line is retried at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     try:
         result = subprocess.run(
             [sys.executable, "-m", "mesosim", *base_args(tiny_scenario, "--duration", "200")],
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
+            env=env,
         )
     finally:
         os.close(write_end)

@@ -28,7 +28,8 @@ from mesosim import (
     parse_nodes,
     parse_signal,
 )
-from mesosim.scenario import MAX_PLATOONS, horizon
+from mesosim.engine import MAX_PLATOONS
+from mesosim.scenario import horizon
 
 from conftest import make_world, random_digraph, reaching, read_demo, single_link_texts
 
@@ -206,20 +207,6 @@ def test_specs_reject_empty_names():
                  free_flow_speed=20.0, jam_density=0.2)
 
 
-@pytest.mark.parametrize("parse, text, message", [
-    (parse_links, f"{LINK_HEADER}\nAB,A,B,-5,20,0.2,\n", "row 1: link AB: length must be positive"),
-    (parse_demand, "orig,dest,start_t,end_t,flow\nA,B,0,10,inf\n",
-     "row 1: demand flow must be finite, got inf"),
-    (parse_nodes, 'name,x,y,signal\nA,0,0,\nB,0,0,"0:30:"\n',
-     "row 2: every signal phase must permit at least one link"),
-], ids=["link-length", "demand-flow", "signal-phase"])
-def test_spec_errors_name_the_row(parse, text, message):
-    with pytest.raises(ParseError) as err:
-        parse(text)
-    assert str(err.value) == message
-    assert isinstance(err.value, ValidationError)
-
-
 def test_build_world_minimal_has_one_destination():
     nodes, links = single_link_texts()
     world = make_world(nodes, links, "orig,dest,start_t,end_t,flow\nA,B,0,100,0.4\n")
@@ -354,6 +341,9 @@ def test_horizon_rejects_zero_steps():
     # SimConfig owns the step-count rule at both ends; horizon only rounds
     with pytest.raises(ValidationError, match=r"duration 3600 s .* zero time steps of 1e\+13 s"):
         SimConfig(reaction_time=1e13, platoon_size=1, duration=3600.0)
+    for duration in (0.0, -5.0):
+        with pytest.raises(ValidationError, match="zero time steps"):
+            SimConfig(duration=duration)
     # just over 1e-9 of a 5 s step still rounds up to one step
     assert horizon(SimConfig(duration=1e-8)) == 5.0
 
@@ -632,3 +622,4 @@ def test_row_parses_exactly_when_its_spec_builds(data, kind, before):
         parse(text)
     assert err.value.row == before + 1
     assert str(err.value) == f"row {before + 1}: {expected}"
+    assert isinstance(err.value, ValidationError)
