@@ -258,14 +258,16 @@ def _write_table(out_dir: str, name: str, header: list[str], chunks) -> str:
     return path
 
 
-def export_csv(log, world, out_dir: str) -> list[str]:
+def export_csv(log, world, out_dir: str, mfd: list[MFDPoint] | None = None) -> list[str]:
     """Write vehicles.csv, links.csv, summary.csv, and mfd.csv into out_dir.
 
     Rendering is deterministic (6 significant digits, LF endings, names
     quoted as the csv module quotes them), so re-exporting the same run
     reproduces the files byte for byte. Each distinct number, step time
     and name is rendered once; the tables are written one platoon
-    (vehicles.csv) or one step (links.csv) at a time.
+    (vehicles.csv) or one step (links.csv) at a time. mfd.csv holds mfd,
+    which must be mfd_points(log, world, export_bin(log)); it is
+    computed here when not given.
     """
     os.makedirs(out_dir, exist_ok=True)
     dn = log.platoon_size
@@ -304,10 +306,9 @@ def export_csv(log, world, out_dir: str) -> list[str]:
         f"{stats.completed_trips},{stats.stranded_trips},{num(stats.total_travel_time)},"
         f"{num(stats.average_travel_time)},{num(stats.total_delay)}\n"
     )
-    mfd = [
-        f"{num(point.t_bin)},{num(point.density)},{num(point.flow)}\n"
-        for point in mfd_points(log, world, export_bin(log))
-    ]
+    if mfd is None:
+        mfd = mfd_points(log, world, export_bin(log))
+    mfd_lines = [f"{num(point.t_bin)},{num(point.density)},{num(point.flow)}\n" for point in mfd]
     return [
         _write_table(
             out_dir, "vehicles.csv", ["t", "platoon_id", "orig", "dest", "link", "x", "v"],
@@ -316,5 +317,5 @@ def export_csv(log, world, out_dir: str) -> list[str]:
         _write_table(out_dir, "links.csv", ["t", "link", "count", "mean_speed", "A", "D"], links()),
         _write_table(out_dir, "summary.csv", ["completed_trips", "stranded_trips",
                      "total_travel_time", "average_travel_time", "total_delay"], [summary]),
-        _write_table(out_dir, "mfd.csv", ["t_bin", "density", "flow"], mfd),
+        _write_table(out_dir, "mfd.csv", ["t_bin", "density", "flow"], mfd_lines),
     ]

@@ -178,14 +178,14 @@ def main(argv: list[str] | None = None) -> int:
         engine.run(world)
         wall = time.perf_counter() - t0
 
-        analyzer.export_csv(world.log, world, args.out)
+        mfd = analyzer.mfd_points(world.log, world, analyzer.export_bin(world.log))
+        analyzer.export_csv(world.log, world, args.out, mfd)
         if args.plot_tsd:
             corridor = [name.strip() for name in args.plot_tsd.split(",") if name.strip()]
             polylines = analyzer.time_space_points(world.log, corridor)
             render_tsd_svg(polylines, os.path.join(args.out, "tsd.svg"), corridor)
         if args.plot_mfd:
-            points = analyzer.mfd_points(world.log, world, analyzer.export_bin(world.log))
-            render_mfd_svg(points, os.path.join(args.out, "mfd.svg"))
+            render_mfd_svg(mfd, os.path.join(args.out, "mfd.svg"))
         if args.plot_cumulative:
             series = analyzer.cumulative_counts(world.log, args.plot_cumulative)
             render_cumulative_svg(

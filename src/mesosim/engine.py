@@ -42,15 +42,21 @@ MAX_PLATOONS = 10**6
 
 
 class NodeRuntime:
-    """A node plus its resolved incoming/outgoing link states."""
+    """A node plus its resolved incoming/outgoing link states.
 
-    __slots__ = ("spec", "name", "incoming", "outgoing")
+    id is its position in node order; in_arcs, the (link id, tail node id)
+    pair of each incoming link, is what route searches walk.
+    """
 
-    def __init__(self, spec: NodeSpec):
+    __slots__ = ("spec", "id", "name", "incoming", "outgoing", "in_arcs")
+
+    def __init__(self, spec: NodeSpec, node_id: int):
         self.spec = spec
+        self.id = node_id
         self.name = spec.name
         self.incoming: list[LinkState] = []
         self.outgoing: list[LinkState] = []
+        self.in_arcs: tuple[tuple[int, int], ...] = ()
 
     def __repr__(self):
         return f"NodeRuntime({self.name}, in={len(self.incoming)}, out={len(self.outgoing)})"
@@ -58,11 +64,13 @@ class NodeRuntime:
 
 def index_nodes(nodes: list[NodeSpec], links: list[LinkState]) -> dict[str, NodeRuntime]:
     """The network index: name -> NodeRuntime in node order; link ids follow link order."""
-    runtimes = {spec.name: NodeRuntime(spec) for spec in nodes}
+    runtimes = {spec.name: NodeRuntime(spec, node_id) for node_id, spec in enumerate(nodes)}
     for link_id, link in enumerate(links):
         link.id = link_id
         runtimes[link.spec.from_node].outgoing.append(link)
         runtimes[link.spec.to_node].incoming.append(link)
+    for node in runtimes.values():
+        node.in_arcs = tuple((link.id, runtimes[link.spec.from_node].id) for link in node.incoming)
     return runtimes
 
 
@@ -140,7 +148,8 @@ class World:
     """Complete mutable simulation state; the constructor cross-checks the scenario.
 
     Order: node names, links one by one, signals, demand rows in file order,
-    the platoon total (at most MAX_PLATOONS), then at least one link.
+    the platoon total (at most MAX_PLATOONS), then at least one link. A
+    demand error names its row: row k is the k-th entry of demands.
     """
 
     def __init__(
@@ -214,23 +223,28 @@ class World:
         self.clock = 0
         link_meta = {link.name: link.spec for link in self.links}
         self.log = RunLog(dt, config.platoon_size, duration, link_meta, self.platoons)
-        self.attractiveness.reach = routing.blend_trees(self, 1.0)
-        for d in self.demands:
+        names = list(self.nodes_by_name)
+        self.attractiveness.reach = {
+            z: {names[k]: cost for k, cost in enumerate(dist) if cost is not None}
+            for z, dist in routing.blend_trees(self, 1.0).items()
+        }
+        for row, d in enumerate(self.demands, start=1):
             if d.origin not in node_names:
-                raise UnknownNode(f"demand origin {d.origin!r} is not a node")
+                raise UnknownNode(f"demand row {row}: origin {d.origin!r} is not a node")
             if d.destination not in node_names:
-                raise UnknownNode(f"demand destination {d.destination!r} is not a node")
+                raise UnknownNode(f"demand row {row}: destination {d.destination!r} is not a node")
             if d.t_end > duration:
                 raise ValidationError(
-                    f"demand band ends at {d.t_end} s, beyond the {duration} s horizon"
+                    f"demand row {row}: band ends at {d.t_end} s, beyond the {duration} s horizon"
                 )
             if d.t_end - d.t_start < dt:
                 raise ValidationError(
-                    f"demand band {d.t_start}-{d.t_end} s is shorter than the {dt} s time step"
+                    f"demand row {row}: band {d.t_start}-{d.t_end} s is shorter than "
+                    f"the {dt} s time step"
                 )
             if d.origin not in self.attractiveness.reach[d.destination]:
                 raise UnreachableDemand(
-                    f"no directed path from {d.origin!r} to {d.destination!r}"
+                    f"demand row {row}: no directed path from {d.origin!r} to {d.destination!r}"
                 )
         vehicles = left_sum(d.flow * (d.t_end - d.t_start) for d in self.demands)
         platoons = vehicles / config.platoon_size
@@ -254,21 +268,27 @@ class World:
 def generate_demand(world: World, t: float) -> list[Platoon]:
     """Accumulate active demand bands and emit whole platoons.
 
-    Each band gains flow*dt vehicles per active step; every time an
-    accumulator reaches one platoon's worth, a waiting platoon is
-    created at the band's origin with depart_t = t. Fractions carry
-    over, so a band's total vehicle count is met exactly when it is a
-    platoon multiple.
+    The step [t, t + dt) adds flow * dt vehicles to each band that covers
+    it, and flow times the overlap to a band that starts or ends inside
+    it; every time an accumulator reaches one platoon's worth, a waiting
+    platoon is created at the band's origin with depart_t = t. Fractions
+    carry over, so a band releases flow * (t_end - t_start) vehicles,
+    rounded down to whole platoons.
     """
     created: list[Platoon] = []
     cfg = world.config
     dt = cfg.time_step
     dn = cfg.platoon_size
+    t_next = t + dt
     accumulators = world.accumulators
     for idx, demand in enumerate(world.demands):
-        if t < demand.t_start or t >= demand.t_end or demand.flow <= 0.0:
+        if t_next <= demand.t_start or t >= demand.t_end or demand.flow <= 0.0:
             continue
-        acc = accumulators[idx] + demand.flow * dt
+        if t >= demand.t_start and t_next <= demand.t_end:
+            vehicles = demand.flow * dt
+        else:
+            vehicles = demand.flow * (min(t_next, demand.t_end) - max(t, demand.t_start))
+        acc = accumulators[idx] + vehicles
         while acc >= dn - _ACC_TOL:
             acc -= dn
             platoon = Platoon(len(world.platoons), demand.origin, demand.destination, t)

@@ -20,6 +20,7 @@ from mesosim import (
 )
 from mesosim.engine import index_nodes
 from mesosim.node_transfer import signal_permits
+from mesosim.routing import shortest_tree
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 
@@ -111,6 +112,24 @@ def node_index(links, *nodes: NodeSpec):
         for name in (link.spec.from_node, link.spec.to_node):
             specs.setdefault(name, NodeSpec(name=name, x=0.0, y=0.0))
     return index_nodes(list(specs.values()), links)
+
+
+def tree_by_name(nodes, costs, z: str):
+    """shortest_tree over a node index, read back by name: (dist, next_link).
+
+    dist maps each node with a path to z to its cost; next_link maps each
+    such node but z to the LinkState that starts its cheapest route.
+    """
+    links = sorted((link for node in nodes.values() for link in node.outgoing),
+                   key=lambda link: link.id)
+    assert [link.id for link in links] == list(range(len(costs)))
+    dist, chosen = shortest_tree([node.in_arcs for node in nodes.values()], costs,
+                                 [link.name for link in links], nodes[z].id)
+    assert len(dist) == len(nodes)
+    next_link = {links[k].spec.from_node: links[k] for k in chosen}
+    assert len(next_link) == len(chosen), "two next links leave one node"
+    names = list(nodes)
+    return {names[k]: cost for k, cost in enumerate(dist) if cost is not None}, next_link
 
 
 def scan_record_conservation(world):

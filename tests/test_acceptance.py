@@ -15,7 +15,6 @@ from collections import defaultdict
 from mesosim import export_csv, mfd_points, run
 from mesosim.analyzer import export_bin
 from mesosim.kinematics import LinkState
-from mesosim.routing import shortest_tree
 
 import conftest
 from conftest import (
@@ -30,6 +29,7 @@ from conftest import (
     scan_run,
     single_link_texts,
     sioux_falls_world,
+    tree_by_name,
     uroboros_world,
 )
 
@@ -268,7 +268,7 @@ def test_criterion_10_routing_oracle():
         for link_id, link in enumerate(links):
             adjacency[link.from_node].append((link.to_node, costs[link_id]))
         for z in names:
-            dist, _ = shortest_tree(nodes, costs, z)
+            dist, _ = tree_by_name(nodes, costs, z)
             for tail in names:
                 expected = _brute_force_cost(adjacency, tail, z)
                 assert dist.get(tail) == expected, (n, tail, z)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from mesosim import ConsistencyError, cli, engine, scenario
+from mesosim import ConsistencyError, analyzer, cli, engine, scenario
 from mesosim.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
 
 from conftest import demo_path
@@ -260,6 +260,19 @@ def test_mfd_plot_empty_run_marks_origin(tiny_scenario, tmp_path, capsys):
     assert origin_px in svg
 
 
+def test_plot_mfd_computes_mfd_once(tiny_scenario, capsys, monkeypatch):
+    calls = []
+    mfd_points = analyzer.mfd_points
+
+    def counted(*args):
+        calls.append(args)
+        return mfd_points(*args)
+
+    monkeypatch.setattr(analyzer, "mfd_points", counted)
+    assert cli.main(base_args(tiny_scenario, "--duration", "100", "--plot-mfd")) == 0
+    assert len(calls) == 1
+
+
 def test_cumulative_plot_labels_curves(tiny_scenario, tmp_path, capsys):
     code = cli.main(base_args(tiny_scenario, "--duration", "200", "--plot-cumulative", "AB"))
     assert code == 0
@@ -303,6 +316,17 @@ def test_module_run_writes_outputs(tiny_scenario, tmp_path):
 
 def test_package_run_writes_outputs(tiny_scenario, tmp_path):
     _assert_module_run_writes_outputs("mesosim", tiny_scenario, tmp_path / "out")
+
+
+def test_world_error_names_demand_row(tiny_scenario):
+    # row 1 parses and builds; row 2's origin is no node, which only the World can tell
+    pathlib.Path(tiny_scenario["demand"]).write_text(
+        "orig,dest,start_t,end_t,flow\nA,B,0,10,0.5\nzz,B,0,10,0.5\n"
+    )
+    result = subprocess.run([sys.executable, "-m", "mesosim", *base_args(tiny_scenario)],
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr == "error: demand row 2: origin 'zz' is not a node\n"
 
 
 def test_outputs_do_not_depend_on_hash_seed(tmp_path):

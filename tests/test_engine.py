@@ -1,5 +1,6 @@
 """Step loop: phase order, demand accumulation, conservation, determinism, run log."""
 
+import math
 import random
 import struct
 import tracemalloc
@@ -9,7 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mesosim import ConsistencyError, DemandSpec, NodeSpec, SimConfig, build_world, run, step
+from mesosim import (
+    ConsistencyError,
+    DemandSpec,
+    NodeSpec,
+    SimConfig,
+    build_world,
+    parse_links,
+    parse_nodes,
+    run,
+    step,
+)
 from mesosim import engine, node_transfer
 from mesosim.engine import generate_demand
 
@@ -48,6 +59,39 @@ def test_band_yields_exact_platoon_count():
     assert len(world.platoons) == 96
     assert world.accumulators[0] == pytest.approx(0.0, abs=1e-9)
     assert world.arrived_platoons == 96
+
+
+def test_off_grid_band_counts_its_overlap():
+    # 7 s of 1 veh/s at the 5 s step: 5 + 2 vehicles, not two whole steps
+    world = _single_link_world(["A,B,0,7,1"], platoon_size=1, reaction_time=5.0)
+    for i in range(4):
+        generate_demand(world, i * world.config.time_step)
+    assert len(world.platoons) == 7
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.floats(0.0, 400.0),
+    length=st.floats(0.0, 500.0),
+    flow=st.floats(0.01, 3.0),
+    reaction_time=st.sampled_from([1.0, 0.7, 1.4, 0.3]),
+    platoon_size=st.sampled_from([1, 5, 7]),
+)
+def test_band_releases_flow_times_length(start, length, flow, reaction_time, platoon_size):
+    dt = reaction_time * platoon_size
+    band = DemandSpec("A", "B", start, start + 1.01 * dt + length, flow)  # at least one step
+    nodes, links = single_link_texts()
+    config = SimConfig(duration=1000.0, reaction_time=reaction_time, platoon_size=platoon_size)
+    world = build_world(config, parse_nodes(nodes), parse_links(links), [band])
+    for i in range(world.total_steps):
+        generate_demand(world, i * world.config.time_step)
+    asked = flow * (band.t_end - band.t_start)
+    released = len(world.platoons) * platoon_size
+    # float sums over the steps; the accumulator itself is small, so its error is too
+    slack = engine._ACC_TOL + 1e-12 * world.total_steps * (platoon_size + flow * dt)
+    assert released <= asked + slack
+    assert asked - released < platoon_size + slack
+    assert len(world.platoons) in {math.floor((asked + s) / platoon_size) for s in (-slack, slack)}
 
 
 def test_zero_flow_band_generates_nothing():

@@ -1,6 +1,8 @@
 """Shortest-path trees, attractiveness smoothing, and link sampling."""
 
+import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,13 @@ from mesosim import (
     run,
     step,
 )
-from mesosim.kinematics import LinkState, Platoon
+from mesosim.kinematics import LinkState, Platoon, instantaneous_travel_time
 from mesosim.routing import (
     AttractivenessTable,
     blend_row,
+    blend_trees,
     choose_outgoing,
     maybe_refresh,
-    shortest_tree,
     weighted_draw,
 )
 from mesosim.node_transfer import select_incoming_order
@@ -35,6 +37,7 @@ from conftest import (
     reaching,
     scan_run,
     single_link_texts,
+    tree_by_name,
 )
 
 
@@ -46,7 +49,7 @@ def spec(name, tail, head):
 def tree(links, costs, z):
     """shortest_tree over hand links, costs keyed by link name; next links by name."""
     states = [LinkState(link, 5) for link in links]
-    dist, next_link = shortest_tree(node_index(states), [costs[s.name] for s in states], z)
+    dist, next_link = tree_by_name(node_index(states), [costs[s.name] for s in states], z)
     return dist, {node: link.name for node, link in next_link.items()}
 
 
@@ -83,6 +86,14 @@ def test_indicator_unreachable_tail_is_zero():
     b = indicator(links, {"az": 10.0, "cb": 10.0}, "z")
     assert b == {"az": 1, "cb": 0}
     assert tree(links, {"az": 10.0, "cb": 10.0}, "z") == ({"z": 0.0, "a": 10.0}, {"a": "az"})
+
+
+def test_infinite_cost_path_still_reaches():
+    # a's only route to z costs inf: a reaches z, b (no route) does not
+    links = [spec("az", "a", "z"), spec("bc", "b", "c")]
+    costs = {"az": math.inf, "bc": 1.0}
+    assert tree(links, costs, "z") == ({"z": 0.0, "a": math.inf}, {"a": "az"})
+    assert indicator(links, costs, "z") == {"az": 1, "bc": 0}
 
 
 def test_shortest_tree_hand_instance():
@@ -134,7 +145,7 @@ def test_tree_matches_two_pass_indicator(n, spanning_cycle, seed, data):
     costs = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
                                min_size=len(states), max_size=len(states)))
     for z in names:
-        dist, next_link = shortest_tree(nodes, costs, z)
+        dist, next_link = tree_by_name(nodes, costs, z)
         assert set(dist) == reaching(links, z)
         assert z not in next_link
         chosen = {node: link.name for node, link in next_link.items()}
@@ -142,6 +153,58 @@ def test_tree_matches_two_pass_indicator(n, spanning_cycle, seed, data):
         for node, link in next_link.items():
             assert link.spec.from_node == node
             assert dist[node] == costs[link.id] + dist[link.spec.to_node]
+
+
+def _reference_dist(nodes, costs, z):
+    """Each reaching node's cost to z, by fixed-point iteration over every link."""
+    dist = {z: 0.0}
+    grew = True
+    while grew:
+        grew = False
+        for node in nodes.values():
+            for link in node.outgoing:
+                head = dist.get(link.spec.to_node)
+                if head is not None:
+                    nd = costs[link.id] + head
+                    best = dist.get(node.name)
+                    if best is None or nd < best:
+                        dist[node.name] = nd
+                        grew = True
+    return dist
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    graph_seed=st.integers(0, 2**32 - 1),
+    extra_arcs=st.integers(0, 12),
+    steps=st.integers(1, 60),
+    route_weight=st.sampled_from([0.3, 0.5, 1.0]),
+    seed=st.integers(0, 1000),
+)
+def test_refresh_matches_two_pass_reference(n, graph_seed, extra_arcs, steps, route_weight, seed):
+    rng = random.Random(graph_seed)
+    # two lengths make equal-cost routes, and so tie-breaks, common
+    links = [replace(link, length=100.0 * rng.randint(1, 2))
+             for link in random_digraph(n, rng, min(n * (n - 1), n + extra_arcs))]
+    nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(n)]
+    demands = [DemandSpec(f"n{k}", f"n{(k + 1 + k % 2) % n}", 0.0, 300.0, 0.8)
+               for k in range(n) if (k + 1 + k % 2) % n != k]
+    config = SimConfig(seed=seed, duration=400.0, route_weight=route_weight)
+    world = build_world(config, nodes, links, demands)
+    for _ in range(steps):
+        step(world)
+    while not any(link.platoons for link in world.links):
+        step(world)
+    costs = [instantaneous_travel_time(link) for link in world.links]
+    ids = {link.name: link.id for link in world.links}
+    expected = {}
+    for z, row in world.attractiveness.B.items():
+        dist = _reference_dist(world.nodes_by_name, costs, z)
+        chosen = _reference_next_links(world.nodes_by_name, costs, z, dist).values()
+        expected[z] = blend_row(row, [ids[name] for name in chosen], route_weight)
+    blend_trees(world, route_weight)
+    assert world.attractiveness.B == expected
 
 
 def test_update_blends_halfway():

@@ -254,6 +254,21 @@ def test_build_world_reports_first_demand_error(rows, error, fragment):
         make_world(nodes, links, demand, duration=500.0)
 
 
+@pytest.mark.parametrize("row, error, message", [
+    ("Y,B,0,100,0.4", UnknownNode, "origin 'Y' is not a node"),
+    ("A,Z,0,100,0.4", UnknownNode, "destination 'Z' is not a node"),
+    ("A,B,0,900,0.4", ValidationError, "band ends at 900.0 s, beyond the 500.0 s horizon"),
+    ("A,B,0,3,0.4", ValidationError, "band 0.0-3.0 s is shorter than the 5.0 s time step"),
+    ("B,A,0,100,0.4", UnreachableDemand, "no directed path from 'B' to 'A'"),
+])
+def test_world_demand_error_names_its_row(row, error, message):
+    nodes, links = single_link_texts()
+    demand = "orig,dest,start_t,end_t,flow\nA,B,0,100,0.4\n" + row + "\n"
+    with pytest.raises(error) as info:
+        make_world(nodes, links, demand, duration=500.0)
+    assert str(info.value) == f"demand row 2: {message}"
+
+
 def test_reach_keys_are_exactly_the_reaching_nodes():
     unreachable_pairs = 0
     for n in range(2, 8):
