@@ -282,12 +282,17 @@ def generate_demand(world: World, t: float) -> list[Platoon]:
     t_next = t + dt
     accumulators = world.accumulators
     for idx, demand in enumerate(world.demands):
-        if t_next <= demand.t_start or t >= demand.t_end or demand.flow <= 0.0:
-            continue
-        if t >= demand.t_start and t_next <= demand.t_end:
-            vehicles = demand.flow * dt
+        if t >= demand.t_start:
+            if t_next <= demand.t_end:
+                vehicles = demand.flow * dt
+            elif t < demand.t_end:  # the band ends inside this step
+                vehicles = demand.flow * (demand.t_end - t)
+            else:
+                continue
+        elif t_next > demand.t_start:  # the band starts inside this step
+            vehicles = demand.flow * (min(t_next, demand.t_end) - demand.t_start)
         else:
-            vehicles = demand.flow * (min(t_next, demand.t_end) - max(t, demand.t_start))
+            continue
         acc = accumulators[idx] + vehicles
         while acc >= dn - _ACC_TOL:
             acc -= dn
