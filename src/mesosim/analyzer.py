@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
@@ -112,17 +113,18 @@ def cumulative_counts(log, link: str) -> list[tuple[float, int, int]]:
 def mfd_points(log, world, bin_s: float = DEFAULT_MFD_BIN) -> list[MFDPoint]:
     """Network density/flow per time bin, generalized over all links.
 
-    bin_s must be a positive multiple of the time step. The last bin may
-    be shorter than bin_s when the horizon is not a bin multiple; it is
-    normalized by its actual width.
+    bin_s must be a finite whole number of time steps, at least one. The
+    last bin may be shorter than bin_s when the horizon is not a bin
+    multiple; it is normalized by its actual width.
     """
     dt = log.dt
-    if bin_s <= 0 or abs(bin_s / dt - round(bin_s / dt)) > 1e-9:
+    steps = bin_s / dt
+    if not (math.isfinite(steps) and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9):
         raise ValidationError(f"bin {bin_s} s is not a positive multiple of dt {dt} s")
     total_length = left_sum(spec.length for spec in log.link_meta.values())
     duration = log.duration
     # counted in whole steps: float division can add an empty bin at the horizon
-    n_bins = max(1, -(-round(duration / dt) // round(bin_s / dt)))
+    n_bins = max(1, -(-round(duration / dt) // round(steps)))
     time_sum = [0.0] * n_bins
     dist_sum = [0.0] * n_bins
     dn = log.platoon_size

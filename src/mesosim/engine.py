@@ -3,7 +3,7 @@
 Each step runs five phases in a fixed sequence:
 
 1. route refresh (on cadence),
-2. node phase: arrivals finalized, then transfers, in node list order,
+2. node phase: arrivals, transfers and insertions, node by node in list order,
 3. link phase: every link's platoons advance one step,
 4. demand generation into origin waiting queues,
 5. logging: one record per link and one trajectory point per running
@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from array import array
 from collections import deque
+from dataclasses import dataclass
 
 from . import node_transfer, routing
 from .errors import (
@@ -74,6 +75,16 @@ def index_nodes(nodes: list[NodeSpec], links: list[LinkState]) -> dict[str, Node
     return runtimes
 
 
+@dataclass(frozen=True)
+class TransferEvent:
+    """One platoon hop between two links at time t (see RunLog.transfer_events)."""
+
+    t: float
+    platoon_id: int
+    from_link: str
+    to_link: str
+
+
 class LinkRecords:
     """One record per link per step, as columns of equal length.
 
@@ -119,7 +130,7 @@ class RunLog:
         self.sealed = False
 
     @property
-    def transfer_events(self) -> list[node_transfer.TransferEvent]:
+    def transfer_events(self) -> list[TransferEvent]:
         """One event per link-to-link hop, by platoon id, then in hop order.
 
         Built on each access. A hop at point index k is timed (first + k - 1) * dt,
@@ -127,7 +138,7 @@ class RunLog:
         """
         dt = self.dt
         return [
-            node_transfer.TransferEvent((p.trajectory.first + k - 1) * dt, p.id, from_link, to_link)
+            TransferEvent((p.trajectory.first + k - 1) * dt, p.id, from_link, to_link)
             for p in self.platoons
             for (_start, from_link), (k, to_link) in zip(p.trajectory.hops, p.trajectory.hops[1:])
         ]
@@ -316,14 +327,6 @@ def step(world: World) -> World:
 
     rng = world.rng
     for node in world.nodes_by_name.values():
-        for link in node.incoming:
-            platoons = link.platoons
-            if platoons:
-                head = platoons[0]
-                if head.x >= link.length and head.destination == node.name:
-                    node_transfer.finalize_arrival(head, t)
-                    world.arrived_platoons += 1
-                    world.running_count -= 1
         node_transfer.process_node(node, world, t, rng)
 
     for link in world.links:

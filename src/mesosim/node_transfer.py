@@ -1,12 +1,12 @@
-"""Inter-link platoon transfers at nodes.
+"""The node rule: arrivals and inter-link platoon transfers at nodes.
 
-A node moves platoons between the links that meet there. Per step it
-draws a processing order over the competing incoming links by repeated
-weighted sampling on their merge priorities, then gives each link one
-transfer attempt: the head platoon standing at the link end may hop to
-its chosen outgoing link if that link has strictly more entrance room
-than one platoon's jam footprint. Blocked attempts are normal outcomes;
-the platoon simply waits.
+Per step a node scans each incoming link's head once. A head at the link
+end bound for the node arrives, unconditionally. The other heads at the
+link end compete: the node draws a processing order over their links by
+repeated weighted sampling on merge priorities, then gives each link one
+transfer attempt: the head may hop to its chosen outgoing link if that
+link has strictly more entrance room than one platoon's jam footprint.
+Blocked attempts are normal outcomes; the platoon simply waits.
 
 Origin queues take part in the same competition as a virtual incoming
 link with the default merge priority, so demand entering the network
@@ -16,25 +16,13 @@ obeys the same space rule as circulating traffic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import routing
-from .errors import ConsistencyError
 from .kinematics import LinkState, Platoon
 from .scenario import DEFAULT_MERGE_PRIORITY, NodeSpec
 
 # weight of an origin waiting queue when competing with incoming links
 ORIGIN_QUEUE_PRIORITY = DEFAULT_MERGE_PRIORITY
-
-
-@dataclass(frozen=True)
-class TransferEvent:
-    """One platoon hop between two links at time t (see RunLog.transfer_events)."""
-
-    t: float
-    platoon_id: int
-    from_link: str
-    to_link: str
 
 
 def vacant_space(link: LinkState) -> float:
@@ -87,15 +75,18 @@ def signal_permits(node: NodeSpec, t: float, link_name: str) -> bool:
 
 
 def process_node(node, world, t: float, rng: random.Random) -> list[Platoon]:
-    """Run one step of transfers at a node; returns the platoons moved between links.
+    """Run one step of the node rule; returns the platoons that left an incoming link.
 
-    Competitors are the signal-permitted incoming links whose head stands
-    at the link end, plus the node's origin queue when platoons wait
-    there. Each gets one attempt in the sampled order. A transfer moves
-    the platoon to the start of its cached outgoing-link choice (sampled
-    on first need, kept until the node is crossed) provided the receiver
-    has strictly more entrance room than its jam footprint. Each move,
-    insertions too, appends a hop to the platoon's trajectory, its only record.
+    A head at the end of a link into its destination arrives at t, one per
+    link per step, with no random draw and no signal check; the platoon
+    behind it is then checked as the head. Competitors are the
+    signal-permitted links whose head stands at the link end bound
+    elsewhere, plus the origin queue when platoons wait. Each gets one
+    attempt in the sampled order: the platoon moves to the start of its
+    cached outgoing-link choice if the receiver has strictly more entrance
+    room than its jam footprint. Each move, insertions too, appends a hop.
+    The returned arrivals and transfers serve perfbench's move count: their
+    number plus the change in world.running_count is transfers plus insertions.
     """
     moved: list[Platoon] = []
     candidates = []
@@ -105,6 +96,19 @@ def process_node(node, world, t: float, rng: random.Random) -> list[Platoon]:
         if not platoons:
             continue
         head = platoons[0]
+        if head.x >= link.length and head.destination == node.name:
+            platoons.popleft()
+            link.exited_count += 1
+            head.link = None
+            head.state = "arrived"
+            head.arrival_t = t
+            head.v = 0.0
+            world.arrived_platoons += 1
+            world.running_count -= 1
+            moved.append(head)
+            if not platoons:
+                continue
+            head = platoons[0]
         if head.x < link.length or head.destination == node.name:
             continue
         if not signal_permits(node.spec, t, link.name):
@@ -144,25 +148,3 @@ def process_node(node, world, t: float, rng: random.Random) -> list[Platoon]:
             platoon.v = target.u
             platoon.next_choice = None
     return moved
-
-
-def finalize_arrival(platoon: Platoon, t: float) -> Platoon:
-    """Absorb a platoon standing at the end of a link at its destination.
-
-    The destination accepts unconditionally (no space check). Platoons
-    not yet at the link end are returned unchanged.
-    """
-    link = platoon.link
-    if link is None or platoon.x < link.length:
-        return platoon
-    if link.platoons[0] is not platoon:
-        raise ConsistencyError(
-            f"platoon {platoon.id} at the end of link {link.name} is not its head"
-        )
-    link.platoons.popleft()
-    link.exited_count += 1
-    platoon.link = None
-    platoon.state = "arrived"
-    platoon.arrival_t = t
-    platoon.v = 0.0
-    return platoon

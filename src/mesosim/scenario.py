@@ -19,7 +19,8 @@ Each rule is checked once, in the type that owns it. The spec types check
 their own fields however they are built: non-empty names, finite numbers,
 signal phases of positive duration that permit a link. SimConfig checks
 the step count (in [1, 2**52]), World the rules across records. Every
-parse failure is a ParseError naming its data row; the CLI adds the file.
+parse failure is a ParseError naming its data row (blank rows are not
+counted, as in the World's demand rows); the CLI adds the file.
 """
 
 from __future__ import annotations
@@ -54,10 +55,17 @@ def left_sum(values) -> float:
     return total
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):  # not a real number, or an int beyond float range
+        return False
+
+
 def _require_finite(owner: str, spec, *fields: str) -> None:
     for name in fields:
         value = getattr(spec, name)
-        if not math.isfinite(value):
+        if not _is_finite(value):
             raise ValidationError(f"{owner}{name} must be finite, got {value!r}")
 
 
@@ -141,7 +149,7 @@ class SignalPlan:
         if not self.phases:
             raise ValidationError("signal plan needs at least one phase")
         for dur, links in self.phases:
-            if not 0.0 < dur < math.inf:
+            if not (_is_finite(dur) and dur > 0.0):
                 raise ValidationError("signal phase durations must be positive and finite")
             if not links:
                 raise ValidationError("every signal phase must permit at least one link")
@@ -238,27 +246,29 @@ def _at_row(row_idx: int, build, *args):
 
 
 def _csv_rows(text: str):
-    """Yield text's CSV rows; malformed CSV (a bare CR, a huge field) raises ParseError."""
+    """Yield (row number, cells), header row 0, blank rows skipped; bad CSV raises ParseError."""
     rows = csv.reader(io.StringIO(text))
+    idx = 0
     try:
-        yield from rows
+        for row in rows:
+            if not idx or any(cell.strip() for cell in row):
+                yield idx, row
+                idx += 1
     except csv.Error as exc:
-        raise ParseError(rows.line_num - 1, f"malformed CSV: {exc}") from None
+        raise ParseError(idx, f"malformed CSV: {exc}") from None
 
 
 def _records(text: str, header: list[str], build, optional: list[str] | None = None):
     """Yield build(row) per non-blank data row (header -> trimmed cell); errors name the row."""
     rows = _csv_rows(text)
     try:
-        found = [h.strip() for h in next(rows)]
+        found = [h.strip() for h in next(rows)[1]]
     except StopIteration:
         raise ParseError(0, "empty file, header row missing") from None
     allowed = header + (optional or [])
     if found[: len(header)] != header or found not in (header, allowed):
         raise ParseError(0, f"expected header {','.join(allowed)!r}, got {','.join(found)!r}")
-    for idx, row in enumerate(rows, start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for idx, row in rows:
         if len(row) < len(header) or len(row) > len(allowed):
             raise ParseError(idx, f"expected {len(header)}-{len(allowed)} fields, got {len(row)}")
         yield _at_row(idx, build, dict(zip(found, (cell.strip() for cell in row))))

@@ -174,8 +174,16 @@ def test_mfd_rejects_bad_bins():
     world = _run_single_link([])
     with pytest.raises(ValidationError):
         mfd_points(world.log, world, 7.0)
+
+
+@pytest.mark.parametrize("bin_s", [math.inf, math.nan, 5e-324, -5.0, 0.0, 7.5],
+                         ids=["inf", "nan", "subnormal", "minus-dt", "zero", "one-and-a-half-dt"])
+def test_mfd_bin_must_be_whole_steps(bin_s):
+    # 5e-324 s rounds to zero steps; inf and nan are no number of steps
+    world = _run_single_link([])
+    assert world.log.dt == 5.0
     with pytest.raises(ValidationError):
-        mfd_points(world.log, world, 0.0)
+        mfd_points(world.log, world, bin_s)
 
 
 def test_mfd_free_flow_ratio_is_speed():

@@ -329,6 +329,18 @@ def test_world_error_names_demand_row(tiny_scenario):
     assert result.stderr == "error: demand row 2: origin 'zz' is not a node\n"
 
 
+@pytest.mark.parametrize("bad_row, message", [
+    ("zz,B,0,10,0.5", "demand row 2: origin 'zz' is not a node"),
+    ("A,B,0,zz,0.5", "{path}: row 2: field 'end_t': 'zz' is not a number"),
+], ids=["world", "parser"])
+def test_demand_row_numbers_skip_blank_lines(tiny_scenario, capsys, bad_row, message):
+    # the World and the parser both count data rows, so a blank line takes no number
+    path = tiny_scenario["demand"]
+    pathlib.Path(path).write_text(f"orig,dest,start_t,end_t,flow\nA,B,0,10,0.5\n\n{bad_row}\n")
+    assert cli.main(base_args(tiny_scenario)) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
 def test_outputs_do_not_depend_on_hash_seed(tmp_path):
     runs = []
     for hash_seed in ("0", "4242"):

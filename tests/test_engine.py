@@ -284,8 +284,9 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
                                        platoon_size, route_update_interval, seed):
     """The columnar log reads back as the tuples each step would have logged.
 
-    transfer_events, built from the trajectory hops, matches the moves
-    process_node returned during the run, and the run builds no event.
+    transfer_events, built from the trajectory hops, matches the transfers
+    process_node returned during the run, and the run builds no event; the
+    arrivals it returned match each arrived platoon's arrival time.
     """
     links = random_digraph(n, random.Random(graph_seed), min(n * (n - 1), n + extra_arcs))
     nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(n)]
@@ -309,12 +310,18 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
                 points[platoon.id].append((t_next, link.name, platoon.x, platoon.v))
 
     moves = []
+    arrivals = []
     process_node = node_transfer.process_node
 
     def capturing_process_node(node, world, t, rng):
-        heads = {link.platoons[0].id: link.name for link in node.incoming if link.platoons}
+        # a platoon behind an arrival may leave in the same call
+        sources = {p.id: link.name for link in node.incoming for p in link.platoons}
         moved = process_node(node, world, t, rng)
-        moves.extend((t, platoon.id, heads[platoon.id], platoon.link.name) for platoon in moved)
+        for platoon in moved:
+            if platoon.state == "arrived":
+                arrivals.append((t, platoon.id))
+            else:
+                moves.append((t, platoon.id, sources[platoon.id], platoon.link.name))
         return moved
 
     def no_event(*args):
@@ -323,7 +330,7 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "step", logging_step)
         patch.setattr(node_transfer, "process_node", capturing_process_node)
-        patch.setattr(node_transfer, "TransferEvent", no_event)
+        patch.setattr(engine, "TransferEvent", no_event)
         run(world)
     assert records and len(world.log.link_records) == len(records)
     # the view lists events by platoon id, each platoon's in time order
@@ -331,6 +338,8 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
     events = world.log.transfer_events
     _assert_same_rows([(e.t, e.platoon_id, e.from_link, e.to_link) for e in events], moves)
     _assert_same_rows(world.log.link_rows(), records)
+    arrivals.sort(key=lambda arrival: arrival[1])
+    assert arrivals == [(p.arrival_t, p.id) for p in world.platoons if p.state == "arrived"]
     dt = world.log.dt
     for platoon in world.platoons:
         trajectory = platoon.trajectory

@@ -4,17 +4,16 @@ import random
 
 import pytest
 
-from mesosim import ConsistencyError, LinkSpec, NodeSpec, SignalPlan
+from mesosim import LinkSpec, NodeSpec, SignalPlan, run
 from mesosim.kinematics import LinkState, Platoon
 from mesosim.node_transfer import (
-    finalize_arrival,
     process_node,
     select_incoming_order,
     signal_permits,
     vacant_space,
 )
 
-from conftest import link_capacity, node_index
+from conftest import link_capacity, make_world, node_index
 
 
 def make_link(name, from_node="A", to_node="M", length=1000.0, u=20.0,
@@ -33,11 +32,12 @@ def make_link(name, from_node="A", to_node="M", length=1000.0, u=20.0,
 
 
 class StubWorld:
-    """Just enough surface for process_node: queues, a running counter and the clock."""
+    """Just enough surface for process_node: queues, state counters and the clock."""
 
     def __init__(self):
         self.waiting = {}
         self.running_count = 0
+        self.arrived_platoons = 0
         self.clock = 0
         self.attractiveness = None
 
@@ -234,44 +234,94 @@ def test_origin_queue_blocked_by_full_entrance():
     assert world.running_count == 0
 
 
-def test_finalize_arrival_records_trip():
+def test_arrival_records_trip():
     link = make_link("IN", "A", "Z")
     p = _ready_platoon(link, destination="Z")
-    p.depart_t = 120.0
-    finalize_arrival(p, 500.0)
+    world = StubWorld()
+    world.running_count = 1
+    assert process_node(make_node("Z", incoming=[link]), world, 500.0, random.Random(0)) == [p]
     assert p.state == "arrived"
     assert p.arrival_t == 500.0
-    assert p.arrival_t - p.depart_t == pytest.approx(380.0)
     assert p.link is None and p.v == 0.0
     assert not link.platoons and link.exited_count == 1
+    assert world.arrived_platoons == 1 and world.running_count == 0
 
 
-def test_finalize_arrival_not_at_end_is_noop():
+def test_arrival_head_short_of_end_stays():
     link = make_link("IN", "A", "Z", positions=[400.0])
     p = link.platoons[0]
-    finalize_arrival(p, 500.0)
-    assert p.state == "running"
-    assert p.arrival_t is None
-    assert link.platoons[0] is p
+    world = StubWorld()
+    assert process_node(make_node("Z", incoming=[link]), world, 500.0, random.Random(0)) == []
+    assert p.state == "running" and p.arrival_t is None
+    assert link.platoons[0] is p and p.x == 400.0
+    assert world.arrived_platoons == 0
 
 
-def test_finalize_arrival_behind_head_is_consistency_error():
-    link = make_link("IN", "A", "Z", positions=[1000.0, 1000.0])
-    behind = link.platoons[1]
-    with pytest.raises(ConsistencyError):
-        finalize_arrival(behind, 500.0)
-    assert behind.state == "running"
-    assert len(link.platoons) == 2 and link.exited_count == 0
-
-
-def test_finalize_two_links_same_step():
+def test_arrivals_from_two_links_in_one_call():
     l1 = make_link("IN1", "A", "Z")
     l2 = make_link("IN2", "B", "Z")
     p1 = _ready_platoon(l1, destination="Z")
     p2 = _ready_platoon(l2, destination="Z")
-    finalize_arrival(p1, 300.0)
-    finalize_arrival(p2, 300.0)
+    world = StubWorld()
+    world.running_count = 2
+    moved = process_node(make_node("Z", incoming=[l1, l2]), world, 300.0, random.Random(0))
+    assert moved == [p1, p2]
     assert p1.state == p2.state == "arrived"
+    assert world.arrived_platoons == 2 and world.running_count == 0
+
+
+def test_arrival_ignores_red_signal():
+    plan = SignalPlan(phases=((30.0, frozenset({"IN"})), (30.0, frozenset({"OTHER"}))))
+    link = make_link("IN", "A", "Z")
+    other = make_link("OTHER", "B", "Z")
+    p = _ready_platoon(link, destination="Z")
+    node = make_node("Z", incoming=[link, other], signal=plan)
+    assert not signal_permits(node.spec, 45.0, "IN")
+    assert process_node(node, StubWorld(), 45.0, random.Random(0)) == [p]
+    assert p.state == "arrived"
+
+
+def test_arrivals_draw_no_random_number():
+    links = [make_link(f"IN{k}", tail, "Z") for k, tail in enumerate("ABC")]
+    for link in links:
+        _ready_platoon(link, destination="Z")
+    rng = random.Random(5)
+    before = rng.getstate()
+    assert len(process_node(make_node("Z", incoming=links), StubWorld(), 0.0, rng)) == 3
+    assert rng.getstate() == before
+
+
+@pytest.mark.parametrize("behind_destination, behind_moves", [("Z", False), ("B", True)])
+def test_head_behind_an_arrival_is_checked_as_head(behind_destination, behind_moves):
+    # one arrival per link per step; a platoon stacked behind it may still transfer
+    source = make_link("IN", "A", "Z")
+    target = make_link("OUT", "Z", "B")
+    behind = _ready_platoon(source, destination=behind_destination)
+    behind.next_choice = target
+    arriving = _ready_platoon(source, destination="Z")
+    node = make_node("Z", incoming=[source], outgoing=[target])
+    moved = process_node(node, StubWorld(), 0.0, random.Random(0))
+    assert moved == ([arriving, behind] if behind_moves else [arriving])
+    assert (behind.link is target) == behind_moves
+
+
+def test_arrivals_stacked_at_link_end():
+    """Jam spacing below the float step at the link end stacks platoons at exactly its length.
+
+    Each step the link into B delivers one arrival, and the platoon behind
+    it is checked as the head: bound for B it waits a step, bound for C
+    it competes for BC.
+    """
+    world = run(make_world(
+        "name,x,y\nA,0,0\nB,1000,0\nC,2000,0\n",
+        "name,from,to,length,free_flow_speed,jam_density,merge_priority\n"
+        "AB,A,B,1000,20,1e20,\nBC,B,C,1000,3,0.2,\n",
+        "orig,dest,start_t,end_t,flow\nA,B,0,600,1.2\nA,C,0,600,0.8\n",
+        duration=1200.0, seed=0,
+    ))
+    assert world.counts() == {
+        "generated": 240, "waiting": 1, "running": 50, "arrived": 189, "stranded": 51,
+    }
 
 
 def test_destination_head_never_transfers(bottleneck_run):

@@ -90,6 +90,16 @@ def test_malformed_csv_is_parse_error(parse, header, row):
     assert err.value.row == 1
 
 
+def test_blank_rows_take_no_row_number():
+    text = "orig,dest,start_t,end_t,flow\nA,B,0,10,0.5\n\n ,\n"
+    with pytest.raises(ParseError) as err:
+        parse_demand(text + "A,B,0,zz,0.5\n")
+    assert err.value.row == 2
+    with pytest.raises(ParseError) as err:
+        parse_demand(text + "A,1\r2,3,4,5\n")  # malformed CSV
+    assert err.value.row == 2
+
+
 def test_parse_links_example_row():
     (link,) = parse_links(f"{LINK_HEADER}\nNE,N,E,1000,20,0.2,0.5")
     assert link.jam_spacing == pytest.approx(5.0)
@@ -397,6 +407,11 @@ def test_build_world_deterministic():
     assert [l.name for l in w1.links] == [l.name for l in w2.links]
 
 
+# no finite real number: 10**400 is an int beyond float range
+_NON_NUMBERS = {"str": "5", "None": None, "huge-int": 10**400, "complex": complex(1)}
+_NON_NUMBER_PARAMS = [pytest.param(value, id=name) for name, value in _NON_NUMBERS.items()]
+
+
 def test_sim_config_validation():
     with pytest.raises(ValidationError):
         SimConfig(reaction_time=0)
@@ -428,6 +443,17 @@ def test_sim_config_rejects_non_finite_and_bool(field, value):
         SimConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["reaction_time", "platoon_size", "duration", "seed",
+                                   "route_update_interval", "route_weight"])
+@pytest.mark.parametrize("value", _NON_NUMBER_PARAMS)
+def test_sim_config_rejects_non_numbers(field, value):
+    if value == 10**400 and field in ("seed", "route_update_interval"):
+        SimConfig(**{field: value})  # any whole number is a seed or a refresh period
+        return
+    with pytest.raises(ValidationError):
+        SimConfig(**{field: value})
+
+
 @pytest.mark.parametrize("overrides, fragment", [
     (dict(reaction_time=1e-320), "step count"),
     (dict(reaction_time=1e308), "time step"),
@@ -441,7 +467,7 @@ def test_sim_config_rejects_overflowing_step(overrides, fragment):
 
 
 @pytest.mark.parametrize("field", ["length", "free_flow_speed", "jam_density", "merge_priority"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), *_NON_NUMBER_PARAMS])
 def test_link_spec_rejects_non_finite(field, value):
     fields = dict(name="X", from_node="A", to_node="B", length=1000.0,
                   free_flow_speed=20.0, jam_density=0.2, merge_priority=0.5)
@@ -451,7 +477,7 @@ def test_link_spec_rejects_non_finite(field, value):
 
 
 @pytest.mark.parametrize("field", ["t_start", "t_end", "flow"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), *_NON_NUMBER_PARAMS])
 def test_demand_spec_rejects_non_finite(field, value):
     fields = dict(origin="A", destination="B", t_start=0.0, t_end=100.0, flow=0.4)
     fields[field] = value
@@ -460,7 +486,7 @@ def test_demand_spec_rejects_non_finite(field, value):
 
 
 @pytest.mark.parametrize("field", ["x", "y"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), *_NON_NUMBER_PARAMS])
 def test_node_spec_rejects_non_finite(field, value):
     fields = dict(name="N", x=0.0, y=0.0)
     fields[field] = value
@@ -473,6 +499,8 @@ def test_node_spec_rejects_non_finite(field, value):
     (float("inf"), 30.0),
     (0.0, float("nan")),
     (0.0, float("inf")),
+    *[pytest.param(value, 30.0, id=f"{name}-30.0") for name, value in _NON_NUMBERS.items()],
+    *[pytest.param(0.0, value, id=f"0.0-{name}") for name, value in _NON_NUMBERS.items()],
 ])
 def test_signal_plan_rejects_non_finite(offset, duration):
     with pytest.raises(ValidationError):
