@@ -4,7 +4,8 @@ Each step runs five phases in a fixed sequence:
 
 1. route refresh (on cadence),
 2. node phase: arrivals, transfers and insertions, node by node in list order,
-3. link phase: every link's platoons advance one step,
+3. link phase: the platoons of every occupied link advance one step; an
+   empty link's mean speed is its free-flow speed,
 4. demand generation into origin waiting queues,
 5. logging: one record per link and one trajectory point per running
    platoon, stamped with the step's end time. The run log keeps both as
@@ -266,10 +267,9 @@ class World:
 
     def counts(self) -> dict[str, int]:
         """Platoon totals by state, for conservation checks and stats."""
-        waiting = sum(len(q) for q in self.waiting.values())
         return {
             "generated": len(self.platoons),
-            "waiting": waiting,
+            "waiting": sum(map(len, self.waiting.values())),
             "running": self.running_count,
             "arrived": self.arrived_platoons,
             "stranded": self.stranded_platoons,
@@ -330,7 +330,10 @@ def step(world: World) -> World:
         node_transfer.process_node(node, world, t, rng)
 
     for link in world.links:
-        update_link(link, dt)
+        if link.platoons:
+            update_link(link, dt)
+        else:
+            link.mean_speed = link.u
 
     generate_demand(world, t)
 
@@ -353,10 +356,11 @@ def step(world: World) -> World:
         log_speed(link.mean_speed)
         log_entered(entered)
         log_exited(exited)
-        for platoon in platoons:
-            trajectory = platoon.trajectory
-            trajectory.x.append(platoon.x)
-            trajectory.v.append(platoon.v)
+        if count:
+            for platoon in platoons:
+                trajectory = platoon.trajectory
+                trajectory.x.append(platoon.x)
+                trajectory.v.append(platoon.v)
 
     counts = world.counts()
     if counts["generated"] != counts["waiting"] + counts["running"] + counts["arrived"]:

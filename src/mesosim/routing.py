@@ -9,22 +9,27 @@ indicator b is blended into the row:
     B = (1 - route_weight) * B_prev + route_weight * b
 
 so a refresh costs destinations x (one search plus one blend over the
-links). Searches run on integer ids from the World's node index, the
-only adjacency there is: node ids, and in_arcs of (link id, tail node
-id) pairs. The World's first blend, weight 1 into zero rows on empty
-links, makes B the free-flow indicator; its costs are kept as reach.
-Platoons at a node then sample their outgoing link with probability
-B / sum(B) over the node's candidates. That sum is positive wherever a
-platoon chooses: its node reaches the destination, so the latest tree
-gave one of its links at least route_weight (with route_weight 0 the row
-stays the free-flow indicator). The smoothing damps the volatility of
-instantaneous costs; route_weight = 1 follows the latest tree alone.
+links). A blend scales the row in one pass and writes the tree's links;
+a strict test, with no tolerance off the tree, implies the convexity
+rule (each value between its two inputs), which is checked per element
+only when that test fails. Searches run on integer ids from the World's
+node index, the only adjacency there is: node ids, and in_arcs of (link
+id, tail node id) pairs. The World's first blend, weight 1 into zero
+rows on empty links, makes B the free-flow indicator; its costs are kept
+as reach. Platoons at a node then sample their outgoing link with
+probability B / sum(B) over the node's candidates. That sum is positive
+wherever a platoon chooses: its node reaches the destination, so the
+latest tree gave one of its links at least route_weight (with
+route_weight 0 the row stays the free-flow indicator). The smoothing
+damps the volatility of instantaneous costs; route_weight = 1 follows
+the latest tree alone.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from operator import le
 
 from . import kinematics
 from .errors import ConsistencyError
@@ -90,22 +95,29 @@ def shortest_tree(arcs, costs: list[float], names: list[str], z: int) -> tuple[l
 def blend_row(prev: list[float], chosen, lam: float) -> list[float]:
     """Blend a tree's indicator into a row: (1-lam)*prev + lam*b elementwise.
 
-    b is 1.0 at the link ids in chosen and 0.0 elsewhere; each result
-    must land between the two inputs.
+    b is 1.0 at the link ids in chosen and 0.0 elsewhere. The row is
+    scaled by 1 - lam and each chosen id set to keep * old + lam, bitwise
+    the two-term sum for lam and rows in [0, 1]. Each result must land
+    between its two inputs: a strict test implies that, and only when it
+    fails is each element checked, within _CONVEXITY_TOL.
     """
-    b = [0.0] * len(prev)
-    for link_id in chosen:
-        b[link_id] = 1.0
     keep = 1.0 - lam
-    out = []
-    for link_id, (old, new) in enumerate(zip(prev, b)):
-        value = keep * old + lam * new
-        lo, hi = (old, new) if old <= new else (new, old)
-        if value < lo - _CONVEXITY_TOL or value > hi + _CONVEXITY_TOL:
-            raise ConsistencyError(
-                f"attractiveness update left [{lo}, {hi}]: {value} for link id {link_id}"
-            )
-        out.append(value)
+    out = [keep * old for old in prev]
+    fits = min(out, default=0.0) >= 0.0 and all(map(le, out, prev))
+    for link_id in chosen:
+        old = prev[link_id]
+        out[link_id] = value = keep * old + lam
+        fits = fits and old - _CONVEXITY_TOL <= value <= 1.0 + _CONVEXITY_TOL
+    if not fits:
+        b = [0.0] * len(prev)
+        for link_id in chosen:
+            b[link_id] = 1.0
+        for link_id, (old, new, value) in enumerate(zip(prev, b, out)):
+            lo, hi = (old, new) if old <= new else (new, old)
+            if value < lo - _CONVEXITY_TOL or value > hi + _CONVEXITY_TOL:
+                raise ConsistencyError(
+                    f"attractiveness update left [{lo}, {hi}]: {value} for link id {link_id}"
+                )
     return out
 
 

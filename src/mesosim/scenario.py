@@ -139,18 +139,26 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SignalPlan:
-    """Fixed-time signal: cyclic phases of (duration, permitted incoming links)."""
+    """Fixed-time signal: cyclic phases of (duration, permitted incoming links).
+
+    phases is a tuple of (duration, set of link names) pairs.
+    """
 
     phases: tuple[tuple[float, frozenset[str]], ...]
     offset: float = 0.0
 
     def __post_init__(self):
         _require_finite("signal ", self, "offset")
-        if not self.phases:
-            raise ValidationError("signal plan needs at least one phase")
-        for dur, links in self.phases:
+        if not (isinstance(self.phases, tuple) and self.phases):
+            raise ValidationError(f"signal plan needs a tuple of phases, got {self.phases!r}")
+        for phase in self.phases:
+            if not (isinstance(phase, tuple) and len(phase) == 2):
+                raise ValidationError(f"signal phase {phase!r} is not a (duration, links) pair")
+            dur, links = phase
             if not (_is_finite(dur) and dur > 0.0):
                 raise ValidationError("signal phase durations must be positive and finite")
+            if not (isinstance(links, (set, frozenset)) and all(isinstance(n, str) for n in links)):
+                raise ValidationError(f"signal phase links must be a set of names, got {links!r}")
             if not links:
                 raise ValidationError("every signal phase must permit at least one link")
 
