@@ -92,7 +92,7 @@ def shortest_tree(arcs, costs: list[float], names: list[str], z: int) -> tuple[l
     return dist, [link_id for link_id in next_link if link_id is not None]
 
 
-def blend_row(prev: list[float], chosen, lam: float) -> list[float]:
+def blend_row(prev: list[float], chosen: list[int], lam: float) -> list[float]:
     """Blend a tree's indicator into a row: (1-lam)*prev + lam*b elementwise.
 
     b is 1.0 at the link ids in chosen and 0.0 elsewhere. The row is

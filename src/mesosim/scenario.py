@@ -17,10 +17,11 @@ An empty cell means the node is unsignalized.
 
 Each rule is checked once, in the type that owns it. The spec types check
 their own fields however they are built: non-empty names, finite numbers,
-signal phases of positive duration that permit a link. SimConfig checks
-the step count (in [1, 2**52]), World the rules across records. Every
-parse failure is a ParseError naming its data row (blank rows are not
-counted, as in the World's demand rows); the CLI adds the file.
+signal phases as (duration, frozenset of link names) pairs of positive
+duration that permit a link. SimConfig checks the step count
+(in [1, 2**52]), World the rules across records. Every parse failure is
+a ParseError naming its data row (blank rows are not counted, as in the
+World's demand rows); the CLI adds the file.
 """
 
 from __future__ import annotations
@@ -139,10 +140,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SignalPlan:
-    """Fixed-time signal: cyclic phases of (duration, permitted incoming links).
-
-    phases is a tuple of (duration, set of link names) pairs.
-    """
+    """Fixed-time signal: a tuple of cyclic (duration, frozenset of permitted links) phases."""
 
     phases: tuple[tuple[float, frozenset[str]], ...]
     offset: float = 0.0
@@ -157,8 +155,10 @@ class SignalPlan:
             dur, links = phase
             if not (_is_finite(dur) and dur > 0.0):
                 raise ValidationError("signal phase durations must be positive and finite")
-            if not (isinstance(links, (set, frozenset)) and all(isinstance(n, str) for n in links)):
-                raise ValidationError(f"signal phase links must be a set of names, got {links!r}")
+            if not (isinstance(links, frozenset) and all(isinstance(n, str) for n in links)):
+                raise ValidationError(
+                    f"signal phase links must be a frozenset of names, got {links!r}"
+                )
             if not links:
                 raise ValidationError("every signal phase must permit at least one link")
 

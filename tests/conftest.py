@@ -9,6 +9,7 @@ from collections import defaultdict
 import pytest
 
 from mesosim import (
+    ConsistencyError,
     LinkSpec,
     NodeSpec,
     SimConfig,
@@ -130,6 +131,26 @@ def tree_by_name(nodes, costs, z: str):
     assert len(next_link) == len(chosen), "two next links leave one node"
     names = list(nodes)
     return {names[k]: cost for k, cost in enumerate(dist) if cost is not None}, next_link
+
+
+def reference_blend_row(prev: list[float], chosen, lam: float) -> list[float]:
+    """The blend as two lists: b, 1.0 at each chosen link id, then each
+    value keep * old + lam * new checked between old and new as it is made.
+    """
+    b = [0.0] * len(prev)
+    for link_id in chosen:
+        b[link_id] = 1.0
+    keep = 1.0 - lam
+    out = []
+    for link_id, (old, new) in enumerate(zip(prev, b)):
+        value = keep * old + lam * new
+        lo, hi = (old, new) if old <= new else (new, old)
+        if value < lo - 1e-12 or value > hi + 1e-12:
+            raise ConsistencyError(
+                f"attractiveness update left [{lo}, {hi}]: {value} for link id {link_id}"
+            )
+        out.append(value)
+    return out
 
 
 def scan_record_conservation(world):

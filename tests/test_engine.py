@@ -23,6 +23,7 @@ from mesosim import (
 )
 from mesosim import engine, node_transfer
 from mesosim.engine import generate_demand
+from mesosim.kinematics import instantaneous_travel_time
 
 from conftest import (
     bottleneck_world,
@@ -231,6 +232,32 @@ def test_free_flow_link_traversal_times():
     assert (event.from_link, event.to_link) == ("L1", "L2")
     assert event.t == 10.0 + 40.0
     assert platoon.arrival_t == 50.0 + 50.0
+
+
+@pytest.mark.parametrize("name", ["L1", "L2"])
+def test_link_emptied_in_node_phase_logs_free_flow_speed(name):
+    """L1 empties by a transfer and L2 by an arrival, each in some step k.
+
+    Both lengths leave the platoon a short last move, so the link's mean
+    speed before step k is below u; record k must still log u.
+    """
+    nodes, links = chain_texts(l1=730.0, l2=1030.0)
+    world = make_world(nodes, links, DEMAND_HEADER + "\nA,C,0,10,0.5\n", duration=300.0)
+    link = world.links_by_name[name]
+    while not link.platoons:
+        step(world)
+    while link.platoons:
+        before = link.mean_speed
+        step(world)
+    assert before < link.u
+    k = world.clock - 1
+    records = world.log.link_records
+    assert records.count[k * len(world.links) + link.id] == 0
+    assert records.mean_speed[k * len(world.links) + link.id] == link.u
+    assert link.mean_speed == link.u
+    assert instantaneous_travel_time(link) == link.length / link.u
+    step(world)
+    assert records.mean_speed[(k + 1) * len(world.links) + link.id] == link.u
 
 
 def test_identical_seeds_reproduce_log():

@@ -111,6 +111,7 @@ def test_update_caps_at_link_end():
 
 def test_update_empty_link_is_noop():
     link = make_link()
+    link.mean_speed = 3.0
     update_link(link, 5.0)
     assert not link.platoons
     assert link.mean_speed == pytest.approx(20.0)

@@ -35,6 +35,7 @@ from conftest import (
     node_index,
     random_digraph,
     reaching,
+    reference_blend_row,
     scan_run,
     single_link_texts,
     tree_by_name,
@@ -202,7 +203,7 @@ def test_refresh_matches_two_pass_reference(n, graph_seed, extra_arcs, steps, ro
     for z, row in world.attractiveness.B.items():
         dist = _reference_dist(world.nodes_by_name, costs, z)
         chosen = _reference_next_links(world.nodes_by_name, costs, z, dist).values()
-        expected[z] = blend_row(row, [ids[name] for name in chosen], route_weight)
+        expected[z] = reference_blend_row(row, [ids[name] for name in chosen], route_weight)
     blend_trees(world, route_weight)
     assert world.attractiveness.B == expected
 
@@ -242,6 +243,71 @@ def test_update_stays_convex(prev, b, lam):
         lo = min(prev[key], float(b[key]))
         hi = max(prev[key], float(b[key]))
         assert lo - 1e-12 <= value <= hi + 1e-12
+
+
+# rows hold +0.0, 1.0 and subnormals often, and any other float in [0, 1]
+UNIT_FLOATS = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072009e-308, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+def _hex_row(row):
+    return [value.hex() for value in row]
+
+
+@settings(max_examples=300)
+@given(
+    prev=st.lists(UNIT_FLOATS, max_size=40),
+    lam=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    data=st.data(),
+)
+def test_blend_row_matches_reference_bitwise(prev, lam, data):
+    ids = st.integers(0, len(prev) - 1) if prev else st.nothing()
+    chosen = data.draw(st.lists(ids, unique=True))
+    expected = reference_blend_row(prev, chosen, lam)
+    assert _hex_row(blend_row(prev, chosen, lam)) == _hex_row(expected)
+
+
+@pytest.mark.parametrize("lam", [1.5, -0.5])
+def test_blend_row_error_matches_reference(lam):
+    # links 0 and 1 stay in bounds; link 2 (0.0 -> 1.0) leaves them either way
+    prev, chosen = [0.0, 1.0, 0.0, 0.75], [1, 2]
+    with pytest.raises(ConsistencyError) as want:
+        reference_blend_row(prev, chosen, lam)
+    with pytest.raises(ConsistencyError) as got:
+        blend_row(prev, chosen, lam)
+    assert "link id 2" in str(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=300)
+@given(
+    prev=st.lists(UNIT_FLOATS, min_size=1, max_size=12),
+    lam=st.one_of(st.sampled_from([1.5, -0.5, 1.0 + 1e-13, -1e-13]), st.floats(-1.0, 2.0)),
+    data=st.data(),
+)
+def test_blend_row_outside_unit_weight_matches_reference(prev, lam, data):
+    """Raises the reference's first error, or accepts the same values."""
+    chosen = data.draw(st.lists(st.integers(0, len(prev) - 1), unique=True))
+    try:
+        expected = reference_blend_row(prev, chosen, lam)
+    except ConsistencyError as want:
+        with pytest.raises(ConsistencyError) as got:
+            blend_row(prev, chosen, lam)
+        assert str(got.value) == str(want)
+    else:
+        # equal as numbers: with lam > 1 a 0.0 left off the tree scales to -0.0
+        assert blend_row(prev, chosen, lam) == expected
+
+
+def test_blend_row_accepts_nan_like_reference():
+    prev = [0.5, math.nan, 1.0, 0.0]
+    for chosen in ([], [1], [0, 2], [1, 3]):
+        for lam in (0.0, 0.5, 1.0):
+            out = blend_row(prev, chosen, lam)
+            assert _hex_row(out) == _hex_row(reference_blend_row(prev, chosen, lam))
+            assert math.isnan(out[1])
 
 
 def _choice_node():

@@ -209,6 +209,28 @@ def test_signal_plan_rejects_empty_phase():
         SignalPlan(((10.0, frozenset({"A"})), (20.0, frozenset())))
 
 
+@pytest.mark.parametrize(
+    "phases, match",
+    [
+        (5, "tuple of phases"),
+        (((30.0,),), r"\(30\.0,\) is not a \(duration, links\) pair"),
+        (((30.0, "AB"),), "must be a frozenset of names, got 'AB'"),
+        (((30.0, frozenset({"A"})), (20.0, ["B"])), "must be a frozenset of names"),
+        (((30.0, {"A"}),), "must be a frozenset of names"),
+        (((30.0, frozenset({"A", 7})),), "must be a frozenset of names"),
+    ],
+)
+def test_signal_plan_rejects_malformed_phases(phases, match):
+    with pytest.raises(ValidationError, match=match):
+        SignalPlan(phases=phases)
+
+
+def test_signal_plan_takes_frozensets_of_names():
+    plan = SignalPlan(phases=((30.0, frozenset({"AB"})), (20.0, frozenset({"CB", "DB"}))))
+    assert plan.cycle == 50.0
+    assert hash(NodeSpec("B", 0.0, 0.0, plan)) == hash(NodeSpec("B", 0.0, 0.0, plan))
+
+
 def test_specs_reject_empty_names():
     with pytest.raises(ValidationError, match="node name must not be empty"):
         NodeSpec(name="", x=0.0, y=0.0)
