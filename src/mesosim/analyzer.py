@@ -123,41 +123,27 @@ def mfd_points(log, world, bin_s: float = DEFAULT_MFD_BIN) -> list[MFDPoint]:
         raise ValidationError(f"bin {bin_s} s is not a positive multiple of dt {dt} s")
     total_length = left_sum(spec.length for spec in log.link_meta.values())
     duration = log.duration
+    per_bin = round(steps)
     # counted in whole steps: float division can add an empty bin at the horizon
-    n_bins = max(1, -(-round(duration / dt) // round(steps)))
-    time_sum = [0.0] * n_bins
-    dist_sum = [0.0] * n_bins
+    n_bins = max(1, -(-round(duration / dt) // per_bin))
     dn = log.platoon_size
     counts = log.link_records.count
     speeds = log.link_records.mean_speed
-    width = max(1, len(log.link_meta))
-    # a bin's sums stay in locals while its steps run; same terms, same order
-    idx = 0
-    time_acc = dist_acc = 0.0
-    for start in range(0, len(counts), width):
-        t = (start // width + 1) * dt  # the step's end time, as logged
-        step_idx = int((t - dt) / bin_s + 1e-9)
-        if step_idx != idx:
-            time_sum[idx] = time_acc
-            dist_sum[idx] = dist_acc
-            idx = step_idx
-            time_acc = dist_acc = 0.0
-        step_counts = counts[start:start + width]
-        for count, mean_speed in compress(zip(step_counts, speeds[start:start + width]),
-                                          step_counts):
-            vehicles = count * dn
-            time_acc += vehicles * dt
-            dist_acc += vehicles * mean_speed * dt
-    time_sum[idx] = time_acc
-    dist_sum[idx] = dist_acc
+    # bin idx holds records of steps idx * per_bin up to the next bin's, step-major
+    span = per_bin * max(1, len(log.link_meta))
     points = []
     for idx in range(n_bins):
-        start = idx * bin_s
-        width = min(bin_s, duration - start)
-        norm = total_length * width
-        points.append(
-            MFDPoint(t_bin=start, density=time_sum[idx] / norm, flow=dist_sum[idx] / norm)
-        )
+        start = idx * span
+        bin_counts = counts[start:start + span]
+        time_sum = dist_sum = 0.0
+        for count, mean_speed in compress(zip(bin_counts, speeds[start:start + span]),
+                                          bin_counts):
+            vehicles = count * dn
+            time_sum += vehicles * dt
+            dist_sum += vehicles * mean_speed * dt
+        t_bin = idx * bin_s
+        norm = total_length * min(bin_s, duration - t_bin)
+        points.append(MFDPoint(t_bin=t_bin, density=time_sum / norm, flow=dist_sum / norm))
     return points
 
 
@@ -289,7 +275,7 @@ def export_csv(log, world, out_dir: str, mfd: list[MFDPoint] | None = None) -> l
                     repeat(name(link), end - start) for start, end, link in trajectory.segments()
                 )
                 yield _lines(map(step_time, range(first, first + len(trajectory))), repeat(ids),
-                             on_link, map(num, trajectory.x), map(num, trajectory.v))
+                             on_link, map(num, trajectory.x), map(num, trajectory.speeds(dt)))
 
     def links():
         records = log.link_records

@@ -7,10 +7,10 @@ Each step runs five phases in a fixed sequence:
 3. link phase: the platoons of every occupied link advance one step; an
    empty link's mean speed is its free-flow speed,
 4. demand generation into origin waiting queues,
-5. logging: one record per link and one trajectory point per running
-   platoon, stamped with the step's end time. The run log keeps both as
-   typed array columns (see RunLog); a record's time and link follow
-   from its index, a point's from its trajectory.
+5. logging: one record per link and one position per running platoon,
+   stamped with the step's end time. The run log keeps both as typed
+   array columns (see RunLog); a record's time and link follow from its
+   index, a position's time, link and speed from its trajectory.
 
 All randomness flows through one seeded generator consumed in this
 deterministic order, so a scenario plus a seed fixes every output bit.
@@ -358,9 +358,7 @@ def step(world: World) -> World:
         log_exited(exited)
         if count:
             for platoon in platoons:
-                trajectory = platoon.trajectory
-                trajectory.x.append(platoon.x)
-                trajectory.v.append(platoon.v)
+                platoon.trajectory.x.append(platoon.x)
 
     counts = world.counts()
     if counts["generated"] != counts["waiting"] + counts["running"] + counts["arrived"]:

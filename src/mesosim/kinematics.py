@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from itertools import repeat
+from operator import sub, truediv
 
 from .errors import ConsistencyError
 from .scenario import LinkSpec
@@ -28,21 +30,21 @@ V_MIN = 1.0  # speed floor, m/s, for link costs (see instantaneous_travel_time)
 
 
 class Trajectory:
-    """A platoon's logged points, one per step spent on a link, as columns.
+    """A platoon's logged positions, one per step spent on a link, as a column.
 
-    x and v hold the positions and speeds. Points run without a gap from
-    insertion to arrival or the horizon, so the k-th point is stamped
-    (first + k) * dt, the end time of step first + k - 1. hops lists one
-    (point index, link name) entry per link entered: points from that
-    index up to the next entry's were logged on that link.
+    x holds the positions. Points run without a gap from insertion to
+    arrival or the horizon, so the k-th point is stamped (first + k) * dt,
+    the end time of step first + k - 1. hops lists one (point index, link
+    name) entry per link entered: points from that index up to the next
+    entry's were logged on that link. Speeds are not stored: speeds(dt)
+    derives them from x and hops.
     """
 
-    __slots__ = ("first", "x", "v", "hops")
+    __slots__ = ("first", "x", "hops")
 
     def __init__(self):
         self.first = 0
         self.x = array("d")
-        self.v = array("d")
         self.hops: list[tuple[int, str]] = []
 
     def __len__(self):
@@ -55,11 +57,20 @@ class Trajectory:
         for (start, link), end in zip(self.hops, ends):
             yield start, end, link
 
+    def speeds(self, dt: float):
+        """Per point, (x - previous x) / dt; the previous x of a hop's first point is 0.0."""
+        x = self.x
+        before = array("d", (0.0,)) + x[:-1]
+        for start, _link in self.hops:
+            before[start] = 0.0
+        return map(truediv, map(sub, x, before), repeat(dt))
+
     def rows(self, dt: float):
         """(t, link, x, v) per point, in order."""
+        speeds = self.speeds(dt)
         for start, end, link in self.segments():
             for step, x, v in zip(range(self.first + start, self.first + end),
-                                  self.x[start:end], self.v[start:end]):
+                                  self.x[start:end], speeds):
                 yield step * dt, link, x, v
 
 
@@ -67,8 +78,8 @@ class Platoon:
     """A group of platoon_size vehicles simulated as one moving unit.
 
     Position x is measured in meters from the start of the current link.
-    The trajectory logs the position and speed at the end of every step
-    spent on a link and each link entered; insertion was at
+    The trajectory logs the position at the end of every step spent on a
+    link and each link entered; insertion was at
     (trajectory.first - 1) * dt. States: waiting (in an origin queue),
     running (on a link), arrived, stranded (unfinished at horizon end).
     """
@@ -79,9 +90,7 @@ class Platoon:
         "destination",
         "depart_t",
         "state",
-        "link",
         "x",
-        "v",
         "arrival_t",
         "next_choice",
         "trajectory",
@@ -93,9 +102,7 @@ class Platoon:
         self.destination = destination
         self.depart_t = depart_t
         self.state = "waiting"
-        self.link: LinkState | None = None
         self.x = 0.0
-        self.v = 0.0
         self.arrival_t: float | None = None
         # outgoing link chosen at the current node; kept until the node is crossed
         self.next_choice: LinkState | None = None
@@ -104,8 +111,7 @@ class Platoon:
     def __repr__(self):
         return (
             f"Platoon(id={self.id}, {self.origin}->{self.destination}, "
-            f"state={self.state}, link={self.link.name if self.link else None}, "
-            f"x={self.x:.1f})"
+            f"state={self.state}, x={self.x:.1f})"
         )
 
 
@@ -152,8 +158,9 @@ def update_link(link: LinkState, dt: float) -> LinkState:
 
     Each platoon advances against its leader's pre-update position; the
     front platoon is capped at the link length and waits there for a
-    node transfer. Speeds are logged as (x_new - x_old) / dt and the
-    link's mean speed is refreshed (free-flow speed when empty).
+    node transfer. The link's mean speed is refreshed (free-flow speed when
+    empty) from the speeds (x_new - x_old) / dt, which Trajectory.speeds
+    derives again from the logged positions.
     """
     platoons = link.platoons
     if not platoons:
@@ -184,7 +191,6 @@ def update_link(link: LinkState, dt: float) -> LinkState:
                 )
         v = (x_new - x_old) / dt
         platoon.x = x_new
-        platoon.v = v
         speed_sum += v
         leader_x_old = x_old
         leader_x_new = x_new

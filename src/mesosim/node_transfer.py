@@ -99,10 +99,8 @@ def process_node(node, world, t: float, rng: random.Random) -> list[Platoon]:
         if head.x >= link.length and head.destination == node.name:
             platoons.popleft()
             link.exited_count += 1
-            head.link = None
             head.state = "arrived"
             head.arrival_t = t
-            head.v = 0.0
             world.arrived_platoons += 1
             world.running_count -= 1
             moved.append(head)
@@ -143,8 +141,6 @@ def process_node(node, world, t: float, rng: random.Random) -> list[Platoon]:
             trajectory.hops.append((len(trajectory.x), target.name))
             target.platoons.append(platoon)
             target.entered_count += 1
-            platoon.link = target
             platoon.x = 0.0
-            platoon.v = target.u
             platoon.next_choice = None
     return moved

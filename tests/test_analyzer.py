@@ -186,6 +186,22 @@ def test_mfd_bin_must_be_whole_steps(bin_s):
         mfd_points(world.log, world, bin_s)
 
 
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("off", [5e-10, -5e-10], ids=["over", "under"])
+def test_mfd_bins_within_tolerance_match_exact_bins(uroboros_default_run, steps, off):
+    # a bin a hair over a whole number of steps once put every step from the
+    # third on one bin early, which left the last bin empty
+    world = uroboros_default_run
+    dt = world.log.dt
+    exact = mfd_points(world.log, world, steps * dt)
+    near = mfd_points(world.log, world, (steps + off) * dt)
+    assert len(near) == len(exact)
+    assert exact[-1].density > 0.0
+    for got, want in zip(near, exact):
+        assert got.density == pytest.approx(want.density, rel=1e-6)
+        assert got.flow == pytest.approx(want.flow, rel=1e-6)
+
+
 def test_mfd_free_flow_ratio_is_speed():
     world = _run_single_link(["A,B,0,2000,0.4"], duration=2500.0, length=10000.0)
     for point in mfd_points(world.log, world, 500.0):
@@ -395,8 +411,9 @@ def _assert_export_matches_oracle(world):
                 assert f_got.read() == f_want.read(), os.path.basename(got)
 
 
-# zero before negative zero: the two are one dict key but render differently
-SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 123456789.0, -0.0, 0.0]
+# zero before negative zero: the two are one dict key but render differently.
+# As positions, they give speeds of 0.0, -0.0, nan, inf and -inf wherever hops fall.
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, 1e-300, math.inf, 123456789.0, -math.inf, -0.0, 0.0]
 NAME_CHARS = st.sampled_from([",", '"', " ", "\r\n", "\r", "\n", "\t", "a", "Z", "é", "北", "'", ";"])
 
 
@@ -420,7 +437,9 @@ def test_export_matches_oracle(names, floats):
     for p in world.platoons:
         for k in range(len(p.trajectory)):
             p.trajectory.x[k] = next(values)
-            p.trajectory.v[k] = next(values)
+    v = [v for p in world.platoons for v in p.trajectory.speeds(world.log.dt)]
+    assert any(map(math.isnan, v)) and math.inf in v and -math.inf in v
+    assert v.index(0.0) < list(map(repr, v)).index("-0.0")
     speeds = world.log.link_records.mean_speed
     for k in range(len(speeds)):
         speeds[k] = next(values)
@@ -455,7 +474,6 @@ def test_export_memo_stays_bounded(monkeypatch):
     n_points = analyzer._MEMO_LIMIT + 5000
     trajectory = world.platoons[0].trajectory
     trajectory.x = array("d", [i / 7 for i in range(n_points)])
-    trajectory.v = array("d", [20.0] * n_points)
     trajectory.hops[:] = [(0, "AB")]
     _assert_export_matches_oracle(world)
     assert peak[0] == analyzer._MEMO_LIMIT

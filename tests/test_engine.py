@@ -328,13 +328,19 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
     records = []
 
     def logging_step(world):
+        # a platoon's speed is its move on one link over the step; one that
+        # entered a link in the step moved from 0
+        before = {p.id: (link.name, p.x) for link in world.links for p in link.platoons}
         step(world)
-        t_next = world.clock * world.config.time_step
+        dt = world.config.time_step
+        t_next = world.clock * dt
         for link in world.links:
             records.append((t_next, link.name, len(link.platoons), link.mean_speed,
                             link.entered_count, link.exited_count))
             for platoon in link.platoons:
-                points[platoon.id].append((t_next, link.name, platoon.x, platoon.v))
+                name, x_before = before.get(platoon.id, (None, 0.0))
+                v = (platoon.x - x_before) / dt if name == link.name else platoon.x / dt
+                points[platoon.id].append((t_next, link.name, platoon.x, v))
 
     moves = []
     arrivals = []
@@ -348,7 +354,7 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
             if platoon.state == "arrived":
                 arrivals.append((t, platoon.id))
             else:
-                moves.append((t, platoon.id, sources[platoon.id], platoon.link.name))
+                moves.append((t, platoon.id, sources[platoon.id], platoon.trajectory.hops[-1][1]))
         return moved
 
     def no_event(*args):
@@ -380,8 +386,8 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
 
 
 # bytes a run may retain per trajectory point plus per link record: on
-# this run one tuple per entry retains about 133, the columns about 29
-_LOG_BYTES_PER_ENTRY = 48
+# this run one tuple per entry retains about 133, the columns about 17
+_LOG_BYTES_PER_ENTRY = 21
 
 
 def test_run_log_memory_per_entry():

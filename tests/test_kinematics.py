@@ -10,6 +10,7 @@ from mesosim import ConsistencyError, LinkSpec
 from mesosim.kinematics import (
     LinkState,
     Platoon,
+    Trajectory,
     instantaneous_travel_time,
     update_link,
 )
@@ -70,7 +71,6 @@ def make_link(length=1000.0, u=20.0, kappa=0.2, platoon_size=5, positions=()):
     for i, x in enumerate(positions):
         p = Platoon(i, "A", "B", 0.0)
         p.state = "running"
-        p.link = link
         p.x = x
         link.platoons.append(p)
         link.entered_count += 1
@@ -98,7 +98,6 @@ def test_update_single_free_platoon():
     link = make_link(positions=[0.0])
     update_link(link, 5.0)
     assert link.platoons[0].x == pytest.approx(100.0)
-    assert link.platoons[0].v == pytest.approx(20.0)
     assert link.mean_speed == pytest.approx(20.0)
 
 
@@ -106,7 +105,7 @@ def test_update_caps_at_link_end():
     link = make_link(positions=[995.0])
     update_link(link, 5.0)
     assert link.platoons[0].x == pytest.approx(1000.0)
-    assert link.platoons[0].v == pytest.approx(1.0)
+    assert link.mean_speed == pytest.approx(1.0)
 
 
 def test_update_empty_link_is_noop():
@@ -124,7 +123,8 @@ def test_update_uses_pre_update_leader_position():
     front, back = link.platoons
     assert front.x == pytest.approx(200.0)
     assert back.x == pytest.approx(75.0)
-    assert back.v == pytest.approx(0.0)
+    # the front's 20 m/s and the back's 0 m/s
+    assert link.mean_speed == pytest.approx(10.0)
 
 
 def test_update_detects_spacing_violation():
@@ -232,6 +232,23 @@ def test_free_flow_steps_to_link_end(length, u):
 def test_platoon_initial_state():
     p = Platoon(3, "A", "B", 40.0)
     assert p.state == "waiting"
-    assert p.link is None
+    assert p.x == 0.0
     assert len(p.trajectory) == 0
     assert p.trajectory.hops == [] and p.arrival_t is None
+
+
+def test_speeds_restart_from_zero_at_each_hop():
+    trajectory = Trajectory()
+    trajectory.first = 4
+    trajectory.x.extend([100.0, 200.0, 200.0, 50.0, 150.0])
+    trajectory.hops[:] = [(0, "L1"), (3, "L2")]
+    assert list(trajectory.speeds(5.0)) == [20.0, 20.0, 0.0, 10.0, 20.0]
+    assert list(trajectory.rows(5.0)) == [
+        (20.0, "L1", 100.0, 20.0), (25.0, "L1", 200.0, 20.0), (30.0, "L1", 200.0, 0.0),
+        (35.0, "L2", 50.0, 10.0), (40.0, "L2", 150.0, 20.0),
+    ]
+    one = Trajectory()
+    one.x.append(35.0)
+    one.hops.append((0, "L1"))
+    assert list(one.speeds(5.0)) == [7.0]
+    assert list(Trajectory().speeds(5.0)) == []

@@ -24,7 +24,6 @@ def make_link(name, from_node="A", to_node="M", length=1000.0, u=20.0,
     for i, x in enumerate(positions):
         p = Platoon(1000 + len(positions) * 100 + i, from_node, "Z", 0.0)
         p.state = "running"
-        p.link = link
         p.x = x
         link.platoons.append(p)
         link.entered_count += 1
@@ -124,7 +123,6 @@ def _ready_platoon(link, destination="Z"):
     """Head platoon standing at the link end, not yet at its destination."""
     p = Platoon(7, link.spec.from_node, destination, 0.0)
     p.state = "running"
-    p.link = link
     p.x = link.length
     link.platoons.appendleft(p)
     link.entered_count += 1
@@ -139,7 +137,7 @@ def test_transfer_unobstructed():
     node = make_node("M", incoming=[source], outgoing=[target])
     assert process_node(node, StubWorld(), 40.0, random.Random(0)) == [p]
     assert p.trajectory.hops == [(0, "OUT")]
-    assert p.link is target and p.x == 0.0 and p.v == target.u
+    assert p.x == 0.0
     assert p.next_choice is None
     assert not source.platoons and source.exited_count == 1
     assert target.platoons[0] is p and target.entered_count == 1
@@ -153,7 +151,7 @@ def test_transfer_blocked_at_exact_jam_gap():
     p.next_choice = target
     node = make_node("M", incoming=[source], outgoing=[target])
     assert process_node(node, StubWorld(), 0.0, random.Random(0)) == []
-    assert p.link is source and p.x == source.length
+    assert source.platoons[0] is p and p.x == source.length
 
 
 def test_transfer_succeeds_just_above_jam_gap():
@@ -215,7 +213,7 @@ def test_origin_queue_inserts_platoon():
     assert process_node(node, world, 15.0, random.Random(0)) == []  # not a link-to-link move
     assert p.state == "running"
     assert p.trajectory.first == world.clock + 1 and p.trajectory.hops == [(0, "OUT")]
-    assert p.link is target and p.x == 0.0
+    assert target.platoons[-1] is p and p.x == 0.0
     assert world.running_count == 1
     assert not world.waiting["M"]
 
@@ -242,7 +240,6 @@ def test_arrival_records_trip():
     assert process_node(make_node("Z", incoming=[link]), world, 500.0, random.Random(0)) == [p]
     assert p.state == "arrived"
     assert p.arrival_t == 500.0
-    assert p.link is None and p.v == 0.0
     assert not link.platoons and link.exited_count == 1
     assert world.arrived_platoons == 1 and world.running_count == 0
 
@@ -302,7 +299,7 @@ def test_head_behind_an_arrival_is_checked_as_head(behind_destination, behind_mo
     node = make_node("Z", incoming=[source], outgoing=[target])
     moved = process_node(node, StubWorld(), 0.0, random.Random(0))
     assert moved == ([arriving, behind] if behind_moves else [arriving])
-    assert (behind.link is target) == behind_moves
+    assert list(target.platoons) == ([behind] if behind_moves else [])
 
 
 def test_arrivals_stacked_at_link_end():
