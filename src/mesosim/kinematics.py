@@ -60,7 +60,7 @@ class Trajectory:
     def speeds(self, dt: float):
         """Per point, (x - previous x) / dt; the previous x of a hop's first point is 0.0."""
         x = self.x
-        before = array("d", (0.0,)) + x[:-1]
+        before = array("d", (0.0,)) + x  # one longer than x: a hop may await its first point
         for start, _link in self.hops:
             before[start] = 0.0
         return map(truediv, map(sub, x, before), repeat(dt))

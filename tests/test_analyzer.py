@@ -189,8 +189,8 @@ def test_mfd_bin_must_be_whole_steps(bin_s):
 @pytest.mark.parametrize("steps", [1, 3])
 @pytest.mark.parametrize("off", [5e-10, -5e-10], ids=["over", "under"])
 def test_mfd_bins_within_tolerance_match_exact_bins(uroboros_default_run, steps, off):
-    # a bin a hair over a whole number of steps once put every step from the
-    # third on one bin early, which left the last bin empty
+    # a bin within the 1e-9-step tolerance holds the same steps as the exact
+    # bin, the last one included
     world = uroboros_default_run
     dt = world.log.dt
     exact = mfd_points(world.log, world, steps * dt)
@@ -437,9 +437,9 @@ def test_export_matches_oracle(names, floats):
     for p in world.platoons:
         for k in range(len(p.trajectory)):
             p.trajectory.x[k] = next(values)
-    v = [v for p in world.platoons for v in p.trajectory.speeds(world.log.dt)]
-    assert any(map(math.isnan, v)) and math.inf in v and -math.inf in v
-    assert v.index(0.0) < list(map(repr, v)).index("-0.0")
+    v_column = [v for p in world.platoons for v in p.trajectory.speeds(world.log.dt)]
+    assert any(map(math.isnan, v_column)) and math.inf in v_column and -math.inf in v_column
+    assert v_column.index(0.0) < list(map(repr, v_column)).index("-0.0")
     speeds = world.log.link_records.mean_speed
     for k in range(len(speeds)):
         speeds[k] = next(values)

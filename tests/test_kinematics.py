@@ -251,4 +251,6 @@ def test_speeds_restart_from_zero_at_each_hop():
     one.x.append(35.0)
     one.hops.append((0, "L1"))
     assert list(one.speeds(5.0)) == [7.0]
+    one.hops.append((1, "L2"))  # entered in a step that stopped before logging
+    assert list(one.speeds(5.0)) == [7.0]
     assert list(Trajectory().speeds(5.0)) == []
