@@ -10,12 +10,16 @@ length * bin width), flow is accumulated vehicle-distance divided by
 the same. On stationary traffic these reduce to the usual point
 measures, and their ratio is the space-mean speed.
 
-The readers work on the run log's columns: a record's time and link
-follow from its index, a trajectory point's from its step and hops.
-The export renders each distinct number (6 significant digits), step
-time and name (quoted by the csv module's rules) once per call, in
-bounded memos, and writes each table as pre-rendered lines: one chunk
-per platoon for vehicles.csv and one per step for links.csv.
+The readers work on the run log's columns. LinkRecords.steps() replays
+the stored link records into every link's record, step by step; a link
+left out of a step holds no platoons, so mfd_points sums only the stored
+records of each bin's steps. A trajectory point's time and link follow
+from its step and hops. The export renders each distinct number (6
+significant digits), step time and name (quoted by the csv module's
+rules) once per call, in bounded memos, and writes each table as
+pre-rendered lines: one chunk per platoon for vehicles.csv and one per
+step for links.csv, re-rendering only the rows of the step's stored
+records.
 """
 
 from __future__ import annotations
@@ -96,17 +100,13 @@ def cumulative_counts(log, link: str) -> list[tuple[float, int, int]]:
     """Per-step cumulative vehicles having entered (A) and left (D) the link."""
     if link not in log.link_meta:
         raise UnknownLink(f"no link named {link!r} in this run")
+    j = list(log.link_meta).index(link)
     dn = log.platoon_size
     dt = log.dt
-    # records are step-major, in link order within a step
-    names = list(log.link_meta)
-    start, width = names.index(link), len(names)
-    records = log.link_records
     return [
-        (step * dt, entered * dn, exited * dn)
-        for step, (entered, exited) in enumerate(
-            zip(records.entered[start::width], records.exited[start::width]), 1
-        )
+        (step * dt, entered[j] * dn, exited[j] * dn)
+        for step, (_ids, _count, _speed, entered, exited)
+        in enumerate(log.link_records.steps(), 1)
     ]
 
 
@@ -129,15 +129,16 @@ def mfd_points(log, world, bin_s: float = DEFAULT_MFD_BIN) -> list[MFDPoint]:
     dn = log.platoon_size
     counts = log.link_records.count
     speeds = log.link_records.mean_speed
-    # bin idx holds records of steps idx * per_bin up to the next bin's, step-major
-    span = per_bin * max(1, len(log.link_meta))
+    # a link left out of a step holds no platoons: a bin sums its steps' stored records
+    edges = [0, *log.link_records.ends]
+    last = len(edges) - 1
     points = []
     for idx in range(n_bins):
-        start = idx * span
-        bin_counts = counts[start:start + span]
+        start = edges[min(idx * per_bin, last)]
+        end = edges[min((idx + 1) * per_bin, last)]
+        bin_counts = counts[start:end]
         time_sum = dist_sum = 0.0
-        for count, mean_speed in compress(zip(bin_counts, speeds[start:start + span]),
-                                          bin_counts):
+        for count, mean_speed in compress(zip(bin_counts, speeds[start:end]), bin_counts):
             vehicles = count * dn
             time_sum += vehicles * dt
             dist_sum += vehicles * mean_speed * dt
@@ -278,16 +279,14 @@ def export_csv(log, world, out_dir: str, mfd: list[MFDPoint] | None = None) -> l
                              on_link, map(num, trajectory.x), map(num, trajectory.speeds(dt)))
 
     def links():
-        records = log.link_records
-        width = max(1, len(log.link_meta))
         names = [name(link) for link in log.link_meta]
-        for start in range(0, len(records), width):
-            end = start + width
-            yield _lines(repeat(step_time(start // width + 1)), names,
-                         map(scaled, records.count[start:end]),
-                         map(num, records.mean_speed[start:end]),
-                         map(scaled, records.entered[start:end]),
-                         map(scaled, records.exited[start:end]))
+        rows = names[:]  # each link's row after the step time
+        for step, (ids, count, speed, entered, exited) in enumerate(log.link_records.steps(), 1):
+            for j in ids:
+                rows[j] = (f"{names[j]},{scaled(count[j])},{num(speed[j])},"
+                           f"{scaled(entered[j])},{scaled(exited[j])}")
+            t = step_time(step)
+            yield t + "," + f"\n{t},".join(rows) + "\n"
 
     stats = basic_stats(log, world)
     summary = (

@@ -7,10 +7,11 @@ Each step runs five phases in a fixed sequence:
 3. link phase: the platoons of every occupied link advance one step; an
    empty link's mean speed is its free-flow speed,
 4. demand generation into origin waiting queues,
-5. logging: one record per link and one position per running platoon,
-   stamped with the step's end time. The run log keeps both as typed
-   array columns (see RunLog); a record's time and link follow from its
-   index, a position's time, link and speed from its trajectory.
+5. logging: the consistency check of every link, then one record per link
+   and one position per running platoon, stamped with the step's end time,
+   in typed array columns (see RunLog). Only the link records that may
+   differ from the link's previous one are stored (see LinkRecords); a
+   position's time, link and speed follow from its trajectory.
 
 All randomness flows through one seeded generator consumed in this
 deterministic order, so a scenario plus a seed fixes every output bit.
@@ -25,6 +26,8 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import attrgetter, ne, or_, sub
 
 from . import node_transfer, routing
 from .errors import (
@@ -39,7 +42,9 @@ from .routing import AttractivenessTable
 from .scenario import DemandSpec, LinkSpec, NodeSpec, SimConfig, horizon, left_sum
 
 _ACC_TOL = 1e-9
-# total platoons a scenario's demand may ask for; each one is kept in memory
+# total platoons a scenario's demand may ask for; each one is kept in memory.
+# It also bounds every link's count, entered and exited, which LinkRecords
+# stores as array("i").
 MAX_PLATOONS = 10**6
 
 
@@ -87,35 +92,76 @@ class TransferEvent:
 
 
 class LinkRecords:
-    """One record per link per step, as columns of equal length.
+    """One record per link per step, stored only for the links that may have changed.
 
-    count (platoons on the link), entered and exited (cumulative platoon
-    counts) are array("q"); mean_speed is array("d"). Records are
-    step-major, in link order within a step, so record k belongs to step
-    k // n_links and link k % n_links.
+    A step stores each link that holds platoons now or held them at the
+    previous step, or whose entered count changed (an empty link's exited
+    count moves with it); the first step stores every link. Any other link
+    was empty, so at its free-flow speed, at both steps with the same
+    counts, and its record repeats. Stored records are step-major, in link
+    order within a step: link (the id), count, entered and exited
+    (platoons) as array("i"), mean_speed as array("d"); ends[s] is where
+    step s's records stop. len() counts every logical record; steps()
+    replays them.
     """
 
-    __slots__ = ("count", "mean_speed", "entered", "exited")
+    __slots__ = ("n_links", "link", "count", "mean_speed", "entered", "exited", "ends",
+                 "last_count", "last_entered")
 
-    def __init__(self):
-        self.count = array("q")
+    def __init__(self, n_links: int):
+        self.n_links = n_links
+        self.link = array("i")
+        self.count = array("i")
         self.mean_speed = array("d")
-        self.entered = array("q")
-        self.exited = array("q")
+        self.entered = array("i")
+        self.exited = array("i")
+        self.ends = array("q")
+        self.last_count = [0] * n_links
+        self.last_entered = [-1] * n_links  # no count is negative: step 0 stores every link
 
     def __len__(self):
-        return len(self.count)
+        return self.n_links * len(self.ends)
+
+    def append(self, links, counts, entered, exited):
+        """Log one step from the links and their per-link counts, in link order."""
+        keep = list(map(or_, map(or_, counts, self.last_count),
+                        map(ne, entered, self.last_entered)))
+        self.link.extend(compress(range(self.n_links), keep))
+        self.count.extend(compress(counts, keep))
+        self.mean_speed.extend(map(attrgetter("mean_speed"), compress(links, keep)))
+        self.entered.extend(compress(entered, keep))
+        self.exited.extend(compress(exited, keep))
+        self.ends.append(len(self.link))
+        self.last_count = counts
+        self.last_entered = entered
+
+    def steps(self):
+        """Per step, its stored link ids and every link's count, mean_speed, entered, exited.
+
+        The four per-link lists are the same objects at every step, updated
+        in place from the step's stored records; copy one to keep it.
+        """
+        n = self.n_links
+        columns = ([0] * n, [0.0] * n, [0] * n, [0] * n)
+        stored = (self.count, self.mean_speed, self.entered, self.exited)
+        start = 0
+        for end in self.ends:
+            ids = self.link[start:end]
+            for column, values in zip(columns, stored):
+                deque(map(column.__setitem__, ids, values[start:end]), 0)
+            start = end
+            yield ids, *columns
 
 
 class RunLog:
     """Append-only record of everything the analyzer needs.
 
     link_records holds one record per link per step (see LinkRecords),
-    stamped with the step end time: record k of a run with n links is
-    link_meta's (k % n)-th link at ((k // n) + 1) * dt. Counts are in
-    platoon units. platoons is the World's platoon list; their
-    trajectories are the only record of where each went. link_rows(),
-    Trajectory.rows() and transfer_events read the columns back.
+    stamped with the step end time: step s's records are at (s + 1) * dt,
+    and link ids follow link_meta's order. Counts are in platoon units.
+    platoons is the World's platoon list; their trajectories are the only
+    record of where each went. link_rows(), Trajectory.rows() and
+    transfer_events read the columns back.
     """
 
     __slots__ = ("dt", "platoon_size", "duration", "link_meta", "link_records", "platoons",
@@ -126,7 +172,7 @@ class RunLog:
         self.platoon_size = platoon_size
         self.duration = duration
         self.link_meta: dict[str, LinkSpec] = link_meta
-        self.link_records = LinkRecords()
+        self.link_records = LinkRecords(len(link_meta))
         self.platoons = platoons
         self.sealed = False
 
@@ -147,13 +193,9 @@ class RunLog:
     def link_rows(self):
         """(t, link, platoon_count, mean_speed, entered, exited) per record, in order."""
         names = list(self.link_meta)
-        records = self.link_records
         dt = self.dt
-        for k, row in enumerate(
-            zip(records.count, records.mean_speed, records.entered, records.exited)
-        ):
-            step, j = divmod(k, len(names))
-            yield ((step + 1) * dt, names[j], *row)
+        for step, (_ids, *columns) in enumerate(self.link_records.steps(), 1):
+            yield from zip(repeat(step * dt), names, *columns)
 
 
 class World:
@@ -337,28 +379,22 @@ def step(world: World) -> World:
 
     generate_demand(world, t)
 
-    records = world.log.link_records
-    log_count = records.count.append
-    log_speed = records.mean_speed.append
-    log_entered = records.entered.append
-    log_exited = records.exited.append
-    for link in world.links:
-        platoons = link.platoons
-        count = len(platoons)
-        entered = link.entered_count
-        exited = link.exited_count
-        if entered < exited or entered - exited != count:
-            raise ConsistencyError(
-                f"link {link.name}: entered {entered} / exited {exited} "
-                f"inconsistent with {count} platoons on link"
-            )
-        log_count(count)
-        log_speed(link.mean_speed)
-        log_entered(entered)
-        log_exited(exited)
-        if count:
-            for platoon in platoons:
-                platoon.trajectory.x.append(platoon.x)
+    links = world.links
+    counts = list(map(len, map(attrgetter("platoons"), links)))
+    entered = list(map(attrgetter("entered_count"), links))
+    exited = list(map(attrgetter("exited_count"), links))
+    # count >= 0, so entered - exited == count also rules out entered < exited
+    if list(map(sub, entered, exited)) != counts:
+        link, count, a, d = next(row for row in zip(links, counts, entered, exited)
+                                 if row[2] - row[3] != row[1])
+        raise ConsistencyError(
+            f"link {link.name}: entered {a} / exited {d} "
+            f"inconsistent with {count} platoons on link"
+        )
+    world.log.link_records.append(links, counts, entered, exited)
+    for link in compress(links, counts):
+        for platoon in link.platoons:
+            platoon.trajectory.x.append(platoon.x)
 
     counts = world.counts()
     if counts["generated"] != counts["waiting"] + counts["running"] + counts["arrived"]:

@@ -440,9 +440,16 @@ def test_export_matches_oracle(names, floats):
     v_column = [v for p in world.platoons for v in p.trajectory.speeds(world.log.dt)]
     assert any(map(math.isnan, v_column)) and math.inf in v_column and -math.inf in v_column
     assert v_column.index(0.0) < list(map(repr, v_column)).index("-0.0")
+    # the stored speeds, from the start of the cycle: every record that is
+    # not stored repeats one of them in links.csv
+    values = cycle(SPECIAL_FLOATS + floats)
     speeds = world.log.link_records.mean_speed
     for k in range(len(speeds)):
         speeds[k] = next(values)
+    speed_column = [row[3] for row in world.log.link_rows()]
+    assert any(map(math.isnan, speed_column))
+    assert math.inf in speed_column and -math.inf in speed_column
+    assert speed_column.index(0.0) < list(map(repr, speed_column)).index("-0.0")
     _assert_export_matches_oracle(world)
 
 

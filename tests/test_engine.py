@@ -13,17 +13,21 @@ from hypothesis import strategies as st
 from mesosim import (
     ConsistencyError,
     DemandSpec,
+    LinkSpec,
     NodeSpec,
     SimConfig,
     build_world,
+    cumulative_counts,
+    mfd_points,
     parse_links,
     parse_nodes,
     run,
     step,
 )
 from mesosim import engine, node_transfer
+from mesosim.analyzer import export_bin
 from mesosim.engine import generate_demand
-from mesosim.kinematics import instantaneous_travel_time
+from mesosim.kinematics import Platoon, instantaneous_travel_time
 
 from conftest import (
     bottleneck_world,
@@ -172,6 +176,27 @@ def test_step_past_horizon_rejected():
         step(world)
 
 
+@pytest.mark.parametrize("name, d_entered, d_exited", [
+    ("L2", 1, 0),  # empty and unchanged, so not stored
+    ("L2", 0, 1),  # exits without entries
+    ("L1", 0, 1),  # occupied
+])
+def test_step_checks_every_link(name, d_entered, d_exited):
+    nodes, links = chain_texts()
+    world = make_world(nodes, links, DEMAND_HEADER + "\nA,C,0,10,0.5\n", duration=300.0)
+    l1 = world.links_by_name["L1"]
+    while not l1.platoons:
+        step(world)
+    step(world)
+    link = world.links_by_name[name]
+    link.entered_count += d_entered
+    link.exited_count += d_exited
+    message = (f"link {name}: entered {link.entered_count} / exited {link.exited_count} "
+               f"inconsistent with {len(link.platoons)} platoons on link")
+    with pytest.raises(ConsistencyError, match=message):
+        step(world)
+
+
 def test_total_steps_from_duration():
     world = _single_link_world([], duration=7200.0)
     assert world.total_steps == 1440
@@ -234,6 +259,14 @@ def test_free_flow_link_traversal_times():
     assert platoon.arrival_t == 50.0 + 50.0
 
 
+def _link_record(world, k, link):
+    """(count, mean_speed, entered, exited) of link's record at step k, read by replay."""
+    for j, (_ids, *columns) in enumerate(world.log.link_records.steps()):
+        if j == k:
+            return tuple(column[link.id] for column in columns)
+    raise AssertionError(f"no step {k} in the log")
+
+
 @pytest.mark.parametrize("name", ["L1", "L2"])
 def test_link_emptied_in_node_phase_logs_free_flow_speed(name):
     """L1 empties by a transfer and L2 by an arrival, each in some step k.
@@ -251,13 +284,11 @@ def test_link_emptied_in_node_phase_logs_free_flow_speed(name):
         step(world)
     assert before < link.u
     k = world.clock - 1
-    records = world.log.link_records
-    assert records.count[k * len(world.links) + link.id] == 0
-    assert records.mean_speed[k * len(world.links) + link.id] == link.u
+    assert _link_record(world, k, link)[:2] == (0, link.u)
     assert link.mean_speed == link.u
     assert instantaneous_travel_time(link) == link.length / link.u
     step(world)
-    assert records.mean_speed[(k + 1) * len(world.links) + link.id] == link.u
+    assert _link_record(world, k + 1, link)[1] == link.u
 
 
 def test_identical_seeds_reproduce_log():
@@ -289,6 +320,145 @@ def _assert_same_rows(got, want):
         assert _bits(a) == _bits(b), (k, a, b)
 
 
+def _live_link_tuples(world):
+    """Each link's (t, link, count, mean_speed, entered, exited) as the last step left it."""
+    t = world.clock * world.config.time_step
+    return [(t, link.name, len(link.platoons), link.mean_speed, link.entered_count,
+             link.exited_count) for link in world.links]
+
+
+def _run_live(world):
+    """Run world to its horizon; return the live link tuples of every step, in order."""
+    records = []
+    while world.clock < world.total_steps:
+        step(world)
+        records.extend(_live_link_tuples(world))
+    run(world)
+    return records
+
+
+def _dense_mfd(log, records, bin_s):
+    """(t_bin, density, flow) per bin, summed over one tuple per link per step."""
+    dt = log.dt
+    dn = log.platoon_size
+    total_length = 0.0
+    for spec in log.link_meta.values():
+        total_length += spec.length
+    per_bin = round(bin_s / dt)
+    span = per_bin * len(log.link_meta)
+    points = []
+    for idx in range(max(1, -(-round(log.duration / dt) // per_bin))):
+        time_sum = dist_sum = 0.0
+        for _t, _name, count, speed, _entered, _exited in records[idx * span:(idx + 1) * span]:
+            if count:
+                time_sum += count * dn * dt
+                dist_sum += count * dn * speed * dt
+        t_bin = idx * bin_s
+        norm = total_length * min(bin_s, log.duration - t_bin)
+        points.append((t_bin, time_sum / norm, dist_sum / norm))
+    return points
+
+
+def _assert_log_matches_live(world, records):
+    """The link log replays, counts and bins as the live tuples of every step do.
+
+    A step stores every link at step 0, then each link that holds platoons
+    now or held them at the previous step, or whose entered count changed.
+    """
+    log = world.log
+    n = len(world.links)
+    assert records and len(log.link_records) == len(records)
+    _assert_same_rows(log.link_rows(), records)
+    steps = 0
+    previous = None
+    for k, (ids, *columns) in enumerate(log.link_records.steps()):
+        rows = records[k * n:(k + 1) * n]
+        _assert_same_rows(zip(*columns), [row[2:] for row in rows])
+        stored = [j for j, row in enumerate(rows)
+                  if previous is None or row[2] or previous[j][2] or row[4] != previous[j][4]]
+        assert list(ids) == stored, k
+        previous = rows
+        steps += 1
+    assert steps * n == len(records)
+    dn = log.platoon_size
+    for link in world.links:
+        want = [(t, a * dn, d * dn) for t, name, _c, _v, a, d in records if name == link.name]
+        _assert_same_rows(cumulative_counts(log, link.name), want)
+    for bin_s in (log.dt, 7 * log.dt, export_bin(log)):
+        got = [(point.t_bin, point.density, point.flow) for point in mfd_points(log, world, bin_s)]
+        _assert_same_rows(got, _dense_mfd(log, records, bin_s))
+
+
+def test_mfd_sums_each_step_in_link_order():
+    """Stored speeds whose sum depends on its order give the dense, link-order bins."""
+    nodes = [NodeSpec(name, 1000.0 * k, 0.0) for k, name in enumerate("ABCDEF")]
+    links = [LinkSpec(f"{a}{b}", a, b, 1000.0, 20.0, 0.2) for a, b in ("AB", "CD", "EF")]
+    demands = [DemandSpec(a, b, 0.0, 10.0, 0.5) for a, b in ("AB", "CD", "EF")]
+    world = run(build_world(SimConfig(duration=300.0), nodes, links, demands))
+    records = world.log.link_records
+    for k, j in enumerate(records.link):
+        records.mean_speed[k] = (1.0, 1e16, -1e16)[j]
+    rows = list(world.log.link_rows())
+    reordered = [row for k in range(0, len(rows), 3) for row in reversed(rows[k:k + 3])]
+    for bin_s in (world.log.dt, export_bin(world.log)):
+        got = [(point.t_bin, point.density, point.flow)
+               for point in mfd_points(world.log, world, bin_s)]
+        _assert_same_rows(got, _dense_mfd(world.log, rows, bin_s))
+        assert got != _dense_mfd(world.log, reordered, bin_s)
+
+
+def _place_platoon(world, link_name, x, destination):
+    """A running platoon put on a link by hand before step 0."""
+    link = world.links_by_name[link_name]
+    platoon = Platoon(len(world.platoons), link.spec.from_node, destination, 0.0)
+    platoon.state = "running"
+    platoon.x = x
+    platoon.trajectory.first = 1
+    platoon.trajectory.hops.append((0, link.name))
+    link.platoons.append(platoon)
+    link.entered_count += 1
+    world.platoons.append(platoon)
+    world.running_count += 1
+    return platoon
+
+
+def test_platoon_placed_before_step_0_and_moved_off_in_it():
+    nodes, links = chain_texts(l1=730.0, l2=1000.0)
+    world = make_world(nodes, links, DEMAND_HEADER + "\nA,C,100,110,0.5\n", duration=300.0)
+    l1 = world.links_by_name["L1"]
+    _place_platoon(world, "L1", l1.length, "C")
+    records = _run_live(world)
+    # L1 logs no platoon at step 0 but an exit, and stays empty until the band
+    assert records[0][1:] == ("L1", 0, l1.u, 1, 1)
+    assert records[2][1:] == ("L1", 0, l1.u, 1, 1)
+    _assert_log_matches_live(world, records)
+
+
+def test_link_emptied_in_node_phase_and_filled_again():
+    nodes, links = chain_texts(l1=730.0, l2=1030.0)
+    demand = DEMAND_HEADER + "\nA,C,0,10,0.5\nA,C,200,210,0.5\n"
+    world = make_world(nodes, links, demand, duration=400.0)
+    records = _run_live(world)
+    l1 = [count for _t, name, count, _v, _a, _d in records if name == "L1"]
+    emptied = next(k for k in range(1, len(l1)) if l1[k - 1] and not l1[k])
+    refilled = next(k for k in range(emptied, len(l1)) if l1[k])
+    assert refilled > emptied + 1
+    stored = [0 in ids for ids, *_columns in world.log.link_records.steps()]
+    assert stored[emptied] and stored[refilled]
+    assert not any(stored[emptied + 1:refilled])
+    _assert_log_matches_live(world, records)
+
+
+def test_one_step_run():
+    nodes, links = chain_texts()
+    world = make_world(nodes, links, DEMAND_HEADER + "\nA,C,0,5,1\n", duration=5.0)
+    _place_platoon(world, "L2", 0.0, "C")
+    records = _run_live(world)
+    assert world.total_steps == 1 and len(records) == 2
+    assert records[1][1:4] == ("L2", 1, 20.0)
+    _assert_log_matches_live(world, records)
+
+
 _BAND = st.tuples(
     st.integers(0, 5), st.integers(0, 4),
     st.sampled_from([0.0, 30.0, 100.0]), st.sampled_from([20.0, 150.0, 200.0]),
@@ -310,6 +480,9 @@ _BAND = st.tuples(
 def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reaction_time,
                                        platoon_size, route_update_interval, seed):
     """The columnar log reads back as the tuples each step would have logged.
+
+    The link records also give the cumulative counts and MFD bins that the
+    dense tuples give.
 
     transfer_events, built from the trajectory hops, matches the transfers
     process_node returned during the run, and the run builds no event; the
@@ -334,9 +507,8 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
         step(world)
         dt = world.config.time_step
         t_next = world.clock * dt
+        records.extend(_live_link_tuples(world))
         for link in world.links:
-            records.append((t_next, link.name, len(link.platoons), link.mean_speed,
-                            link.entered_count, link.exited_count))
             for platoon in link.platoons:
                 name, x_before = before.get(platoon.id, (None, 0.0))
                 v = (platoon.x - x_before) / dt if name == link.name else platoon.x / dt
@@ -365,12 +537,11 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
         patch.setattr(node_transfer, "process_node", capturing_process_node)
         patch.setattr(engine, "TransferEvent", no_event)
         run(world)
-    assert records and len(world.log.link_records) == len(records)
+    _assert_log_matches_live(world, records)
     # the view lists events by platoon id, each platoon's in time order
     moves.sort(key=lambda move: move[1])
     events = world.log.transfer_events
     _assert_same_rows([(e.t, e.platoon_id, e.from_link, e.to_link) for e in events], moves)
-    _assert_same_rows(world.log.link_rows(), records)
     arrivals.sort(key=lambda arrival: arrival[1])
     assert arrivals == [(p.arrival_t, p.id) for p in world.platoons if p.state == "arrived"]
     dt = world.log.dt
@@ -402,3 +573,31 @@ def test_run_log_memory_per_entry():
     entries = sum(len(p.trajectory) for p in world.platoons) + len(world.log.link_records)
     assert entries > 50000
     assert grown <= _LOG_BYTES_PER_ENTRY * entries, grown / entries
+
+
+# bytes the link log may retain per logical record (one per link per step)
+# when at most a tenth of the links ever hold platoons; storing every
+# record retains about 32
+_SPARSE_LINK_LOG_BYTES_PER_RECORD = 4
+
+
+def test_link_log_memory_follows_traffic():
+    nodes = [NodeSpec(f"n{k}", 500.0 * k, 0.0) for k in range(21)]
+    links = [
+        LinkSpec(f"n{a}-n{b}", f"n{a}", f"n{b}", 500.0, 20.0, 0.2)
+        for k in range(20) for a, b in ((k, k + 1), (k + 1, k))
+    ]
+    config = SimConfig(duration=3600.0, platoon_size=1)
+    world = build_world(config, nodes, links, [DemandSpec("n0", "n2", 0.0, 3000.0, 0.3)])
+    tracemalloc.start()
+    try:
+        run(world)
+        with_log = tracemalloc.get_traced_memory()[0]
+        records = len(world.log.link_records)
+        world.log.link_records = None
+        retained = with_log - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < sum(1 for link in world.links if link.entered_count) <= len(world.links) // 10
+    assert records == 3600 * 40
+    assert retained <= _SPARSE_LINK_LOG_BYTES_PER_RECORD * records, retained / records
