@@ -26,8 +26,7 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import attrgetter, ne, or_, sub
+from itertools import repeat
 
 from . import node_transfer, routing
 from .errors import (
@@ -94,14 +93,15 @@ class TransferEvent:
 class LinkRecords:
     """One record per link per step, stored only for the links that may have changed.
 
-    A step stores each link that holds platoons now or held them at the
-    previous step, or whose entered count changed (an empty link's exited
-    count moves with it); the first step stores every link. Any other link
-    was empty, so at its free-flow speed, at both steps with the same
-    counts, and its record repeats. Stored records are step-major, in link
-    order within a step: link (the id), count, entered and exited
+    step() stores the record of each link that holds platoons now or held
+    them at the previous step, or whose entered count changed (an empty
+    link's exited count moves with it), and of every link at step 0. Any
+    other link was empty, at its free-flow speed, at both steps with the
+    same counts, so its record repeats. Stored records are step-major, in
+    link order within a step: link (the id), count, entered and exited
     (platoons) as array("i"), mean_speed as array("d"); ends[s] is where
-    step s's records stop. len() counts every logical record; steps()
+    step s's records stop; last_count and last_entered hold each link's
+    latest stored values. len() counts every logical record; steps()
     replays them.
     """
 
@@ -121,19 +121,6 @@ class LinkRecords:
 
     def __len__(self):
         return self.n_links * len(self.ends)
-
-    def append(self, links, counts, entered, exited):
-        """Log one step from the links and their per-link counts, in link order."""
-        keep = list(map(or_, map(or_, counts, self.last_count),
-                        map(ne, entered, self.last_entered)))
-        self.link.extend(compress(range(self.n_links), keep))
-        self.count.extend(compress(counts, keep))
-        self.mean_speed.extend(map(attrgetter("mean_speed"), compress(links, keep)))
-        self.entered.extend(compress(entered, keep))
-        self.exited.extend(compress(exited, keep))
-        self.ends.append(len(self.link))
-        self.last_count = counts
-        self.last_entered = entered
 
     def steps(self):
         """Per step, its stored link ids and every link's count, mean_speed, entered, exited.
@@ -379,22 +366,36 @@ def step(world: World) -> World:
 
     generate_demand(world, t)
 
-    links = world.links
-    counts = list(map(len, map(attrgetter("platoons"), links)))
-    entered = list(map(attrgetter("entered_count"), links))
-    exited = list(map(attrgetter("exited_count"), links))
-    # count >= 0, so entered - exited == count also rules out entered < exited
-    if list(map(sub, entered, exited)) != counts:
-        link, count, a, d = next(row for row in zip(links, counts, entered, exited)
-                                 if row[2] - row[3] != row[1])
-        raise ConsistencyError(
-            f"link {link.name}: entered {a} / exited {d} "
-            f"inconsistent with {count} platoons on link"
-        )
-    world.log.link_records.append(links, counts, entered, exited)
-    for link in compress(links, counts):
-        for platoon in link.platoons:
-            platoon.trajectory.x.append(platoon.x)
+    records = world.log.link_records
+    last_count = records.last_count
+    last_entered = records.last_entered
+    log_link = records.link.append
+    log_count = records.count.append
+    log_speed = records.mean_speed.append
+    log_entered = records.entered.append
+    log_exited = records.exited.append
+    for j, link in enumerate(world.links):
+        platoons = link.platoons
+        count = len(platoons)
+        entered = link.entered_count
+        exited = link.exited_count
+        # count >= 0, so this also rules out entered < exited
+        if entered - exited != count:
+            raise ConsistencyError(
+                f"link {link.name}: entered {entered} / exited {exited} "
+                f"inconsistent with {count} platoons on link"
+            )
+        if count or last_count[j] or entered != last_entered[j]:
+            log_link(j)
+            log_count(count)
+            log_speed(link.mean_speed)
+            log_entered(entered)
+            log_exited(exited)
+            last_count[j] = count
+            last_entered[j] = entered
+            for platoon in platoons:
+                platoon.trajectory.x.append(platoon.x)
+    records.ends.append(len(records.link))
 
     counts = world.counts()
     if counts["generated"] != counts["waiting"] + counts["running"] + counts["arrived"]:

@@ -177,11 +177,12 @@ def test_step_past_horizon_rejected():
 
 
 @pytest.mark.parametrize("name, d_entered, d_exited", [
-    ("L2", 1, 0),  # empty and unchanged, so not stored
-    ("L2", 0, 1),  # exits without entries
-    ("L1", 0, 1),  # occupied
+    ("L2", 1, 0),  # an entry without a platoon on an empty link
+    ("L2", 0, 1),  # an exit from an empty link, whose record is not stored
+    ("L1", 0, 1),  # an extra exit from an occupied link
 ])
 def test_step_checks_every_link(name, d_entered, d_exited):
+    """The per-link count check covers every link, stored or not."""
     nodes, links = chain_texts()
     world = make_world(nodes, links, DEMAND_HEADER + "\nA,C,0,10,0.5\n", duration=300.0)
     l1 = world.links_by_name["L1"]
