@@ -10,16 +10,17 @@ length * bin width), flow is accumulated vehicle-distance divided by
 the same. On stationary traffic these reduce to the usual point
 measures, and their ratio is the space-mean speed.
 
-The readers work on the run log's columns. LinkRecords.steps() replays
-the stored link records into every link's record, step by step; a link
-left out of a step holds no platoons, so mfd_points sums only the stored
-records of each bin's steps. A trajectory point's time and link follow
-from its step and hops. The export renders each distinct number (6
-significant digits), step time and name (quoted by the csv module's
-rules) once per call, in bounded memos, and writes each table as
-pre-rendered lines: one chunk per platoon for vehicles.csv and one per
-step for links.csv, re-rendering only the rows of the step's stored
-records.
+The readers work on the run log's columns. A stored link record holds
+count, mean_speed and entered, and exited is entered - count; a link left
+out of a step holds no platoons and repeats its last record. So
+mfd_points sums the stored records of each bin's steps,
+cumulative_counts reads its own link's records and carries them forward,
+and links.csv re-renders the rows of each step's stored slices. A
+trajectory point's time and link follow from its step and hops. The
+export renders each distinct number (6 significant digits), step time
+and name (quoted by the csv module's rules) once per call, in bounded
+memos, and writes each table as pre-rendered lines: one chunk per
+platoon for vehicles.csv and one per step for links.csv.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import csv
 import io
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 
@@ -97,17 +99,29 @@ def basic_stats(log, world) -> TripStats:
 
 
 def cumulative_counts(log, link: str) -> list[tuple[float, int, int]]:
-    """Per-step cumulative vehicles having entered (A) and left (D) the link."""
-    if link not in log.link_meta:
+    """Per-step cumulative vehicles having entered (A) and left (D) the link.
+
+    Reads only the link's stored records (exited = entered - count); a step
+    that left the link out repeats the last stored values.
+    """
+    state = log.links_by_name.get(link)
+    if state is None:
         raise UnknownLink(f"no link named {link!r} in this run")
-    j = list(log.link_meta).index(link)
+    records = log.link_records
+    ids = records.link
+    j = state.id
     dn = log.platoon_size
     dt = log.dt
-    return [
-        (step * dt, entered[j] * dn, exited[j] * dn)
-        for step, (_ids, _count, _speed, entered, exited)
-        in enumerate(log.link_records.steps(), 1)
-    ]
+    curve = []
+    a = d = start = 0
+    for step, end in enumerate(records.ends, 1):
+        k = bisect_left(ids, j, start, end)  # a step stores its links in id order
+        if k < end and ids[k] == j:
+            a = records.entered[k] * dn
+            d = a - records.count[k] * dn
+        curve.append((step * dt, a, d))
+        start = end
+    return curve
 
 
 def mfd_points(log, world, bin_s: float = DEFAULT_MFD_BIN) -> list[MFDPoint]:
@@ -121,7 +135,7 @@ def mfd_points(log, world, bin_s: float = DEFAULT_MFD_BIN) -> list[MFDPoint]:
     steps = bin_s / dt
     if not (math.isfinite(steps) and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9):
         raise ValidationError(f"bin {bin_s} s is not a positive multiple of dt {dt} s")
-    total_length = left_sum(spec.length for spec in log.link_meta.values())
+    total_length = left_sum(link.length for link in log.links_by_name.values())
     duration = log.duration
     per_bin = round(steps)
     # counted in whole steps: float division can add an empty bin at the horizon
@@ -151,26 +165,24 @@ def mfd_points(log, world, bin_s: float = DEFAULT_MFD_BIN) -> list[MFDPoint]:
 def time_space_points(log, link_sequence: list[str]) -> dict[int, list[tuple[float, float]]]:
     """Per-platoon (t, cumulative distance) polylines along a corridor.
 
-    The corridor must chain head to tail; positions on later links are
-    offset by the preceding lengths. Platoons covering only part of the
-    corridor contribute the part they covered.
+    The corridor must chain head to tail and name each link once;
+    positions on later links are offset by the preceding lengths. Platoons
+    covering only part of the corridor contribute the part they covered.
     """
-    if not link_sequence:
-        return {}
     offsets = {}
     running = 0.0
     previous = None
     for name in link_sequence:
-        spec = log.link_meta.get(name)
-        if spec is None:
+        link = log.links_by_name.get(name)
+        if link is None:
             raise UnknownLink(f"no link named {name!r} in this run")
-        if previous is not None and previous.to_node != spec.from_node:
-            raise DisconnectedPath(
-                f"link {name!r} does not start where {previous.name!r} ends"
-            )
+        if name in offsets:
+            raise ValidationError(f"link {name!r} appears more than once in the corridor")
+        if previous is not None and previous.spec.to_node != link.spec.from_node:
+            raise DisconnectedPath(f"link {name!r} does not start where {previous.name!r} ends")
         offsets[name] = running
-        running += spec.length
-        previous = spec
+        running += link.length
+        previous = link
     dt = log.dt
     polylines: dict[int, list[tuple[float, float]]] = {}
     for platoon in log.platoons:
@@ -279,12 +291,11 @@ def export_csv(log, world, out_dir: str, mfd: list[MFDPoint] | None = None) -> l
                              on_link, map(num, trajectory.x), map(num, trajectory.speeds(dt)))
 
     def links():
-        names = [name(link) for link in log.link_meta]
+        names = [name(link) for link in log.links_by_name]
         rows = names[:]  # each link's row after the step time
-        for step, (ids, count, speed, entered, exited) in enumerate(log.link_records.steps(), 1):
-            for j in ids:
-                rows[j] = (f"{names[j]},{scaled(count[j])},{num(speed[j])},"
-                           f"{scaled(entered[j])},{scaled(exited[j])}")
+        for step, (ids, counts, speeds, entered) in enumerate(log.link_records.steps(), 1):
+            for j, c, v, a in zip(ids, counts, speeds, entered):
+                rows[j] = f"{names[j]},{scaled(c)},{num(v)},{scaled(a)},{scaled(a - c)}"
             t = step_time(step)
             yield t + "," + f"\n{t},".join(rows) + "\n"
 

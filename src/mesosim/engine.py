@@ -10,8 +10,9 @@ Each step runs five phases in a fixed sequence:
 5. logging: the consistency check of every link, then one record per link
    and one position per running platoon, stamped with the step's end time,
    in typed array columns (see RunLog). Only the link records that may
-   differ from the link's previous one are stored (see LinkRecords); a
-   position's time, link and speed follow from its trajectory.
+   differ from the link's previous one are stored, as count, mean_speed
+   and entered; the check fixes exited = entered - count (see
+   LinkRecords). A position's time, link and speed follow from its trajectory.
 
 All randomness flows through one seeded generator consumed in this
 deterministic order, so a scenario plus a seed fixes every output bit.
@@ -26,7 +27,6 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 
 from . import node_transfer, routing
 from .errors import (
@@ -42,8 +42,8 @@ from .scenario import DemandSpec, LinkSpec, NodeSpec, SimConfig, horizon, left_s
 
 _ACC_TOL = 1e-9
 # total platoons a scenario's demand may ask for; each one is kept in memory.
-# It also bounds every link's count, entered and exited, which LinkRecords
-# stores as array("i").
+# It also bounds every link's count and entered, which LinkRecords stores
+# as array("i").
 MAX_PLATOONS = 10**6
 
 
@@ -93,20 +93,18 @@ class TransferEvent:
 class LinkRecords:
     """One record per link per step, stored only for the links that may have changed.
 
-    step() stores the record of each link that holds platoons now or held
-    them at the previous step, or whose entered count changed (an empty
-    link's exited count moves with it), and of every link at step 0. Any
-    other link was empty, at its free-flow speed, at both steps with the
-    same counts, so its record repeats. Stored records are step-major, in
-    link order within a step: link (the id), count, entered and exited
-    (platoons) as array("i"), mean_speed as array("d"); ends[s] is where
-    step s's records stop; last_count and last_entered hold each link's
-    latest stored values. len() counts every logical record; steps()
-    replays them.
+    A stored record is a link's count and entered (platoons) as array("i")
+    and mean_speed as array("d"); exited is entered - count, which step()
+    checks. step() stores every link at step 0, then each link that holds
+    platoons now or held them at the previous step (an entering platoon
+    starts at x = 0, short of the link end, so it is on its link when the
+    step logs); any other link was empty at both steps, so its record
+    repeats. Records are step-major, in link-id order within a step, with
+    the id in link; ends[s] is where step s's records stop; last_count
+    holds each link's latest stored count. len() counts every logical record.
     """
 
-    __slots__ = ("n_links", "link", "count", "mean_speed", "entered", "exited", "ends",
-                 "last_count", "last_entered")
+    __slots__ = ("n_links", "link", "count", "mean_speed", "entered", "ends", "last_count")
 
     def __init__(self, n_links: int):
         self.n_links = n_links
@@ -114,30 +112,21 @@ class LinkRecords:
         self.count = array("i")
         self.mean_speed = array("d")
         self.entered = array("i")
-        self.exited = array("i")
         self.ends = array("q")
-        self.last_count = [0] * n_links
-        self.last_entered = [-1] * n_links  # no count is negative: step 0 stores every link
+        self.last_count = [-1] * n_links  # no count is negative: step 0 stores every link
 
     def __len__(self):
         return self.n_links * len(self.ends)
 
     def steps(self):
-        """Per step, its stored link ids and every link's count, mean_speed, entered, exited.
+        """Per step, its stored (link ids, count, mean_speed, entered) as new array slices.
 
-        The four per-link lists are the same objects at every step, updated
-        in place from the step's stored records; copy one to keep it.
+        exited is entered - count; a link left out of a step repeats its last
+        stored record. RunLog.link_rows() and the links.csv writer read these.
         """
-        n = self.n_links
-        columns = ([0] * n, [0.0] * n, [0] * n, [0] * n)
-        stored = (self.count, self.mean_speed, self.entered, self.exited)
-        start = 0
-        for end in self.ends:
-            ids = self.link[start:end]
-            for column, values in zip(columns, stored):
-                deque(map(column.__setitem__, ids, values[start:end]), 0)
-            start = end
-            yield ids, *columns
+        columns = (self.link, self.count, self.mean_speed, self.entered)
+        for start, end in zip([0, *self.ends], self.ends):
+            yield tuple(column[start:end] for column in columns)
 
 
 class RunLog:
@@ -145,21 +134,21 @@ class RunLog:
 
     link_records holds one record per link per step (see LinkRecords),
     stamped with the step end time: step s's records are at (s + 1) * dt,
-    and link ids follow link_meta's order. Counts are in platoon units.
-    platoons is the World's platoon list; their trajectories are the only
-    record of where each went. link_rows(), Trajectory.rows() and
-    transfer_events read the columns back.
+    and link ids follow links_by_name, the World's link index. Counts are
+    in platoon units. platoons is the World's platoon list; their
+    trajectories are the only record of where each went. link_rows(),
+    Trajectory.rows() and transfer_events read the columns back.
     """
 
-    __slots__ = ("dt", "platoon_size", "duration", "link_meta", "link_records", "platoons",
+    __slots__ = ("dt", "platoon_size", "duration", "links_by_name", "link_records", "platoons",
                  "sealed")
 
-    def __init__(self, dt: float, platoon_size: int, duration: float, link_meta, platoons):
+    def __init__(self, dt: float, platoon_size: int, duration: float, links_by_name, platoons):
         self.dt = dt
         self.platoon_size = platoon_size
         self.duration = duration
-        self.link_meta: dict[str, LinkSpec] = link_meta
-        self.link_records = LinkRecords(len(link_meta))
+        self.links_by_name: dict[str, LinkState] = links_by_name
+        self.link_records = LinkRecords(len(links_by_name))
         self.platoons = platoons
         self.sealed = False
 
@@ -179,10 +168,13 @@ class RunLog:
 
     def link_rows(self):
         """(t, link, platoon_count, mean_speed, entered, exited) per record, in order."""
-        names = list(self.link_meta)
-        dt = self.dt
-        for step, (_ids, *columns) in enumerate(self.link_records.steps(), 1):
-            yield from zip(repeat(step * dt), names, *columns)
+        names = list(self.links_by_name)
+        rows = [()] * len(names)  # each link's row after the step time; step 0 sets all
+        for step, (ids, count, speed, entered) in enumerate(self.link_records.steps(), 1):
+            for j, c, v, a in zip(ids, count, speed, entered):
+                rows[j] = (names[j], c, v, a, a - c)
+            t = step * self.dt
+            yield from ((t, *row) for row in rows)
 
 
 class World:
@@ -262,8 +254,7 @@ class World:
 
         self.rng = random.Random(config.seed)
         self.clock = 0
-        link_meta = {link.name: link.spec for link in self.links}
-        self.log = RunLog(dt, config.platoon_size, duration, link_meta, self.platoons)
+        self.log = RunLog(dt, config.platoon_size, duration, self.links_by_name, self.platoons)
         names = list(self.nodes_by_name)
         self.attractiveness.reach = {
             z: {names[k]: cost for k, cost in enumerate(dist) if cost is not None}
@@ -368,12 +359,10 @@ def step(world: World) -> World:
 
     records = world.log.link_records
     last_count = records.last_count
-    last_entered = records.last_entered
     log_link = records.link.append
     log_count = records.count.append
     log_speed = records.mean_speed.append
     log_entered = records.entered.append
-    log_exited = records.exited.append
     for j, link in enumerate(world.links):
         platoons = link.platoons
         count = len(platoons)
@@ -385,14 +374,12 @@ def step(world: World) -> World:
                 f"link {link.name}: entered {entered} / exited {exited} "
                 f"inconsistent with {count} platoons on link"
             )
-        if count or last_count[j] or entered != last_entered[j]:
+        if count or last_count[j]:
             log_link(j)
             log_count(count)
             log_speed(link.mean_speed)
             log_entered(entered)
-            log_exited(exited)
             last_count[j] = count
-            last_entered[j] = entered
             for platoon in platoons:
                 platoon.trajectory.x.append(platoon.x)
     records.ends.append(len(records.link))

@@ -105,7 +105,7 @@ def test_cumulative_full_band_balances():
 
 def test_cumulative_monotone_and_ordered(uroboros_default_run):
     log = uroboros_default_run.log
-    for name in log.link_meta:
+    for name in log.links_by_name:
         prev_a = prev_d = 0
         for _t, a, d in cumulative_counts(log, name):
             assert a >= d
@@ -116,7 +116,7 @@ def test_cumulative_monotone_and_ordered(uroboros_default_run):
 def test_cumulative_matches_full_scan(uroboros_default_run):
     log = uroboros_default_run.log
     dn = log.platoon_size
-    for link in log.link_meta:
+    for link in log.links_by_name:
         scanned = [
             (t, entered * dn, exited * dn)
             for t, name, _count, _speed, entered, exited in log.link_rows()
@@ -278,13 +278,16 @@ def test_tsd_empty_log():
     assert time_space_points(world.log, []) == {}
 
 
-def test_tsd_rejects_broken_corridors():
+def test_tsd_rejects_broken_corridors(uroboros_default_run):
     nodes, links = chain_texts()
     world = run(make_world(nodes, links, DEMAND_HEADER + "\n", duration=100.0))
     with pytest.raises(DisconnectedPath):
         time_space_points(world.log, ["L2", "L1"])
     with pytest.raises(UnknownLink):
         time_space_points(world.log, ["L1", "missing"])
+    # a closed ring that names its first link again would get two offsets for it
+    with pytest.raises(ValidationError, match="link 'WN' appears more than once"):
+        time_space_points(uroboros_default_run.log, [*UROBOROS_RING, "WN"])
 
 
 def test_tsd_gridlock_trajectories_flatten(uroboros_default_run):

@@ -289,6 +289,12 @@ def test_unknown_plot_link_is_validation_error(tiny_scenario, capsys):
     assert "ZZ" in capsys.readouterr().err
 
 
+def test_repeated_tsd_link_is_validation_error(tiny_scenario, capsys):
+    code = cli.main(base_args(tiny_scenario, "--duration", "200", "--plot-tsd", "AB,AB"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: link 'AB' appears more than once in the corridor\n"
+
+
 def test_console_script_help():
     result = subprocess.run(
         [sys.executable, "-c", "from mesosim.cli import main; raise SystemExit(main(['--help']))"],

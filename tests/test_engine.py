@@ -262,10 +262,8 @@ def test_free_flow_link_traversal_times():
 
 def _link_record(world, k, link):
     """(count, mean_speed, entered, exited) of link's record at step k, read by replay."""
-    for j, (_ids, *columns) in enumerate(world.log.link_records.steps()):
-        if j == k:
-            return tuple(column[link.id] for column in columns)
-    raise AssertionError(f"no step {k} in the log")
+    rows = list(world.log.link_rows())
+    return rows[k * len(world.links) + link.id][2:]
 
 
 @pytest.mark.parametrize("name", ["L1", "L2"])
@@ -343,10 +341,10 @@ def _dense_mfd(log, records, bin_s):
     dt = log.dt
     dn = log.platoon_size
     total_length = 0.0
-    for spec in log.link_meta.values():
-        total_length += spec.length
+    for link in log.links_by_name.values():
+        total_length += link.length
     per_bin = round(bin_s / dt)
-    span = per_bin * len(log.link_meta)
+    span = per_bin * len(log.links_by_name)
     points = []
     for idx in range(max(1, -(-round(log.duration / dt) // per_bin))):
         time_sum = dist_sum = 0.0
@@ -363,21 +361,26 @@ def _dense_mfd(log, records, bin_s):
 def _assert_log_matches_live(world, records):
     """The link log replays, counts and bins as the live tuples of every step do.
 
-    A step stores every link at step 0, then each link that holds platoons
-    now or held them at the previous step, or whose entered count changed.
+    The stored ids must be those of the storage rule that also stores a
+    link whose entered count changed: every link at step 0, then each link
+    that holds platoons now or held them at the previous step, or was
+    entered. The engine drops the last clause, since an entered link holds
+    a platoon when the step logs, and derives exited as entered - count.
     """
     log = world.log
     n = len(world.links)
     assert records and len(log.link_records) == len(records)
+    for row in records:
+        assert row[5] == row[4] - row[2], row
     _assert_same_rows(log.link_rows(), records)
     steps = 0
     previous = None
-    for k, (ids, *columns) in enumerate(log.link_records.steps()):
+    for k, (ids, count, speed, entered) in enumerate(log.link_records.steps()):
         rows = records[k * n:(k + 1) * n]
-        _assert_same_rows(zip(*columns), [row[2:] for row in rows])
         stored = [j for j, row in enumerate(rows)
                   if previous is None or row[2] or previous[j][2] or row[4] != previous[j][4]]
         assert list(ids) == stored, k
+        _assert_same_rows(zip(count, speed, entered), [rows[j][2:5] for j in stored])
         previous = rows
         steps += 1
     assert steps * n == len(records)
