@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import analyzer, engine, scenario, svgplot
-from .errors import ConsistencyError, MesosimError, ParseError
+from .errors import ConsistencyError, MesosimError, ParseError, ValidationError
 
 # horizon appended after the last demand band when --duration is omitted,
 # so trips in flight at the end of demand can finish
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def render_tsd_svg(polylines, out_path: str, corridor: list[str] | None = None) -> str:
+def render_tsd_svg(polylines, out_path: str, corridor: list[str]) -> str:
     """Time-space diagram: one polyline per platoon along a corridor."""
     t_max = 1.0
     x_max = 1.0
@@ -88,11 +88,10 @@ def render_tsd_svg(polylines, out_path: str, corridor: list[str] | None = None) 
         for t, x in points:
             t_max = max(t_max, t)
             x_max = max(x_max, x)
-    label = ",".join(corridor) if corridor else ""
     chart = svgplot.Chart(
         (0.0, t_max),
         (0.0, x_max),
-        f"Trajectories along {label}" if label else "Trajectories",
+        f"Trajectories along {','.join(corridor)}",
         "time (s)",
         "distance (m)",
     )
@@ -173,6 +172,14 @@ def main(argv: list[str] | None = None) -> int:
             overrides["route_weight"] = args.route_weight
         config = scenario.SimConfig(**overrides)
         world = scenario.build_world(config, nodes, links, demands)
+        # the plot links are checked on the log before the run, so a bad one writes nothing
+        if args.plot_tsd is not None:
+            corridor = [name.strip() for name in args.plot_tsd.split(",") if name.strip()]
+            if not corridor:
+                raise ValidationError("--plot-tsd names no link")
+            analyzer.time_space_points(world.log, corridor)
+        if args.plot_cumulative is not None:
+            analyzer.cumulative_counts(world.log, args.plot_cumulative)
 
         t0 = time.perf_counter()
         engine.run(world)
@@ -180,13 +187,12 @@ def main(argv: list[str] | None = None) -> int:
 
         mfd = analyzer.mfd_points(world.log, world, analyzer.export_bin(world.log))
         analyzer.export_csv(world.log, world, args.out, mfd)
-        if args.plot_tsd:
-            corridor = [name.strip() for name in args.plot_tsd.split(",") if name.strip()]
+        if args.plot_tsd is not None:
             polylines = analyzer.time_space_points(world.log, corridor)
             render_tsd_svg(polylines, os.path.join(args.out, "tsd.svg"), corridor)
         if args.plot_mfd:
             render_mfd_svg(mfd, os.path.join(args.out, "mfd.svg"))
-        if args.plot_cumulative:
+        if args.plot_cumulative is not None:
             series = analyzer.cumulative_counts(world.log, args.plot_cumulative)
             render_cumulative_svg(
                 series,

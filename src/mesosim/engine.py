@@ -1,23 +1,22 @@
 """Fixed-step simulation loop: clock, demand generation, and phase order.
 
-Each step runs five phases in a fixed sequence:
+Each step runs four phases in a fixed sequence:
 
 1. route refresh (on cadence),
 2. node phase: arrivals, transfers and insertions, node by node in list order,
-3. link phase: the platoons of every occupied link advance one step; an
-   empty link's mean speed is its free-flow speed,
-4. demand generation into origin waiting queues,
-5. logging: the consistency check of every link, then one record per link
-   and one position per running platoon, stamped with the step's end time,
-   in typed array columns (see RunLog). Only the link records that may
-   differ from the link's previous one are stored, as count, mean_speed
-   and entered; the check fixes exited = entered - count (see
-   LinkRecords). A position's time, link and speed follow from its trajectory.
+3. link pass, in link order: each link's consistency check, then, for a
+   link that holds platoons now or held them at the previous step, its
+   update (kinematics.update_link moves the platoons and logs their
+   positions) and its record, stamped with the step's end time (see
+   RunLog). A link empty at both steps keeps its free-flow mean speed and
+   its last record. A stored record holds count, mean_speed and entered;
+   the check fixes exited = entered - count (see LinkRecords).
+4. demand generation into origin waiting queues, then the conservation check.
 
 All randomness flows through one seeded generator consumed in this
 deterministic order, so a scenario plus a seed fixes every output bit.
 Within a step, the node phase reads positions produced by the previous
-link phase; a platoon created in phase 4 is first considered for
+link pass; a platoon created in phase 4 is first considered for
 insertion in the next step's node phase.
 """
 
@@ -336,7 +335,7 @@ def generate_demand(world: World, t: float) -> list[Platoon]:
 
 
 def step(world: World) -> World:
-    """Advance the simulation by one time step (five phases, fixed order)."""
+    """Advance one time step: four phases; the link update and record share one pass."""
     i = world.clock
     if i >= world.total_steps:
         raise ConsistencyError("step called past the simulation horizon")
@@ -349,14 +348,6 @@ def step(world: World) -> World:
     for node in world.nodes_by_name.values():
         node_transfer.process_node(node, world, t, rng)
 
-    for link in world.links:
-        if link.platoons:
-            update_link(link, dt)
-        else:
-            link.mean_speed = link.u
-
-    generate_demand(world, t)
-
     records = world.log.link_records
     last_count = records.last_count
     log_link = records.link.append
@@ -364,8 +355,7 @@ def step(world: World) -> World:
     log_speed = records.mean_speed.append
     log_entered = records.entered.append
     for j, link in enumerate(world.links):
-        platoons = link.platoons
-        count = len(platoons)
+        count = len(link.platoons)
         entered = link.entered_count
         exited = link.exited_count
         # count >= 0, so this also rules out entered < exited
@@ -375,14 +365,15 @@ def step(world: World) -> World:
                 f"inconsistent with {count} platoons on link"
             )
         if count or last_count[j]:
+            update_link(link, dt)
             log_link(j)
             log_count(count)
             log_speed(link.mean_speed)
             log_entered(entered)
             last_count[j] = count
-            for platoon in platoons:
-                platoon.trajectory.x.append(platoon.x)
     records.ends.append(len(records.link))
+
+    generate_demand(world, t)
 
     counts = world.counts()
     if counts["generated"] != counts["waiting"] + counts["running"] + counts["arrived"]:

@@ -32,12 +32,12 @@ V_MIN = 1.0  # speed floor, m/s, for link costs (see instantaneous_travel_time)
 class Trajectory:
     """A platoon's logged positions, one per step spent on a link, as a column.
 
-    x holds the positions. Points run without a gap from insertion to
-    arrival or the horizon, so the k-th point is stamped (first + k) * dt,
-    the end time of step first + k - 1. hops lists one (point index, link
-    name) entry per link entered: points from that index up to the next
-    entry's were logged on that link. Speeds are not stored: speeds(dt)
-    derives them from x and hops.
+    x holds the positions, appended by update_link as it moves the platoon.
+    Points run without a gap from insertion to arrival or the horizon, so
+    the k-th point is stamped (first + k) * dt, the end time of step
+    first + k - 1. hops lists one (point index, link name) entry per link
+    entered: points from that index up to the next entry's were logged on
+    that link. Speeds are not stored: speeds(dt) derives them from x and hops.
     """
 
     __slots__ = ("first", "x", "hops")
@@ -78,8 +78,8 @@ class Platoon:
     """A group of platoon_size vehicles simulated as one moving unit.
 
     Position x is measured in meters from the start of the current link.
-    The trajectory logs the position at the end of every step spent on a
-    link and each link entered; insertion was at
+    The trajectory logs each link entered and, as update_link sets x, the
+    position at the end of every step on a link; insertion was at
     (trajectory.first - 1) * dt. States: waiting (in an origin queue),
     running (on a link), arrived, stranded (unfinished at horizon end).
     """
@@ -158,9 +158,10 @@ def update_link(link: LinkState, dt: float) -> LinkState:
 
     Each platoon advances against its leader's pre-update position; the
     front platoon is capped at the link length and waits there for a
-    node transfer. The link's mean speed is refreshed (free-flow speed when
-    empty) from the speeds (x_new - x_old) / dt, which Trajectory.speeds
-    derives again from the logged positions.
+    node transfer. Each new x is appended to the platoon's trajectory, its
+    one point for the step. The link's mean speed is refreshed (free-flow
+    speed when empty) from the speeds (x_new - x_old) / dt, which
+    Trajectory.speeds derives again from the logged positions.
     """
     platoons = link.platoons
     if not platoons:
@@ -191,6 +192,7 @@ def update_link(link: LinkState, dt: float) -> LinkState:
                 )
         v = (x_new - x_old) / dt
         platoon.x = x_new
+        platoon.trajectory.x.append(x_new)
         speed_sum += v
         leader_x_old = x_old
         leader_x_new = x_new

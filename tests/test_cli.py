@@ -283,16 +283,37 @@ def test_cumulative_plot_labels_curves(tiny_scenario, tmp_path, capsys):
     assert svg.count("<polyline") == 2
 
 
+def _wrote_csv(paths) -> bool:
+    return os.path.exists(os.path.join(paths["out"], "vehicles.csv"))
+
+
 def test_unknown_plot_link_is_validation_error(tiny_scenario, capsys):
     code = cli.main(base_args(tiny_scenario, "--duration", "200", "--plot-cumulative", "ZZ"))
     assert code == 1
-    assert "ZZ" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: no link named 'ZZ' in this run\n"
+    assert not _wrote_csv(tiny_scenario)
 
 
 def test_repeated_tsd_link_is_validation_error(tiny_scenario, capsys):
     code = cli.main(base_args(tiny_scenario, "--duration", "200", "--plot-tsd", "AB,AB"))
     assert code == 1
     assert capsys.readouterr().err == "error: link 'AB' appears more than once in the corridor\n"
+    assert not _wrote_csv(tiny_scenario)
+
+
+def test_unknown_tsd_link_writes_nothing(tiny_scenario, capsys):
+    code = cli.main(base_args(tiny_scenario, "--duration", "200", "--plot-tsd", "AB,ZZ"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: no link named 'ZZ' in this run\n"
+    assert not _wrote_csv(tiny_scenario)
+
+
+@pytest.mark.parametrize("corridor", [",", " , ", ""])
+def test_empty_tsd_corridor_is_validation_error(tiny_scenario, capsys, corridor):
+    code = cli.main(base_args(tiny_scenario, "--duration", "200", "--plot-tsd", corridor))
+    assert code == 1
+    assert capsys.readouterr().err == "error: --plot-tsd names no link\n"
+    assert not _wrote_csv(tiny_scenario)
 
 
 def test_console_script_help():

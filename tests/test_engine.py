@@ -585,14 +585,46 @@ def test_run_log_memory_per_entry():
 _SPARSE_LINK_LOG_BYTES_PER_RECORD = 4
 
 
-def test_link_log_memory_follows_traffic():
+def _two_way_chain_world(duration: float, band_end: float, **config):
+    """20 two-way 500 m segments (40 links); one band from n0 uses only n0-n1 and n1-n2."""
     nodes = [NodeSpec(f"n{k}", 500.0 * k, 0.0) for k in range(21)]
     links = [
         LinkSpec(f"n{a}-n{b}", f"n{a}", f"n{b}", 500.0, 20.0, 0.2)
         for k in range(20) for a, b in ((k, k + 1), (k + 1, k))
     ]
-    config = SimConfig(duration=3600.0, platoon_size=1)
-    world = build_world(config, nodes, links, [DemandSpec("n0", "n2", 0.0, 3000.0, 0.3)])
+    config = SimConfig(duration=duration, **config)
+    return build_world(config, nodes, links, [DemandSpec("n0", "n2", 0.0, band_end, 0.3)])
+
+
+def test_link_update_runs_for_each_stored_record(monkeypatch):
+    """Each step updates exactly the links whose record it stores, in link order."""
+    world = _two_way_chain_world(600.0, 300.0)
+    calls = []
+    update_link = engine.update_link
+
+    def counted(link, dt):
+        calls.append(link.id)
+        return update_link(link, dt)
+
+    monkeypatch.setattr(engine, "update_link", counted)
+    records = world.log.link_records
+    per_step = []
+    while world.clock < world.total_steps:
+        start = len(records.link)
+        calls.clear()
+        step(world)
+        assert calls == list(records.link[start:])
+        per_step.append(len(calls))
+    assert len(world.links) == 40
+    assert {link.name for link in world.links if link.entered_count} == {"n0-n1", "n1-n2"}
+    # step 0 stores every link; once the band has run off, nothing is updated
+    assert per_step[0] == 40
+    assert max(per_step[1:]) == 2
+    assert per_step[-1] == 0
+
+
+def test_link_log_memory_follows_traffic():
+    world = _two_way_chain_world(3600.0, 3000.0, platoon_size=1)
     tracemalloc.start()
     try:
         run(world)

@@ -127,6 +127,19 @@ def test_update_uses_pre_update_leader_position():
     assert link.mean_speed == pytest.approx(10.0)
 
 
+def test_update_logs_each_new_position():
+    """One trajectory point per platoon per update, equal to its new x."""
+    link = make_link(positions=[995.0, 500.0, 470.0])
+    logged = [[], [], []]
+    for _ in range(3):
+        update_link(link, 5.0)
+        for points, platoon in zip(logged, link.platoons):
+            points.append(platoon.x)
+    # free to the link end, free flow, then held 25 m behind the leader's old position
+    assert logged == [[1000.0] * 3, [600.0, 700.0, 800.0], [475.0, 575.0, 675.0]]
+    assert [list(platoon.trajectory.x) for platoon in link.platoons] == logged
+
+
 def test_update_detects_spacing_violation():
     # blocked front platoon pins the gap below the jam spacing
     link = make_link(positions=[1000.0, 990.0])
