@@ -180,6 +180,11 @@ def main(argv: list[str] | None = None) -> int:
             analyzer.time_space_points(world.log, corridor)
         if args.plot_cumulative is not None:
             analyzer.cumulative_counts(world.log, args.plot_cumulative)
+            if any(sep and sep in args.plot_cumulative for sep in (os.sep, os.altsep)):
+                raise ValidationError(
+                    f"link {args.plot_cumulative!r} holds a path separator, so "
+                    f"--plot-cumulative cannot name its plot file"
+                )
 
         t0 = time.perf_counter()
         engine.run(world)

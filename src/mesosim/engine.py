@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import LinkState, Platoon, update_link
-from .routing import AttractivenessTable
+from .routing import AttractivenessRow, AttractivenessTable
 from .scenario import DemandSpec, LinkSpec, NodeSpec, SimConfig, horizon, left_sum
 
 _ACC_TOL = 1e-9
@@ -239,11 +239,12 @@ class World:
 
         self.waiting: dict[str, deque[Platoon]] = {}
         self.attractiveness = AttractivenessTable()
+        rows = self.attractiveness.B
         for demand in demands:
             self.waiting.setdefault(demand.origin, deque())
             # destinations that are not nodes get no row; the demand check reports them
-            if demand.destination in node_names:
-                self.attractiveness.B.setdefault(demand.destination, [0.0] * len(self.links))
+            if demand.destination in node_names and demand.destination not in rows:
+                rows[demand.destination] = AttractivenessRow([0.0] * len(self.links))
         self.accumulators = [0.0] * len(demands)
         self.platoons: list[Platoon] = []
 

@@ -8,15 +8,18 @@ indicator b is blended into the row:
 
     B = (1 - route_weight) * B_prev + route_weight * b
 
-so a refresh costs destinations x (one search plus one blend over the
-links). A blend scales the row in one pass and writes the tree's links;
-a strict test, with no tolerance off the tree, implies the convexity
-rule (each value between its two inputs), which is checked per element
-only when that test fails. Searches run on integer ids from the World's
-node index, the only adjacency there is: node ids, and in_arcs of (link
-id, tail node id) pairs. The World's first blend, weight 1 into zero
-rows on empty links, makes B the free-flow indicator; its costs are kept
-as reach. Platoons at a node then sample their outgoing link with
+A refresh does not rewrite the row. It appends the tree, as a bitset of
+link ids, and its weight to the row's history, so it costs destinations
+x one search. The blend is paid per element read: catch_up replays an
+element's pending refreshes, in order, when route choice or the row
+accessor reads it, and checks the convexity rule (each value between its
+two inputs) on every value it makes. Once the history would hold as many
+bytes as the row's weights, 64 one-bit trees, the row is caught up in
+full and the history cleared. Searches run on integer ids from the
+World's node index, the only adjacency there is: node ids, and in_arcs
+of (link id, tail node id) pairs. The World's first blend, weight 1 into
+zero rows on empty links, makes B the free-flow indicator; its costs are
+kept as reach. Platoons at a node then sample their outgoing link with
 probability B / sum(B) over the node's candidates. That sum is positive
 wherever a platoon chooses: its node reaches the destination, so the
 latest tree gave one of its links at least route_weight (with
@@ -28,23 +31,62 @@ the latest tree alone.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
-from operator import le
 
 from . import kinematics
 from .errors import ConsistencyError
 from .scenario import left_sum
 
 _CONVEXITY_TOL = 1e-12
+# a row holds 8 * itemsize bits per link and a tree one, so this many
+# trees take as many bytes as the row's weights
+_MAX_PENDING = 8 * array("d").itemsize
+
+
+class AttractivenessRow:
+    """One destination's weights, blended on read.
+
+    values[j] is link id j's weight after the first applied[j] refreshes
+    of the history; refresh k blends trees[k], a bitset with bit j set
+    for each link id j on the tree, with weight lams[k].
+    """
+
+    __slots__ = ("values", "applied", "trees", "lams")
+
+    def __init__(self, values):
+        self.values = array("d", values)
+        self.applied = array("i", [0]) * len(self.values)
+        self.trees: list[int] = []
+        self.lams: list[float] = []
+
+    def caught_up(self) -> list[float]:
+        """Every weight, each pending refresh applied, in link id order."""
+        return [catch_up(self, j) for j in range(len(self.values))]
+
+    def record(self, chosen: list[int], lam: float) -> None:
+        """Queue a refresh blending the tree of link ids chosen with weight lam.
+
+        A history of _MAX_PENDING trees is applied in full and cleared
+        first, so it never outgrows the row.
+        """
+        if len(self.trees) == _MAX_PENDING:
+            self.caught_up()
+            self.trees.clear()
+            self.lams.clear()
+            self.applied = array("i", [0]) * len(self.values)
+        # a tree's link ids are distinct, so their powers of two sum to its bitset
+        self.trees.append(sum(map((1).__lshift__, chosen)))
+        self.lams.append(lam)
 
 
 class AttractivenessTable:
     """Per-destination, per-link sampling weights plus routing metadata.
 
-    B maps destination name to a list of weights indexed by LinkState.id.
-    reach maps destination name to the cost of the first, free-flow tree,
-    {node: cost}, keyed by exactly the nodes with a path to it; it serves
-    demand checks and delay baselines.
+    B maps destination name to its AttractivenessRow; row(z) reads one
+    whole. reach maps destination name to the cost of the first,
+    free-flow tree, {node: cost}, keyed by exactly the nodes with a path
+    to it; it serves demand checks and delay baselines.
     tree_computations counts shortest-path builds, including the
     free-flow blend.
     """
@@ -52,9 +94,13 @@ class AttractivenessTable:
     __slots__ = ("B", "reach", "tree_computations")
 
     def __init__(self):
-        self.B: dict[str, list[float]] = {}
+        self.B: dict[str, AttractivenessRow] = {}
         self.reach: dict[str, dict[str, float]] = {}
         self.tree_computations = 0
+
+    def row(self, z: str) -> list[float]:
+        """Destination z's weights by link id, every refresh applied."""
+        return self.B[z].caught_up()
 
 
 def shortest_tree(arcs, costs: list[float], names: list[str], z: int) -> tuple[list, list[int]]:
@@ -92,33 +138,36 @@ def shortest_tree(arcs, costs: list[float], names: list[str], z: int) -> tuple[l
     return dist, [link_id for link_id in next_link if link_id is not None]
 
 
-def blend_row(prev: list[float], chosen: list[int], lam: float) -> list[float]:
-    """Blend a tree's indicator into a row: (1-lam)*prev + lam*b elementwise.
+def catch_up(row: AttractivenessRow, j: int) -> float:
+    """Link id j's weight with its pending refreshes applied, in order.
 
-    b is 1.0 at the link ids in chosen and 0.0 elsewhere. The row is
-    scaled by 1 - lam and each chosen id set to keep * old + lam, bitwise
-    the two-term sum for lam and rows in [0, 1]. Each result must land
-    between its two inputs: a strict test implies that, and only when it
-    fails is each element checked, within _CONVEXITY_TOL.
+    Each refresh scales the value by keep = 1 - lam and adds lam on its
+    tree: bitwise the two-term blend keep * old + lam * b for lam and
+    values in [0, 1]. Each result must land between its two inputs,
+    within _CONVEXITY_TOL. The value and its applied count are stored.
     """
-    keep = 1.0 - lam
-    out = [keep * old for old in prev]
-    fits = min(out, default=0.0) >= 0.0 and all(map(le, out, prev))
-    for link_id in chosen:
-        old = prev[link_id]
-        out[link_id] = value = keep * old + lam
-        fits = fits and old - _CONVEXITY_TOL <= value <= 1.0 + _CONVEXITY_TOL
-    if not fits:
-        b = [0.0] * len(prev)
-        for link_id in chosen:
-            b[link_id] = 1.0
-        for link_id, (old, new, value) in enumerate(zip(prev, b, out)):
-            lo, hi = (old, new) if old <= new else (new, old)
+    value = row.values[j]
+    trees = row.trees
+    done = len(trees)
+    if row.applied[j] < done:
+        bit = 1 << j
+        lams = row.lams
+        for k in range(row.applied[j], done):
+            old = value
+            lam = lams[k]
+            if trees[k] & bit:
+                value = (1.0 - lam) * old + lam
+                lo, hi = (old, 1.0) if old <= 1.0 else (1.0, old)
+            else:
+                value = (1.0 - lam) * old
+                lo, hi = (old, 0.0) if old <= 0.0 else (0.0, old)
             if value < lo - _CONVEXITY_TOL or value > hi + _CONVEXITY_TOL:
                 raise ConsistencyError(
-                    f"attractiveness update left [{lo}, {hi}]: {value} for link id {link_id}"
+                    f"attractiveness update left [{lo}, {hi}]: {value} for link id {j}"
                 )
-    return out
+        row.values[j] = value
+        row.applied[j] = done
+    return value
 
 
 def weighted_draw(weights, rng: random.Random) -> int:
@@ -148,18 +197,24 @@ def weighted_draw(weights, rng: random.Random) -> int:
 def choose_outgoing(platoon, node, table: AttractivenessTable, rng: random.Random):
     """Sample the platoon's next link among the node's outgoing links.
 
-    Weights come from the platoon's destination row. A single candidate
-    is taken without a draw.
+    Weights come from the platoon's destination row; an element behind
+    the row's history is caught up first. A single candidate is taken
+    without a draw.
     """
     candidates = node.outgoing
     if len(candidates) == 1:
         return candidates[0]
     row = table.B[platoon.destination]
-    return candidates[weighted_draw([row[link.id] for link in candidates], rng)]
+    values, applied, done = row.values, row.applied, len(row.trees)
+    weights = [
+        values[link.id] if applied[link.id] == done else catch_up(row, link.id)
+        for link in candidates
+    ]
+    return candidates[weighted_draw(weights, rng)]
 
 
 def blend_trees(world, lam: float) -> dict:
-    """Blend each destination's tree under current link costs into its B row.
+    """Record each destination's tree under current link costs in its B row.
 
     An empty link costs its free-flow time. Returns each destination's
     dist list, indexed by node id.
@@ -172,13 +227,13 @@ def blend_trees(world, lam: float) -> dict:
     dists = {}
     for z, row in table.B.items():
         dists[z], chosen = shortest_tree(arcs, costs, names, nodes[z].id)
-        table.B[z] = blend_row(row, chosen, lam)
+        row.record(chosen, lam)
         table.tree_computations += 1
     return dists
 
 
 def maybe_refresh(world, i: int) -> AttractivenessTable:
-    """Re-blend all destination trees when step i falls on the refresh cadence.
+    """Record every destination's tree when step i falls on the refresh cadence.
 
     Off-cadence steps are a no-op.
     """

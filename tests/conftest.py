@@ -199,8 +199,9 @@ def scan_counts(world):
 
 
 def scan_attractiveness(world):
-    for row in world.attractiveness.B.values():
-        for value in row:
+    table = world.attractiveness
+    for z in table.B:
+        for value in table.row(z):
             assert math.isfinite(value)
             assert -1e-9 <= value <= 1.0 + 1e-9
 

@@ -294,6 +294,19 @@ def test_unknown_plot_link_is_validation_error(tiny_scenario, capsys):
     assert not _wrote_csv(tiny_scenario)
 
 
+@pytest.mark.parametrize("name", sorted({f"a{sep}b" for sep in ("/", os.sep, os.altsep) if sep}))
+def test_cumulative_link_with_path_separator_writes_nothing(tiny_scenario, capsys, name):
+    links = pathlib.Path(tiny_scenario["links"])
+    links.write_text(links.read_text().replace("\nAB,", f"\n{name},"))
+    code = cli.main(base_args(tiny_scenario, "--duration", "200", "--plot-cumulative", name))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: link {name!r} holds a path separator, so "
+        f"--plot-cumulative cannot name its plot file\n"
+    )
+    assert not _wrote_csv(tiny_scenario)
+
+
 def test_repeated_tsd_link_is_validation_error(tiny_scenario, capsys):
     code = cli.main(base_args(tiny_scenario, "--duration", "200", "--plot-tsd", "AB,AB"))
     assert code == 1

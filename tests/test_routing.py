@@ -20,10 +20,12 @@ from mesosim import (
     step,
 )
 from mesosim.kinematics import LinkState, Platoon, instantaneous_travel_time
+from mesosim import routing
 from mesosim.routing import (
+    AttractivenessRow,
     AttractivenessTable,
-    blend_row,
     blend_trees,
+    catch_up,
     choose_outgoing,
     maybe_refresh,
     weighted_draw,
@@ -199,36 +201,45 @@ def test_refresh_matches_two_pass_reference(n, graph_seed, extra_arcs, steps, ro
         step(world)
     costs = [instantaneous_travel_time(link) for link in world.links]
     ids = {link.name: link.id for link in world.links}
+    table = world.attractiveness
     expected = {}
-    for z, row in world.attractiveness.B.items():
+    for z in table.B:
         dist = _reference_dist(world.nodes_by_name, costs, z)
         chosen = _reference_next_links(world.nodes_by_name, costs, z, dist).values()
-        expected[z] = reference_blend_row(row, [ids[name] for name in chosen], route_weight)
+        expected[z] = reference_blend_row(table.row(z), [ids[name] for name in chosen],
+                                          route_weight)
     blend_trees(world, route_weight)
-    assert world.attractiveness.B == expected
+    assert {z: table.row(z) for z in table.B} == expected
+
+
+def blend_once(prev, chosen, lam):
+    """One refresh recorded on a row of prev, then each element read by catch_up."""
+    row = AttractivenessRow(prev)
+    row.record(chosen, lam)
+    return [catch_up(row, j) for j in range(len(prev))]
 
 
 def test_update_blends_halfway():
-    assert blend_row([1.0], [], 0.5) == [0.5]
+    assert blend_once([1.0], [], 0.5) == [0.5]
 
 
 def test_update_full_weight_copies_indicator():
-    assert blend_row([0.3, 0.7], [0], 1.0) == [1.0, 0.0]
+    assert blend_once([0.3, 0.7], [0], 1.0) == [1.0, 0.0]
 
 
 def test_update_zero_weight_keeps_previous():
     prev = [0.3, 0.7]
-    assert blend_row(prev, [0], 0.0) == prev
+    assert blend_once(prev, [0], 0.0) == prev
 
 
 def test_update_covers_every_link():
-    out = blend_row([1.0, 0.0], [1], 0.5)
+    out = blend_once([1.0, 0.0], [1], 0.5)
     assert out == [0.5, 0.5]
 
 
 def test_update_outside_unit_weight_raises():
     with pytest.raises(ConsistencyError):
-        blend_row([1.0, 0.0], [1], 1.5)
+        blend_once([1.0, 0.0], [1], 1.5)
 
 
 @settings(max_examples=120)
@@ -238,7 +249,7 @@ def test_update_outside_unit_weight_raises():
     st.floats(min_value=0.0, max_value=1.0),
 )
 def test_update_stays_convex(prev, b, lam):
-    out = blend_row(prev, [k for k, mark in enumerate(b) if mark], lam)
+    out = blend_once(prev, [k for k, mark in enumerate(b) if mark], lam)
     for key, value in enumerate(out):
         lo = min(prev[key], float(b[key]))
         hi = max(prev[key], float(b[key]))
@@ -266,7 +277,7 @@ def test_blend_row_matches_reference_bitwise(prev, lam, data):
     ids = st.integers(0, len(prev) - 1) if prev else st.nothing()
     chosen = data.draw(st.lists(ids, unique=True))
     expected = reference_blend_row(prev, chosen, lam)
-    assert _hex_row(blend_row(prev, chosen, lam)) == _hex_row(expected)
+    assert _hex_row(blend_once(prev, chosen, lam)) == _hex_row(expected)
 
 
 @pytest.mark.parametrize("lam", [1.5, -0.5])
@@ -276,7 +287,7 @@ def test_blend_row_error_matches_reference(lam):
     with pytest.raises(ConsistencyError) as want:
         reference_blend_row(prev, chosen, lam)
     with pytest.raises(ConsistencyError) as got:
-        blend_row(prev, chosen, lam)
+        blend_once(prev, chosen, lam)
     assert "link id 2" in str(want.value)
     assert str(got.value) == str(want.value)
 
@@ -294,20 +305,78 @@ def test_blend_row_outside_unit_weight_matches_reference(prev, lam, data):
         expected = reference_blend_row(prev, chosen, lam)
     except ConsistencyError as want:
         with pytest.raises(ConsistencyError) as got:
-            blend_row(prev, chosen, lam)
+            blend_once(prev, chosen, lam)
         assert str(got.value) == str(want)
     else:
         # equal as numbers: with lam > 1 a 0.0 left off the tree scales to -0.0
-        assert blend_row(prev, chosen, lam) == expected
+        assert blend_once(prev, chosen, lam) == expected
 
 
 def test_blend_row_accepts_nan_like_reference():
     prev = [0.5, math.nan, 1.0, 0.0]
     for chosen in ([], [1], [0, 2], [1, 3]):
         for lam in (0.0, 0.5, 1.0):
-            out = blend_row(prev, chosen, lam)
+            out = blend_once(prev, chosen, lam)
             assert _hex_row(out) == _hex_row(reference_blend_row(prev, chosen, lam))
             assert math.isnan(out[1])
+
+
+@settings(max_examples=300)
+@given(prev=st.lists(UNIT_FLOATS, min_size=1, max_size=40), data=st.data())
+def test_reads_between_refreshes_match_eager_blend(prev, data):
+    """Each element read, with any refreshes pending, is bitwise the eager blend."""
+    ids = st.integers(0, len(prev) - 1)
+    refresh = st.tuples(st.lists(ids, unique=True), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    ops = data.draw(st.lists(st.one_of(refresh, ids), max_size=60))
+    table = AttractivenessTable()
+    table.B["z"] = row = AttractivenessRow(prev)
+    eager = list(prev)
+    for op in ops:
+        if isinstance(op, tuple):
+            chosen, lam = op
+            row.record(chosen, lam)
+            eager = reference_blend_row(eager, chosen, lam)
+        else:
+            assert catch_up(row, op).hex() == eager[op].hex()
+    assert _hex_row(table.row("z")) == _hex_row(eager)
+
+
+def test_history_stays_bounded_and_rows_match_eager_blend(monkeypatch):
+    """A refresh every step for 3x the history bound: each row's history stays
+    within the bound, and each row read whole is bitwise the eager blend."""
+    search = routing.shortest_tree
+    trees = []
+
+    def recording_search(*args):
+        dist, chosen = search(*args)
+        trees.append(chosen)
+        return dist, chosen
+
+    monkeypatch.setattr(routing, "shortest_tree", recording_search)
+    links = random_digraph(6, random.Random(5), 14)
+    nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(6)]
+    demands = [DemandSpec(f"n{k}", f"n{(k + 3) % 6}", 0.0, 900.0, 0.3) for k in range(6)]
+    bound = routing._MAX_PENDING
+    steps = 3 * bound + 7
+    config = SimConfig(seed=3, duration=5.0 * steps, route_weight=0.3,
+                       route_update_interval=1)
+    world = build_world(config, nodes, links, demands)
+    table = world.attractiveness
+    zero = [0.0] * len(world.links)
+    eager = {z: reference_blend_row(zero, chosen, 1.0) for z, chosen in zip(table.B, trees)}
+    for records in range(2, steps + 2):
+        trees.clear()
+        step(world)
+        assert len(trees) == len(eager)
+        for z, chosen in zip(table.B, trees):
+            eager[z] = reference_blend_row(eager[z], chosen, 0.3)
+        for row in table.B.values():
+            assert len(row.trees) == (records - 1) % bound + 1
+        if records % 37 == 0 or records == steps + 1:
+            for z in table.B:
+                assert _hex_row(table.row(z)) == _hex_row(eager[z]), (records, z)
+    assert world.clock == steps
+    assert sum(link.entered_count for link in world.links) > 0
 
 
 def _choice_node():
@@ -320,7 +389,7 @@ def _choice_node():
 def _table(row, reach=frozenset({"m1", "m2", "Z"})):
     """A table whose row for Z holds row[0] for link A and row[1] for link B."""
     table = AttractivenessTable()
-    table.B["Z"] = list(row)
+    table.B["Z"] = AttractivenessRow(row)
     table.reach["Z"] = set(reach)
     return table
 
@@ -512,10 +581,10 @@ def test_refresh_on_cadence():
 
 def test_refresh_off_cadence_is_noop():
     world = _refresh_world(route_update_interval=120)
-    before = list(world.attractiveness.B["B"])
+    before = world.attractiveness.row("B")
     maybe_refresh(world, 241)
     assert world.attractiveness.tree_computations == 1
-    assert world.attractiveness.B["B"] == before
+    assert world.attractiveness.row("B") == before
 
 
 def test_refresh_at_step_zero():
@@ -554,15 +623,17 @@ def test_full_weight_static_network_is_all_or_nothing():
 
 def test_zero_weight_freezes_initial_table():
     world = _refresh_world(route_weight=0.0, route_update_interval=10)
-    initial = {z: list(row) for z, row in world.attractiveness.B.items()}
+    table = world.attractiveness
+    initial = {z: table.row(z) for z in table.B}
     maybe_refresh(world, 10)
-    assert world.attractiveness.B == initial
+    assert {z: table.row(z) for z in table.B} == initial
 
 
 def _assert_rows_positive(world):
     """Every node that reaches z, z aside, has outgoing weight toward z."""
     table = world.attractiveness
-    for z, row in table.B.items():
+    for z in table.B:
+        row = table.row(z)
         for name in table.reach[z]:
             if name != z:
                 outgoing = world.nodes_by_name[name].outgoing
