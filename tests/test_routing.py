@@ -16,11 +16,11 @@ from mesosim import (
     NodeSpec,
     SimConfig,
     build_world,
+    routing,
     run,
     step,
 )
 from mesosim.kinematics import LinkState, Platoon, instantaneous_travel_time
-from mesosim import routing
 from mesosim.routing import (
     AttractivenessRow,
     AttractivenessTable,
