@@ -71,7 +71,7 @@ def basic_stats(log, world) -> TripStats:
     dn = world.config.platoon_size
     duration = world.duration
 
-    baselines = world.attractiveness.reach
+    baselines = world.free_flow_cost
 
     completed = 0
     stranded = 0
@@ -82,7 +82,7 @@ def basic_stats(log, world) -> TripStats:
             trip = platoon.arrival_t - platoon.depart_t
             completed += 1
             total_time += trip
-            total_delay += trip - baselines[platoon.destination][platoon.origin]
+            total_delay += trip - baselines[platoon.origin, platoon.destination]
         elif platoon.state == "stranded":
             stranded += 1
             total_time += duration - platoon.depart_t

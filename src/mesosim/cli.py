@@ -1,8 +1,9 @@
 """Command-line entry point: load CSVs, simulate, export tables and plots.
 
 Exit codes: 0 on success, 1 on bad scenario input (a parse failure names
-its file and row), 2 on IO problems, a closed stdout included, 3 on an
-engine bug (``internal error:``). The final stdout line is machine-parseable:
+its file and row), 2 on IO problems, a closed stdout included, or on
+running out of memory, 3 on an engine bug (``internal error:``). The
+final stdout line is machine-parseable:
 
     trips=<int> ttt=<float>s delay=<float>s wall=<float>s
 
@@ -223,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, BrokenPipeError):
             # the summary is still buffered; without this its flush at exit fails again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    except MemoryError:
+        print("error: out of memory: the scenario is too large for this process", file=sys.stderr)
         return 2
     return 0
 

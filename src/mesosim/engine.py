@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import LinkState, Platoon, update_link
-from .routing import AttractivenessRow, AttractivenessTable
+from .routing import AttractivenessTable
 from .scenario import DemandSpec, LinkSpec, NodeSpec, SimConfig, horizon, left_sum
 
 _ACC_TOL = 1e-9
@@ -182,6 +182,7 @@ class World:
     Order: node names, links one by one, signals, demand rows in file order,
     the platoon total (at most MAX_PLATOONS), then at least one link. A
     demand error names its row: row k is the k-th entry of demands.
+    free_flow_cost maps each demand (origin, destination) to its free-flow cost (s).
     """
 
     def __init__(
@@ -237,14 +238,12 @@ class World:
                     f"node {node.name}: incoming links {sorted(missing)} appear in no signal phase"
                 )
 
-        self.waiting: dict[str, deque[Platoon]] = {}
-        self.attractiveness = AttractivenessTable()
-        rows = self.attractiveness.B
-        for demand in demands:
-            self.waiting.setdefault(demand.origin, deque())
-            # destinations that are not nodes get no row; the demand check reports them
-            if demand.destination in node_names and demand.destination not in rows:
-                rows[demand.destination] = AttractivenessRow([0.0] * len(self.links))
+        origins = dict.fromkeys(d.origin for d in demands)
+        self.waiting: dict[str, deque[Platoon]] = {origin: deque() for origin in origins}
+        # destinations that are not nodes get no row; the demand check reports them
+        self.attractiveness = AttractivenessTable(
+            (d.destination for d in demands if d.destination in node_names), len(self.links)
+        )
         self.accumulators = [0.0] * len(demands)
         self.platoons: list[Platoon] = []
 
@@ -255,11 +254,8 @@ class World:
         self.rng = random.Random(config.seed)
         self.clock = 0
         self.log = RunLog(dt, config.platoon_size, duration, self.links_by_name, self.platoons)
-        names = list(self.nodes_by_name)
-        self.attractiveness.reach = {
-            z: {names[k]: cost for k, cost in enumerate(dist) if cost is not None}
-            for z, dist in routing.blend_trees(self, 1.0).items()
-        }
+        dists = routing.blend_trees(self, 1.0)
+        self.free_flow_cost: dict[tuple[str, str], float] = {}
         for row, d in enumerate(self.demands, start=1):
             if d.origin not in node_names:
                 raise UnknownNode(f"demand row {row}: origin {d.origin!r} is not a node")
@@ -274,10 +270,12 @@ class World:
                     f"demand row {row}: band {d.t_start}-{d.t_end} s is shorter than "
                     f"the {dt} s time step"
                 )
-            if d.origin not in self.attractiveness.reach[d.destination]:
+            cost = dists[d.destination][self.nodes_by_name[d.origin].id]
+            if cost is None:
                 raise UnreachableDemand(
                     f"demand row {row}: no directed path from {d.origin!r} to {d.destination!r}"
                 )
+            self.free_flow_cost[d.origin, d.destination] = cost
         vehicles = left_sum(d.flow * (d.t_end - d.t_start) for d in self.demands)
         platoons = vehicles / config.platoon_size
         if platoons > MAX_PLATOONS:

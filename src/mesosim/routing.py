@@ -18,14 +18,14 @@ bytes as the row's weights, 64 one-bit trees, the row is caught up in
 full and the history cleared. Searches run on integer ids from the
 World's node index, the only adjacency there is: node ids, and in_arcs
 of (link id, tail node id) pairs. The World's first blend, weight 1 into
-zero rows on empty links, makes B the free-flow indicator; its costs are
-kept as reach. Platoons at a node then sample their outgoing link with
-probability B / sum(B) over the node's candidates. That sum is positive
-wherever a platoon chooses: its node reaches the destination, so the
-latest tree gave one of its links at least route_weight (with
-route_weight 0 the row stays the free-flow indicator). The smoothing
-damps the volatility of instantaneous costs; route_weight = 1 follows
-the latest tree alone.
+zero rows on empty links, makes B the free-flow indicator; the World
+keeps its costs per demand pair. Platoons at a node then sample their
+outgoing link with probability B / sum(B) over the node's candidates.
+That sum is positive wherever a platoon chooses: its node reaches the
+destination, so the latest tree gave one of its links at least
+route_weight (with route_weight 0 the row stays the free-flow
+indicator). The smoothing damps the volatility of instantaneous costs;
+route_weight = 1 follows the latest tree alone.
 """
 
 from __future__ import annotations
@@ -47,60 +47,56 @@ _MAX_PENDING = 8 * array("d").itemsize
 class AttractivenessRow:
     """One destination's weights, blended on read.
 
-    values[j] is link id j's weight after the first applied[j] refreshes
-    of the history; refresh k blends trees[k], a bitset with bit j set
-    for each link id j on the tree, with weight lams[k].
+    values[j] is link id j's weight after the first applied[j] refreshes of
+    the history (at most _MAX_PENDING, so a byte); refresh k blends trees[k],
+    a bitset with bit j set for each link id j on the tree, with weight lams[k].
     """
 
     __slots__ = ("values", "applied", "trees", "lams")
 
     def __init__(self, values):
         self.values = array("d", values)
-        self.applied = array("i", [0]) * len(self.values)
+        self.applied = array("B", bytes(len(self.values)))
         self.trees: list[int] = []
         self.lams: list[float] = []
-
-    def caught_up(self) -> list[float]:
-        """Every weight, each pending refresh applied, in link id order."""
-        return [catch_up(self, j) for j in range(len(self.values))]
 
     def record(self, chosen: list[int], lam: float) -> None:
         """Queue a refresh blending the tree of link ids chosen with weight lam.
 
-        A history of _MAX_PENDING trees is applied in full and cleared
-        first, so it never outgrows the row.
+        A history of _MAX_PENDING trees is first applied to every element
+        and cleared, so it never outgrows the row.
         """
         if len(self.trees) == _MAX_PENDING:
-            self.caught_up()
+            for j in range(len(self.values)):
+                catch_up(self, j)
             self.trees.clear()
             self.lams.clear()
-            self.applied = array("i", [0]) * len(self.values)
+            self.applied = array("B", bytes(len(self.values)))
         # a tree's link ids are distinct, so their powers of two sum to its bitset
         self.trees.append(sum(map((1).__lshift__, chosen)))
         self.lams.append(lam)
 
 
 class AttractivenessTable:
-    """Per-destination, per-link sampling weights plus routing metadata.
+    """Per-destination, per-link sampling weights: the route-choice state.
 
-    B maps destination name to its AttractivenessRow; row(z) reads one
-    whole. reach maps destination name to the cost of the first,
-    free-flow tree, {node: cost}, keyed by exactly the nodes with a path
-    to it; it serves demand checks and delay baselines.
-    tree_computations counts shortest-path builds, including the
-    free-flow blend.
+    B maps each destination, in order of first appearance in destinations,
+    to its AttractivenessRow over n_links link ids, zero until the World's
+    free-flow blend; row(z) is the one whole-row read. tree_computations
+    counts shortest-path builds, including the free-flow blend.
     """
 
-    __slots__ = ("B", "reach", "tree_computations")
+    __slots__ = ("B", "tree_computations")
 
-    def __init__(self):
-        self.B: dict[str, AttractivenessRow] = {}
-        self.reach: dict[str, dict[str, float]] = {}
+    def __init__(self, destinations, n_links: int):
+        zero = array("d", [0.0]) * n_links
+        self.B = {z: AttractivenessRow(zero) for z in dict.fromkeys(destinations)}
         self.tree_computations = 0
 
     def row(self, z: str) -> list[float]:
         """Destination z's weights by link id, every refresh applied."""
-        return self.B[z].caught_up()
+        row = self.B[z]
+        return [catch_up(row, j) for j in range(len(row.values))]
 
 
 def shortest_tree(arcs, costs: list[float], names: list[str], z: int) -> tuple[list, list[int]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 from collections import defaultdict
@@ -24,6 +25,7 @@ from mesosim.node_transfer import signal_permits
 from mesosim.routing import shortest_tree
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+PERFBENCH_GRID = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "grid.py")
 
 # verdict lines registered by the acceptance tests, echoed after the run
 ACCEPTANCE_RESULTS: dict[int, str] = {}
@@ -100,6 +102,37 @@ def reaching(links: list[LinkSpec], z: str) -> set[str]:
                 found.add(link.from_node)
                 grew = True
     return found
+
+
+def reference_dist(nodes, costs, z):
+    """Each reaching node's cost to z, by fixed-point iteration over every link."""
+    dist = {z: 0.0}
+    grew = True
+    while grew:
+        grew = False
+        for node in nodes.values():
+            for link in node.outgoing:
+                head = dist.get(link.spec.to_node)
+                if head is not None:
+                    nd = costs[link.id] + head
+                    best = dist.get(node.name)
+                    if best is None or nd < best:
+                        dist[node.name] = nd
+                        grew = True
+    return dist
+
+
+def lattice_csvs(seed: int, size: int, destinations: int, bands: int) -> tuple[str, str, str]:
+    """The nodes, links and demand CSV texts of perfbench/grid.py's lattice
+    at size x size nodes, with its vehicles scaled by the node count."""
+    spec = importlib.util.spec_from_file_location("lattice", PERFBENCH_GRID)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)  # a fresh module, so the constants set below stay local
+    grid.VEHICLES = grid.VEHICLES * size**2 // grid.SIZE**2
+    grid.SIZE = size
+    grid.DESTINATIONS = destinations
+    grid.BANDS = bands
+    return grid.grid_csvs(seed)
 
 
 def node_index(links, *nodes: NodeSpec):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mesosim import ConsistencyError, analyzer, cli, engine, scenario
 from mesosim.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
 
-from conftest import demo_path
+from conftest import demo_path, lattice_csvs
 
 SUMMARY_RE = re.compile(
     r"^trips=\d+ ttt=[0-9.eE+-]+s delay=[0-9.eE+-]+s wall=[0-9.]+s$"
@@ -327,6 +327,39 @@ def test_empty_tsd_corridor_is_validation_error(tiny_scenario, capsys, corridor)
     assert code == 1
     assert capsys.readouterr().err == "error: --plot-tsd names no link\n"
     assert not _wrote_csv(tiny_scenario)
+
+
+# the address space a CLI child may use: about four times what the
+# interpreter and the parsed lattice need, half what the lattice's World needs
+_CLI_ADDRESS_SPACE = 100 * 2**20
+
+
+def test_out_of_memory_exits_2_without_traceback(tmp_path):
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY and hard < _CLI_ADDRESS_SPACE:
+        pytest.skip("the address-space limit is already below the test's")
+    paths = {"out": str(tmp_path / "out")}
+    # 1600 nodes, 6240 links and 1500 destinations: the World needs about 210 MB
+    for name, text in zip(("nodes", "links", "demand"), lattice_csvs(0, 40, 1500, 1500)):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        pathlib.Path(paths[name]).write_text(text)
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (_CLI_ADDRESS_SPACE, hard))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "mesosim", *base_args(paths)],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+    )
+    assert result.returncode == 2, result.stderr
+    assert re.match(r"^error: out of memory", result.stderr)
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1
 
 
 def test_console_script_help():

@@ -19,6 +19,7 @@ from mesosim import (
     build_world,
     cumulative_counts,
     mfd_points,
+    parse_demand,
     parse_links,
     parse_nodes,
     run,
@@ -32,6 +33,7 @@ from mesosim.kinematics import Platoon, instantaneous_travel_time
 from conftest import (
     bottleneck_world,
     chain_texts,
+    lattice_csvs,
     make_world,
     merge_world,
     random_digraph,
@@ -577,6 +579,30 @@ def test_run_log_memory_per_entry():
     entries = sum(len(p.trajectory) for p in world.platoons) + len(world.log.link_records)
     assert entries > 50000
     assert grown <= _LOG_BYTES_PER_ENTRY * entries, grown / entries
+
+
+# bytes a World build may retain per destination and link on the 12x12
+# lattice: routing rows of 8-byte weights and 1-byte applied counts retain
+# about 21; keeping every reaching node's free-flow cost for every
+# destination retained about 36
+_BUILD_BYTES_PER_DESTINATION_LINK = 28
+
+
+def test_world_build_memory_per_destination_link():
+    nodes, links, demand = lattice_csvs(0, size=12, destinations=123, bands=300)
+    nodes, links, demands = parse_nodes(nodes), parse_links(links), parse_demand(demand)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        world = build_world(SimConfig(duration=5400.0), nodes, links, demands)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    destination_links = len(world.attractiveness.B) * len(world.links)
+    assert destination_links == 123 * 528
+    assert grown <= _BUILD_BYTES_PER_DESTINATION_LINK * destination_links, (
+        grown / destination_links
+    )
 
 
 # bytes the link log may retain per logical record (one per link per step)

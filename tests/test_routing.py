@@ -38,6 +38,7 @@ from conftest import (
     random_digraph,
     reaching,
     reference_blend_row,
+    reference_dist,
     scan_run,
     single_link_texts,
     tree_by_name,
@@ -158,24 +159,6 @@ def test_tree_matches_two_pass_indicator(n, spanning_cycle, seed, data):
             assert dist[node] == costs[link.id] + dist[link.spec.to_node]
 
 
-def _reference_dist(nodes, costs, z):
-    """Each reaching node's cost to z, by fixed-point iteration over every link."""
-    dist = {z: 0.0}
-    grew = True
-    while grew:
-        grew = False
-        for node in nodes.values():
-            for link in node.outgoing:
-                head = dist.get(link.spec.to_node)
-                if head is not None:
-                    nd = costs[link.id] + head
-                    best = dist.get(node.name)
-                    if best is None or nd < best:
-                        dist[node.name] = nd
-                        grew = True
-    return dist
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 7),
@@ -204,7 +187,7 @@ def test_refresh_matches_two_pass_reference(n, graph_seed, extra_arcs, steps, ro
     table = world.attractiveness
     expected = {}
     for z in table.B:
-        dist = _reference_dist(world.nodes_by_name, costs, z)
+        dist = reference_dist(world.nodes_by_name, costs, z)
         chosen = _reference_next_links(world.nodes_by_name, costs, z, dist).values()
         expected[z] = reference_blend_row(table.row(z), [ids[name] for name in chosen],
                                           route_weight)
@@ -328,7 +311,7 @@ def test_reads_between_refreshes_match_eager_blend(prev, data):
     ids = st.integers(0, len(prev) - 1)
     refresh = st.tuples(st.lists(ids, unique=True), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
     ops = data.draw(st.lists(st.one_of(refresh, ids), max_size=60))
-    table = AttractivenessTable()
+    table = AttractivenessTable((), 0)
     table.B["z"] = row = AttractivenessRow(prev)
     eager = list(prev)
     for op in ops:
@@ -386,11 +369,10 @@ def _choice_node():
     return node, la, lb
 
 
-def _table(row, reach=frozenset({"m1", "m2", "Z"})):
+def _table(row):
     """A table whose row for Z holds row[0] for link A and row[1] for link B."""
-    table = AttractivenessTable()
+    table = AttractivenessTable((), 0)
     table.B["Z"] = AttractivenessRow(row)
-    table.reach["Z"] = set(reach)
     return table
 
 
@@ -423,7 +405,7 @@ def test_choose_single_candidate_needs_no_rng():
     la = LinkState(spec("A", "n", "m1"), 5)
     node = node_index([la])["n"]
     p = Platoon(0, "n", "Z", 0.0)
-    assert choose_outgoing(p, node, AttractivenessTable(), None) is la
+    assert choose_outgoing(p, node, AttractivenessTable((), 0), None) is la
 
 
 def test_choose_no_outgoing_raises():
@@ -435,7 +417,7 @@ def test_choose_no_outgoing_raises():
 
 def test_choose_zero_row_nothing_reaches_raises():
     node, _, _ = _choice_node()
-    table = _table([0.0, 0.0], reach={"Z"})
+    table = _table([0.0, 0.0])
     p = Platoon(0, "n", "Z", 0.0)
     with pytest.raises(ConsistencyError):
         choose_outgoing(p, node, table, random.Random(0))
@@ -632,9 +614,10 @@ def test_zero_weight_freezes_initial_table():
 def _assert_rows_positive(world):
     """Every node that reaches z, z aside, has outgoing weight toward z."""
     table = world.attractiveness
+    specs = [link.spec for link in world.links]
     for z in table.B:
         row = table.row(z)
-        for name in table.reach[z]:
+        for name in reaching(specs, z):
             if name != z:
                 outgoing = world.nodes_by_name[name].outgoing
                 assert sum(row[link.id] for link in outgoing) > 0.0, (z, name)

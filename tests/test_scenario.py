@@ -29,9 +29,19 @@ from mesosim import (
     parse_signal,
 )
 from mesosim.engine import MAX_PLATOONS
+from mesosim.kinematics import LinkState, instantaneous_travel_time
+from mesosim.routing import shortest_tree
 from mesosim.scenario import horizon
 
-from conftest import make_world, random_digraph, reaching, read_demo, single_link_texts
+from conftest import (
+    make_world,
+    node_index,
+    random_digraph,
+    reaching,
+    read_demo,
+    reference_dist,
+    single_link_texts,
+)
 
 LINK_HEADER = "name,from,to,length,free_flow_speed,jam_density,merge_priority"
 
@@ -301,7 +311,10 @@ def test_world_demand_error_names_its_row(row, error, message):
     assert str(info.value) == f"demand row 2: {message}"
 
 
-def test_reach_keys_are_exactly_the_reaching_nodes():
+def test_free_flow_costs_cover_exactly_the_reaching_nodes():
+    """The free-flow tree reaches exactly the nodes with a path to z, a demand
+    pair builds exactly when its origin is one of them, and the World stores
+    the pair's brute-force free-flow cost."""
     unreachable_pairs = 0
     for n in range(2, 8):
         for seed in range(6):
@@ -309,8 +322,14 @@ def test_reach_keys_are_exactly_the_reaching_nodes():
             links = random_digraph(n, rng, rng.randint(0, n * (n - 1)), spanning_cycle=False)
             names = [f"n{i}" for i in range(n)]
             nodes = [NodeSpec(name=name, x=0.0, y=0.0) for name in names]
+            states = [LinkState(link, 5) for link in links]
+            index = node_index(states, *nodes)
+            free_flow = [instantaneous_travel_time(state) for state in states]
             for z in names:
                 expected = reaching(links, z)
+                dist, _ = shortest_tree([node.in_arcs for node in index.values()], free_flow,
+                                        [state.name for state in states], index[z].id)
+                assert {name for name, cost in zip(index, dist) if cost is not None} == expected
                 for origin in names:
                     if origin == z:
                         continue
@@ -322,7 +341,9 @@ def test_reach_keys_are_exactly_the_reaching_nodes():
                             build_world(config, nodes, links, demand)
                         continue
                     world = build_world(config, nodes, links, demand)
-                    assert set(world.attractiveness.reach[z]) == expected, (n, seed, z)
+                    costs = [instantaneous_travel_time(link) for link in world.links]
+                    cost = reference_dist(world.nodes_by_name, costs, z)[origin]
+                    assert world.free_flow_cost == {(origin, z): cost}, (n, seed, z)
     assert unreachable_pairs > 0
 
 
