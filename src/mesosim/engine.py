@@ -192,6 +192,7 @@ class World:
         links: list[LinkSpec],
         demands: list[DemandSpec],
     ):
+        nodes, links, demands = list(nodes), list(links), list(demands)
         node_names: set[str] = set()
         for spec in nodes:
             if spec.name in node_names:
@@ -217,7 +218,7 @@ class World:
         self.duration = duration = horizon(config)
         dt = config.time_step
         self.total_steps = int(round(duration / dt))
-        self.demands = list(demands)
+        self.demands = demands
 
         self.nodes_by_name = index_nodes(nodes, self.links)
         for node in self.nodes_by_name.values():
@@ -242,7 +243,8 @@ class World:
         self.waiting: dict[str, deque[Platoon]] = {origin: deque() for origin in origins}
         # destinations that are not nodes get no row; the demand check reports them
         self.attractiveness = AttractivenessTable(
-            (d.destination for d in demands if d.destination in node_names), len(self.links)
+            (d.destination for d in demands if d.destination in node_names),
+            list(self.nodes_by_name.values()), config.route_weight,
         )
         self.accumulators = [0.0] * len(demands)
         self.platoons: list[Platoon] = []
@@ -254,8 +256,19 @@ class World:
         self.rng = random.Random(config.seed)
         self.clock = 0
         self.log = RunLog(dt, config.platoon_size, duration, self.links_by_name, self.platoons)
-        dists = routing.blend_trees(self, 1.0)
+        # the free-flow pass: the weight-1 blend into zero rows writes 1.0 on each
+        # tree link, and each demand pair's cost is read as its tree is built (None
+        # where no path leads there, which the row check below reports)
+        pairs = {}  # destination -> origin node of each of its demand rows
+        for d in demands:
+            if d.origin in node_names:
+                pairs.setdefault(d.destination, []).append(self.nodes_by_name[d.origin])
         self.free_flow_cost: dict[tuple[str, str], float] = {}
+        for z, dist, chosen in routing.build_trees(self):
+            for j in chosen:
+                self.attractiveness.B[z].values[j] = 1.0
+            for origin in pairs.get(z, ()):
+                self.free_flow_cost[origin.name, z] = dist[origin.id]
         for row, d in enumerate(self.demands, start=1):
             if d.origin not in node_names:
                 raise UnknownNode(f"demand row {row}: origin {d.origin!r} is not a node")
@@ -270,12 +283,10 @@ class World:
                     f"demand row {row}: band {d.t_start}-{d.t_end} s is shorter than "
                     f"the {dt} s time step"
                 )
-            cost = dists[d.destination][self.nodes_by_name[d.origin].id]
-            if cost is None:
+            if self.free_flow_cost[d.origin, d.destination] is None:
                 raise UnreachableDemand(
                     f"demand row {row}: no directed path from {d.origin!r} to {d.destination!r}"
                 )
-            self.free_flow_cost[d.origin, d.destination] = cost
         vehicles = left_sum(d.flow * (d.t_end - d.t_start) for d in self.demands)
         platoons = vehicles / config.platoon_size
         if platoons > MAX_PLATOONS:

@@ -9,21 +9,20 @@ indicator b is blended into the row:
     B = (1 - route_weight) * B_prev + route_weight * b
 
 A refresh does not rewrite the row. It appends the tree, as a bitset of
-link ids, and its weight to the row's history, so it costs destinations
-x one search. The blend is paid per element read: catch_up replays an
-element's pending refreshes, in order, when route choice or the row
-accessor reads it, and checks the convexity rule (each value between its
-two inputs) on every value it makes. Once the history would hold as many
-bytes as the row's weights, 64 one-bit trees, the row is caught up in
-full and the history cleared. Searches run on integer ids from the
-World's node index, the only adjacency there is: node ids, and in_arcs
-of (link id, tail node id) pairs. The World's first blend, weight 1 into
-zero rows on empty links, makes B the free-flow indicator; the World
-keeps its costs per demand pair. Platoons at a node then sample their
-outgoing link with probability B / sum(B) over the node's candidates.
-That sum is positive wherever a platoon chooses: its node reaches the
-destination, so the latest tree gave one of its links at least
-route_weight (with route_weight 0 the row stays the free-flow
+link ids, to the row's history, so it costs destinations x one search.
+Route choice reads a node's outgoing links together, so a row counts the
+trees applied per node: catch_up, the one read path, replays a node's
+pending trees on its links, in order, checks the convexity rule (each
+value between its two inputs) on every value it makes, and returns the
+weights. A history of 64 one-bit trees, as many bytes as the row's
+weights, is applied to every node and cleared. Searches run on integer
+ids from the World's node index: node ids, and in_arcs of (link id, tail
+node id) pairs. The World's free-flow pass writes 1.0 on each free-flow
+tree link, so B starts as the free-flow indicator. Platoons at a node
+then sample their outgoing link with probability B / sum(B) over the
+node's candidates. That sum is positive wherever a platoon chooses: its
+node reaches the destination, so the latest tree gave one of its links
+at least route_weight (with route_weight 0 the row stays the free-flow
 indicator). The smoothing damps the volatility of instantaneous costs;
 route_weight = 1 follows the latest tree alone.
 """
@@ -45,58 +44,93 @@ _MAX_PENDING = 8 * array("d").itemsize
 
 
 class AttractivenessRow:
-    """One destination's weights, blended on read.
-
-    values[j] is link id j's weight after the first applied[j] refreshes of
-    the history (at most _MAX_PENDING, so a byte); refresh k blends trees[k],
-    a bitset with bit j set for each link id j on the tree, with weight lams[k].
+    """One destination's weights, blended on read: values[j] is link id j's
+    weight after the first applied[k] trees, k being its tail node's id (at
+    most _MAX_PENDING, so a byte), and trees[r] has bit j set when refresh
+    r's tree holds link id j.
     """
 
-    __slots__ = ("values", "applied", "trees", "lams")
+    __slots__ = ("values", "applied", "trees")
 
-    def __init__(self, values):
-        self.values = array("d", values)
-        self.applied = array("B", bytes(len(self.values)))
+    def __init__(self, n_links: int, n_nodes: int):
+        self.values = array("d", [0.0]) * n_links
+        self.applied = array("B", [0]) * n_nodes
         self.trees: list[int] = []
-        self.lams: list[float] = []
-
-    def record(self, chosen: list[int], lam: float) -> None:
-        """Queue a refresh blending the tree of link ids chosen with weight lam.
-
-        A history of _MAX_PENDING trees is first applied to every element
-        and cleared, so it never outgrows the row.
-        """
-        if len(self.trees) == _MAX_PENDING:
-            for j in range(len(self.values)):
-                catch_up(self, j)
-            self.trees.clear()
-            self.lams.clear()
-            self.applied = array("B", bytes(len(self.values)))
-        # a tree's link ids are distinct, so their powers of two sum to its bitset
-        self.trees.append(sum(map((1).__lshift__, chosen)))
-        self.lams.append(lam)
 
 
 class AttractivenessTable:
     """Per-destination, per-link sampling weights: the route-choice state.
 
     B maps each destination, in order of first appearance in destinations,
-    to its AttractivenessRow over n_links link ids, zero until the World's
-    free-flow blend; row(z) is the one whole-row read. tree_computations
-    counts shortest-path builds, including the free-flow blend.
+    to its AttractivenessRow over the links leaving nodes (NodeRuntimes by
+    id), zero until the World's free-flow pass. Trees blend with weight lam;
+    tree_computations counts shortest-path builds, free-flow ones included.
     """
 
-    __slots__ = ("B", "tree_computations")
+    __slots__ = ("B", "nodes", "lam", "tree_computations")
 
-    def __init__(self, destinations, n_links: int):
-        zero = array("d", [0.0]) * n_links
-        self.B = {z: AttractivenessRow(zero) for z in dict.fromkeys(destinations)}
+    def __init__(self, destinations, nodes, lam: float):
+        self.nodes = nodes
+        self.lam = lam
+        n_links = sum(len(node.outgoing) for node in nodes)
+        self.B = {z: AttractivenessRow(n_links, len(nodes)) for z in dict.fromkeys(destinations)}
         self.tree_computations = 0
+
+    def record(self, z: str, chosen) -> None:
+        """Queue a refresh of destination z's row blending the tree of link ids chosen.
+
+        A history of _MAX_PENDING trees is first applied to every link and
+        cleared, so it never outgrows the row.
+        """
+        row = self.B[z]
+        if len(row.trees) == _MAX_PENDING:
+            self.row(z)
+            row.trees.clear()
+            row.applied = array("B", [0]) * len(self.nodes)
+        # a tree's link ids are distinct, so their powers of two sum to its bitset
+        row.trees.append(sum(map((1).__lshift__, chosen)))
 
     def row(self, z: str) -> list[float]:
         """Destination z's weights by link id, every refresh applied."""
-        row = self.B[z]
-        return [catch_up(row, j) for j in range(len(row.values))]
+        for node in self.nodes:
+            self.catch_up(self.B[z], node)
+        return self.B[z].values.tolist()
+
+    def catch_up(self, row: AttractivenessRow, node) -> list[float]:
+        """The weights of node's outgoing links, in order, every refresh applied.
+
+        Each pending tree, in order, scales a value by keep = 1 - lam and adds
+        lam on the tree: bitwise the two-term blend keep * old + lam * b for
+        lam and values in [0, 1]. Each result must land between its two
+        inputs, within _CONVEXITY_TOL. The values and the node's applied
+        count are stored.
+        """
+        values = row.values
+        trees = row.trees
+        start = row.applied[node.id]
+        if start < len(trees):
+            pending = trees[start:]
+            lam = self.lam
+            keep = 1.0 - lam
+            for link in node.outgoing:
+                j = link.id
+                bit = 1 << j
+                value = values[j]
+                for tree in pending:
+                    old = value
+                    if tree & bit:
+                        value = keep * old + lam
+                        lo, hi = (old, 1.0) if old <= 1.0 else (1.0, old)
+                    else:
+                        value = keep * old
+                        lo, hi = (old, 0.0) if old <= 0.0 else (0.0, old)
+                    if value < lo - _CONVEXITY_TOL or value > hi + _CONVEXITY_TOL:
+                        raise ConsistencyError(
+                            f"attractiveness update left [{lo}, {hi}]: {value} for link id {j}"
+                        )
+                values[j] = value
+            row.applied[node.id] = len(trees)
+        return [values[link.id] for link in node.outgoing]
 
 
 def shortest_tree(arcs, costs: list[float], names: list[str], z: int) -> tuple[list, list[int]]:
@@ -134,38 +168,6 @@ def shortest_tree(arcs, costs: list[float], names: list[str], z: int) -> tuple[l
     return dist, [link_id for link_id in next_link if link_id is not None]
 
 
-def catch_up(row: AttractivenessRow, j: int) -> float:
-    """Link id j's weight with its pending refreshes applied, in order.
-
-    Each refresh scales the value by keep = 1 - lam and adds lam on its
-    tree: bitwise the two-term blend keep * old + lam * b for lam and
-    values in [0, 1]. Each result must land between its two inputs,
-    within _CONVEXITY_TOL. The value and its applied count are stored.
-    """
-    value = row.values[j]
-    trees = row.trees
-    done = len(trees)
-    if row.applied[j] < done:
-        bit = 1 << j
-        lams = row.lams
-        for k in range(row.applied[j], done):
-            old = value
-            lam = lams[k]
-            if trees[k] & bit:
-                value = (1.0 - lam) * old + lam
-                lo, hi = (old, 1.0) if old <= 1.0 else (1.0, old)
-            else:
-                value = (1.0 - lam) * old
-                lo, hi = (old, 0.0) if old <= 0.0 else (0.0, old)
-            if value < lo - _CONVEXITY_TOL or value > hi + _CONVEXITY_TOL:
-                raise ConsistencyError(
-                    f"attractiveness update left [{lo}, {hi}]: {value} for link id {j}"
-                )
-        row.values[j] = value
-        row.applied[j] = done
-    return value
-
-
 def weighted_draw(weights, rng: random.Random) -> int:
     """Index k drawn with probability weights[k] / total, by one rng.random().
 
@@ -193,39 +195,28 @@ def weighted_draw(weights, rng: random.Random) -> int:
 def choose_outgoing(platoon, node, table: AttractivenessTable, rng: random.Random):
     """Sample the platoon's next link among the node's outgoing links.
 
-    Weights come from the platoon's destination row; an element behind
-    the row's history is caught up first. A single candidate is taken
-    without a draw.
+    Weights come from the platoon's destination row, caught up for the
+    node. A single candidate is taken without a draw.
     """
     candidates = node.outgoing
     if len(candidates) == 1:
         return candidates[0]
-    row = table.B[platoon.destination]
-    values, applied, done = row.values, row.applied, len(row.trees)
-    weights = [
-        values[link.id] if applied[link.id] == done else catch_up(row, link.id)
-        for link in candidates
-    ]
+    weights = table.catch_up(table.B[platoon.destination], node)
     return candidates[weighted_draw(weights, rng)]
 
 
-def blend_trees(world, lam: float) -> dict:
-    """Record each destination's tree under current link costs in its B row.
-
-    An empty link costs its free-flow time. Returns each destination's
-    dist list, indexed by node id.
-    """
+def build_trees(world):
+    """Yield (z, dist, next link ids) from shortest_tree for each destination z,
+    in row order, under current link costs (an empty link costs its free-flow
+    time). Every build counts in tree_computations."""
     table = world.attractiveness
     costs = [kinematics.instantaneous_travel_time(link) for link in world.links]
     names = [link.name for link in world.links]
-    nodes = world.nodes_by_name
-    arcs = [node.in_arcs for node in nodes.values()]
-    dists = {}
-    for z, row in table.B.items():
-        dists[z], chosen = shortest_tree(arcs, costs, names, nodes[z].id)
-        row.record(chosen, lam)
+    arcs = [node.in_arcs for node in table.nodes]
+    for z in table.B:
+        dist, chosen = shortest_tree(arcs, costs, names, world.nodes_by_name[z].id)
         table.tree_computations += 1
-    return dists
+        yield z, dist, chosen
 
 
 def maybe_refresh(world, i: int) -> AttractivenessTable:
@@ -234,5 +225,6 @@ def maybe_refresh(world, i: int) -> AttractivenessTable:
     Off-cadence steps are a no-op.
     """
     if i % world.config.route_update_interval == 0:
-        blend_trees(world, world.config.route_weight)
+        for z, _dist, chosen in build_trees(world):
+            world.attractiveness.record(z, chosen)
     return world.attractiveness

@@ -16,9 +16,9 @@ The optional signal cell uses the grammar ``offset:dur1:linkA|linkB;dur2:linkC``
 An empty cell means the node is unsignalized.
 
 Each rule is checked once, in the type that owns it. The spec types check
-their own fields however they are built: non-empty names, finite numbers,
-signal phases as (duration, frozenset of link names) pairs of positive
-duration that permit a link. SimConfig checks the step count
+their own fields however they are built: names as non-empty strings,
+finite numbers, signal phases as (duration, frozenset of link names)
+pairs of positive duration that permit a link. SimConfig checks the step count
 (in [1, 2**52]), World the rules across records. Every parse failure is
 a ParseError naming its data row (blank rows are not counted, as in the
 World's demand rows); the CLI adds the file.
@@ -68,6 +68,15 @@ def _require_finite(owner: str, spec, *fields: str) -> None:
         value = getattr(spec, name)
         if not _is_finite(value):
             raise ValidationError(f"{owner}{name} must be finite, got {value!r}")
+
+
+def _require_names(owner: str, spec, *fields: str) -> None:
+    for name in fields:
+        value = getattr(spec, name)
+        if not isinstance(value, str):
+            raise ValidationError(f"{owner}{name} must be a string, got {value!r}")
+        if not value:
+            raise ValidationError(f"{owner}{name} must not be empty")
 
 
 def _is_count(value) -> bool:
@@ -177,8 +186,7 @@ class NodeSpec:
     signal: SignalPlan | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("node name must not be empty")
+        _require_names("node ", self, "name")
         _require_finite(f"node {self.name}: ", self, "x", "y")
 
 
@@ -195,8 +203,8 @@ class LinkSpec:
     merge_priority: float = DEFAULT_MERGE_PRIORITY
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("link name must not be empty")
+        _require_names("link ", self, "name")
+        _require_names(f"link {self.name}: ", self, "from_node", "to_node")
         fields = ("length", "free_flow_speed", "jam_density", "merge_priority")
         _require_finite(f"link {self.name}: ", self, *fields)
         if self.from_node == self.to_node:
@@ -227,6 +235,7 @@ class DemandSpec:
     flow: float
 
     def __post_init__(self):
+        _require_names("demand ", self, "origin", "destination")
         _require_finite("demand ", self, "t_start", "t_end", "flow")
         if self.origin == self.destination:
             raise ValidationError("demand origin and destination must differ")

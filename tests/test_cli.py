@@ -342,7 +342,7 @@ def test_out_of_memory_exits_2_without_traceback(tmp_path):
     if hard != resource.RLIM_INFINITY and hard < _CLI_ADDRESS_SPACE:
         pytest.skip("the address-space limit is already below the test's")
     paths = {"out": str(tmp_path / "out")}
-    # 1600 nodes, 6240 links and 1500 destinations: the World needs about 210 MB
+    # 1600 nodes, 6240 links and 1500 destinations: building the World peaks near 100 MB RSS
     for name, text in zip(("nodes", "links", "demand"), lattice_csvs(0, 40, 1500, 1500)):
         paths[name] = str(tmp_path / f"{name}.csv")
         pathlib.Path(paths[name]).write_text(text)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -22,10 +23,7 @@ from mesosim import (
 )
 from mesosim.kinematics import LinkState, Platoon, instantaneous_travel_time
 from mesosim.routing import (
-    AttractivenessRow,
     AttractivenessTable,
-    blend_trees,
-    catch_up,
     choose_outgoing,
     maybe_refresh,
     weighted_draw,
@@ -191,15 +189,30 @@ def test_refresh_matches_two_pass_reference(n, graph_seed, extra_arcs, steps, ro
         chosen = _reference_next_links(world.nodes_by_name, costs, z, dist).values()
         expected[z] = reference_blend_row(table.row(z), [ids[name] for name in chosen],
                                           route_weight)
-    blend_trees(world, route_weight)
+    maybe_refresh(world, 0)  # step 0 is on every cadence
     assert {z: table.row(z) for z in table.B} == expected
 
 
+def hand_table(prev, lam=0.5, tails=None):
+    """A table whose row for destination z holds prev by link id, and its node index.
+
+    Link id j is link l{j}, from node t{tails[j]} (t0 by default) to node s;
+    nodes t0 up to the last tail come first, in order, then s.
+    """
+    tails = [0] * len(prev) if tails is None else tails
+    states = [LinkState(spec(f"l{j}", f"t{k}", "s"), 5) for j, k in enumerate(tails)]
+    tail_nodes = (NodeSpec(name=f"t{k}", x=0.0, y=0.0) for k in range(max(tails, default=0) + 1))
+    nodes = node_index(states, *tail_nodes)
+    table = AttractivenessTable(["z"], list(nodes.values()), lam)
+    table.B["z"].values = array("d", prev)
+    return table, nodes
+
+
 def blend_once(prev, chosen, lam):
-    """One refresh recorded on a row of prev, then each element read by catch_up."""
-    row = AttractivenessRow(prev)
-    row.record(chosen, lam)
-    return [catch_up(row, j) for j in range(len(prev))]
+    """One refresh with weight lam recorded on a row of prev, then the row read whole."""
+    table, _ = hand_table(prev, lam)
+    table.record("z", chosen)
+    return table.row("z")
 
 
 def test_update_blends_halfway():
@@ -246,6 +259,11 @@ UNIT_FLOATS = st.one_of(
 )
 
 
+# blend weights: the tested set and any other in [0, 1]
+UNIT_WEIGHTS = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+                         st.floats(min_value=0.0, max_value=1.0))
+
+
 def _hex_row(row):
     return [value.hex() for value in row]
 
@@ -253,7 +271,7 @@ def _hex_row(row):
 @settings(max_examples=300)
 @given(
     prev=st.lists(UNIT_FLOATS, max_size=40),
-    lam=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    lam=UNIT_WEIGHTS,
     data=st.data(),
 )
 def test_blend_row_matches_reference_bitwise(prev, lam, data):
@@ -304,24 +322,39 @@ def test_blend_row_accepts_nan_like_reference():
             assert math.isnan(out[1])
 
 
-@settings(max_examples=300)
-@given(prev=st.lists(UNIT_FLOATS, min_size=1, max_size=40), data=st.data())
-def test_reads_between_refreshes_match_eager_blend(prev, data):
-    """Each element read, with any refreshes pending, is bitwise the eager blend."""
-    ids = st.integers(0, len(prev) - 1)
-    refresh = st.tuples(st.lists(ids, unique=True), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
-    ops = data.draw(st.lists(st.one_of(refresh, ids), max_size=60))
-    table = AttractivenessTable((), 0)
-    table.B["z"] = row = AttractivenessRow(prev)
+def _check_node_reads(prev, lam, data, refreshes):
+    """Records refreshes random trees on a row of prev whose links leave random
+    nodes, reading random nodes between them: each read, and the row read whole
+    at the end, is bitwise the eager blend."""
+    n = len(prev)
+    table, nodes = hand_table(prev, lam, data.draw(st.lists(st.integers(0, n - 1),
+                                                            min_size=n, max_size=n)))
+    row = table.B["z"]
+    names = st.sampled_from(sorted(nodes))
     eager = list(prev)
-    for op in ops:
-        if isinstance(op, tuple):
-            chosen, lam = op
-            row.record(chosen, lam)
-            eager = reference_blend_row(eager, chosen, lam)
-        else:
-            assert catch_up(row, op).hex() == eager[op].hex()
+    for _ in range(refreshes):
+        for name in data.draw(st.lists(names, max_size=3)):
+            expected = [eager[link.id] for link in nodes[name].outgoing]
+            assert _hex_row(table.catch_up(row, nodes[name])) == _hex_row(expected)
+        mask = data.draw(st.integers(0, 2**n - 1))
+        chosen = [j for j in range(n) if mask >> j & 1]
+        table.record("z", chosen)
+        eager = reference_blend_row(eager, chosen, lam)
     assert _hex_row(table.row("z")) == _hex_row(eager)
+
+
+@settings(max_examples=300)
+@given(prev=st.lists(UNIT_FLOATS, min_size=1, max_size=40), lam=UNIT_WEIGHTS, data=st.data())
+def test_reads_between_refreshes_match_eager_blend(prev, lam, data):
+    """Each node read, with any refreshes pending, is bitwise the eager blend."""
+    _check_node_reads(prev, lam, data, data.draw(st.integers(0, 20)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(prev=st.lists(UNIT_FLOATS, min_size=1, max_size=24), lam=UNIT_WEIGHTS, data=st.data())
+def test_node_reads_across_flushes_match_eager_blend(prev, lam, data):
+    """Node reads stay bitwise the eager blend across at least two history flushes."""
+    _check_node_reads(prev, lam, data, 2 * routing._MAX_PENDING + data.draw(st.integers(1, 9)))
 
 
 def test_history_stays_bounded_and_rows_match_eager_blend(monkeypatch):
@@ -347,7 +380,8 @@ def test_history_stays_bounded_and_rows_match_eager_blend(monkeypatch):
     table = world.attractiveness
     zero = [0.0] * len(world.links)
     eager = {z: reference_blend_row(zero, chosen, 1.0) for z, chosen in zip(table.B, trees)}
-    for records in range(2, steps + 2):
+    # the free-flow pass writes its trees into the rows; each step records one more
+    for records in range(1, steps + 1):
         trees.clear()
         step(world)
         assert len(trees) == len(eager)
@@ -355,33 +389,19 @@ def test_history_stays_bounded_and_rows_match_eager_blend(monkeypatch):
             eager[z] = reference_blend_row(eager[z], chosen, 0.3)
         for row in table.B.values():
             assert len(row.trees) == (records - 1) % bound + 1
-        if records % 37 == 0 or records == steps + 1:
+        if records % 37 == 0 or records == steps:
             for z in table.B:
                 assert _hex_row(table.row(z)) == _hex_row(eager[z]), (records, z)
     assert world.clock == steps
     assert sum(link.entered_count for link in world.links) > 0
 
 
-def _choice_node():
-    la = LinkState(spec("A", "n", "m1"), 5)
-    lb = LinkState(spec("B", "n", "m2"), 5)
-    node = node_index([la, lb])["n"]
-    return node, la, lb
-
-
-def _table(row):
-    """A table whose row for Z holds row[0] for link A and row[1] for link B."""
-    table = AttractivenessTable((), 0)
-    table.B["Z"] = AttractivenessRow(row)
-    return table
-
-
 def _sample_share(row, draws=10000, seed=11):
-    node, la, _ = _choice_node()
-    table = _table(row)
+    table, nodes = hand_table(row)
+    node = nodes["t0"]
     rng = random.Random(seed)
-    p = Platoon(0, "n", "Z", 0.0)
-    hits = sum(choose_outgoing(p, node, table, rng) is la for _ in range(draws))
+    p = Platoon(0, "t0", "z", 0.0)
+    hits = sum(choose_outgoing(p, node, table, rng) is node.outgoing[0] for _ in range(draws))
     return hits / draws
 
 
@@ -390,11 +410,11 @@ def test_choose_symmetric_row():
 
 
 def test_choose_degenerate_row_always_wins():
-    node, la, _ = _choice_node()
-    table = _table([1.0, 0.0])
+    table, nodes = hand_table([1.0, 0.0])
+    node = nodes["t0"]
     rng = random.Random(12)
-    p = Platoon(0, "n", "Z", 0.0)
-    assert all(choose_outgoing(p, node, table, rng) is la for _ in range(200))
+    p = Platoon(0, "t0", "z", 0.0)
+    assert all(choose_outgoing(p, node, table, rng) is node.outgoing[0] for _ in range(200))
 
 
 def test_choose_weighted_row():
@@ -405,22 +425,21 @@ def test_choose_single_candidate_needs_no_rng():
     la = LinkState(spec("A", "n", "m1"), 5)
     node = node_index([la])["n"]
     p = Platoon(0, "n", "Z", 0.0)
-    assert choose_outgoing(p, node, AttractivenessTable((), 0), None) is la
+    assert choose_outgoing(p, node, AttractivenessTable((), [], 0.5), None) is la
 
 
 def test_choose_no_outgoing_raises():
-    node = node_index([], NodeSpec(name="n", x=0.0, y=0.0))["n"]
-    p = Platoon(0, "n", "Z", 0.0)
+    table, nodes = hand_table([])
+    p = Platoon(0, "t0", "z", 0.0)
     with pytest.raises(ConsistencyError):
-        choose_outgoing(p, node, _table([]), random.Random(0))
+        choose_outgoing(p, nodes["t0"], table, random.Random(0))
 
 
 def test_choose_zero_row_nothing_reaches_raises():
-    node, _, _ = _choice_node()
-    table = _table([0.0, 0.0])
-    p = Platoon(0, "n", "Z", 0.0)
+    table, nodes = hand_table([0.0, 0.0])
+    p = Platoon(0, "t0", "z", 0.0)
     with pytest.raises(ConsistencyError):
-        choose_outgoing(p, node, table, random.Random(0))
+        choose_outgoing(p, nodes["t0"], table, random.Random(0))
 
 
 def _old_select_incoming_order(incoming, alphas, rng):

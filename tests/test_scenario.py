@@ -3,6 +3,7 @@
 import contextlib
 import logging
 import math
+import os
 import random
 
 import pytest
@@ -23,10 +24,12 @@ from mesosim import (
     ValidationError,
     World,
     build_world,
+    export_csv,
     parse_demand,
     parse_links,
     parse_nodes,
     parse_signal,
+    run,
 )
 from mesosim.engine import MAX_PLATOONS
 from mesosim.kinematics import LinkState, instantaneous_travel_time
@@ -247,6 +250,46 @@ def test_specs_reject_empty_names():
     with pytest.raises(ValidationError, match="link name must not be empty"):
         LinkSpec(name="", from_node="A", to_node="B", length=1000.0,
                  free_flow_speed=20.0, jam_density=0.2)
+
+
+_LINK_FIELDS = dict(name="AB", from_node="A", to_node="B", length=1000.0,
+                   free_flow_speed=20.0, jam_density=0.2)
+_DEMAND_FIELDS = dict(origin="A", destination="B", t_start=0.0, t_end=10.0, flow=0.5)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda **kw: NodeSpec(**{"name": "A", "x": 0.0, "y": 0.0, **kw}), "name"),
+    (lambda **kw: LinkSpec(**{**_LINK_FIELDS, **kw}), "name"),
+    (lambda **kw: LinkSpec(**{**_LINK_FIELDS, **kw}), "from_node"),
+    (lambda **kw: LinkSpec(**{**_LINK_FIELDS, **kw}), "to_node"),
+    (lambda **kw: DemandSpec(**{**_DEMAND_FIELDS, **kw}), "origin"),
+    (lambda **kw: DemandSpec(**{**_DEMAND_FIELDS, **kw}), "destination"),
+], ids=["node.name", "link.name", "link.from_node", "link.to_node", "demand.origin",
+        "demand.destination"])
+@pytest.mark.parametrize("value", [["A"], None, 7, ("A",), b"A", ""],
+                         ids=["list", "None", "int", "tuple", "bytes", "empty"])
+def test_spec_names_must_be_non_empty_strings(build, field, value):
+    build()  # the defaults build
+    match = "must not be empty" if value == "" else f"{field} must be a string"
+    with pytest.raises(ValidationError, match=match):
+        build(**{field: value})
+
+
+def _export_bytes(world, out_dir):
+    run(world)
+    return {os.path.basename(path): open(path, "rb").read()
+            for path in export_csv(world.log, world, str(out_dir))}
+
+
+def test_build_world_takes_any_iterable(tmp_path):
+    nodes = parse_nodes(read_demo("uroboros", "nodes.csv"))
+    links = parse_links(read_demo("uroboros", "links.csv"))
+    demands = parse_demand(read_demo("uroboros", "demand.csv"))
+    config = SimConfig(duration=3000.0)
+    expected = _export_bytes(build_world(config, nodes, links, demands), tmp_path / "list")
+    for kind, wrap in (("tuple", tuple), ("generator", lambda items: (x for x in items))):
+        world = build_world(config, wrap(nodes), wrap(links), wrap(demands))
+        assert _export_bytes(world, tmp_path / kind) == expected, kind
 
 
 def test_build_world_minimal_has_one_destination():
