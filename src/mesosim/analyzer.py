@@ -16,11 +16,13 @@ out of a step holds no platoons and repeats its last record. So
 mfd_points sums the stored records of each bin's steps,
 cumulative_counts reads its own link's records and carries them forward,
 and links.csv re-renders the rows of each step's stored slices. A
-trajectory point's time and link follow from its step and hops. The
-export renders each distinct number (6 significant digits), step time
-and name (quoted by the csv module's rules) once per call, in bounded
-memos, and writes each table as pre-rendered lines: one chunk per
-platoon for vehicles.csv and one per step for links.csv.
+trajectory point's time and link follow from its step and hops, and its
+position from Trajectory.positions(), the one reader of the runs, which
+vehicles.csv and time_space_points share. The export renders each
+distinct number (6 significant digits), step time and name (quoted by
+the csv module's rules) once per call, in bounded memos, and writes each
+table as pre-rendered lines: one chunk per platoon for vehicles.csv and
+one per step for links.csv.
 """
 
 from __future__ import annotations
@@ -188,12 +190,15 @@ def time_space_points(log, link_sequence: list[str]) -> dict[int, list[tuple[flo
     for platoon in log.platoons:
         trajectory = platoon.trajectory
         points = []
+        positions = None
         for start, end, name in trajectory.segments():
             if name in offsets:
+                if positions is None:
+                    positions = trajectory.positions()
                 offset = offsets[name]
                 points.extend(
                     (step * dt, offset + x)
-                    for step, x in enumerate(trajectory.x[start:end], trajectory.first + start)
+                    for step, x in enumerate(positions[start:end], trajectory.first + start)
                 )
         if points:
             polylines[platoon.id] = points
@@ -287,8 +292,9 @@ def export_csv(log, world, out_dir: str, mfd: list[MFDPoint] | None = None) -> l
                 on_link = chain.from_iterable(
                     repeat(name(link), end - start) for start, end, link in trajectory.segments()
                 )
-                yield _lines(map(step_time, range(first, first + len(trajectory))), repeat(ids),
-                             on_link, map(num, trajectory.x), map(num, trajectory.speeds(dt)))
+                x = trajectory.positions()
+                yield _lines(map(step_time, range(first, first + len(x))), repeat(ids),
+                             on_link, map(num, x), map(num, trajectory.speeds(dt, x)))
 
     def links():
         names = [name(link) for link in log.links_by_name]

@@ -135,8 +135,10 @@ class RunLog:
     stamped with the step end time: step s's records are at (s + 1) * dt,
     and link ids follow links_by_name, the World's link index. Counts are
     in platoon units. platoons is the World's platoon list; their
-    trajectories are the only record of where each went. link_rows(),
-    Trajectory.rows() and transfer_events read the columns back.
+    trajectories are the only record of where each went, kept as runs of
+    free-flow, standing and explicit points (see kinematics.Trajectory).
+    link_rows() reads the records back, Trajectory.positions() and rows()
+    the points, and transfer_events the hops.
     """
 
     __slots__ = ("dt", "platoon_size", "duration", "links_by_name", "link_records", "platoons",

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import repeat
+from itertools import accumulate, islice, repeat
+from math import copysign
 from operator import sub, truediv
 
 from .errors import ConsistencyError
@@ -27,51 +28,161 @@ from .scenario import LinkSpec
 
 _SPACING_TOL = 1e-9
 V_MIN = 1.0  # speed floor, m/s, for link costs (see instantaneous_travel_time)
+# the kinds of a trajectory run, the low two bits of its header (see Trajectory)
+EXPLICIT, FREE, STAND = 0, 1, 2
+
+
+def _same_bits(x: float, y: float) -> bool:
+    """Whether x and y are one float, the sign of zero included."""
+    return x == y and (x != 0.0 or copysign(1.0, x) == copysign(1.0, y))
 
 
 class Trajectory:
-    """A platoon's logged positions, one per step spent on a link, as a column.
+    """A platoon's logged positions, one per step spent on a link, kept as runs.
 
-    x holds the positions, appended by update_link as it moves the platoon.
     Points run without a gap from insertion to arrival or the horizon, so
     the k-th point is stamped (first + k) * dt, the end time of step
     first + k - 1. hops lists one (point index, link name) entry per link
     entered: points from that index up to the next entry's were logged on
-    that link. Speeds are not stored: speeds(dt) derives them from x and hops.
+    that link. len() counts points.
+
+    A point's previous position is the point before it, or 0.0 at a hop's
+    first point. The motion rule fixes most points from it: a free-flow
+    step adds the link's u * dt and a standing step repeats it, bit for
+    bit. So only the other points keep their position (explicit points):
+    capped steps that moved, and points logged before the first hop or on a
+    hop that did not start at 0.0. update_link logs each point by its kind,
+    and data holds one entry per run of a kind: a header, count * 4 + kind,
+    then a free run's u * dt or an explicit run's positions (a standing run
+    has no payload). hop() closes the open run, so no run spans a hop. The
+    last run may be open: mark is its header's index, and run counts its
+    free (run > 0) or standing (run < 0) steps, so update_link extends an
+    open free run by run + 1 alone. positions() replays the runs with the
+    step loop's float additions; speeds(dt) derives the speeds from them.
     """
 
-    __slots__ = ("first", "x", "hops")
+    __slots__ = ("first", "hops", "data", "size", "run", "mark")
 
     def __init__(self):
         self.first = 0
-        self.x = array("d")
         self.hops: list[tuple[int, str]] = []
+        self.data = array("d")
+        self.size = 0  # points in closed runs and in an open explicit run
+        self.run = 0
+        self.mark = -1
 
     def __len__(self):
-        return len(self.x)
+        return self.size + abs(self.run)
+
+    def _close(self):
+        """Write the open run's header; the next point opens a run."""
+        run = self.run
+        if run:
+            self.data[self.mark] = run * 4 + FREE if run > 0 else -run * 4 + STAND
+            self.size += abs(run)
+            self.run = 0
+        self.mark = -1
+
+    def _open(self, kind: int):
+        self._close()
+        self.mark = len(self.data)
+        self.data.append(kind)
+
+    def _replays_from(self, before: float) -> bool:
+        """Whether the replay's previous position for the next point is before.
+
+        update_link moves a platoon from the point it logged last, and
+        process_node puts it at 0.0 on each hop, where the replay restarts.
+        A point logged before any hop, or a hop begun elsewhere, is explicit.
+        """
+        hops = self.hops
+        if not hops:
+            return False
+        return hops[-1][0] != len(self) or _same_bits(before, 0.0)
+
+    def explicit(self, x: float):
+        """Log a point by its position."""
+        if self.run or self.mark < 0:
+            self._open(EXPLICIT)
+        self.data[self.mark] += 4
+        self.data.append(x)
+        self.size += 1
+
+    def free(self, x: float, before: float, move: float):
+        """Log a free-flow step, x = before + move, where no free run is open."""
+        if not self._replays_from(before):
+            self.explicit(x)
+            return
+        self._open(FREE)
+        self.data.append(move)
+        self.run = 1
+
+    def capped(self, x: float, before: float):
+        """Log a capped step: a standing step if x is before's float, else explicit."""
+        if not (_same_bits(x, before) and self._replays_from(before)):
+            self.explicit(x)
+        elif self.run < 0:
+            self.run -= 1
+        else:
+            self._open(STAND)
+            self.run = -1
+
+    def hop(self, link_name: str):
+        """Record that the next point is the first on link_name."""
+        self._close()
+        self.hops.append((len(self), link_name))
+
+    def positions(self) -> list[float]:
+        """Every point's position, in order, as update_link set it."""
+        data = self.data
+        starts = {start for start, _link in self.hops}
+        open_at = self.mark if self.run else -1  # an open run's header is written at its close
+        x: list[float] = []
+        end = len(data)
+        i = 0
+        while i < end:
+            header = int(data[i])
+            kind = header & 3
+            count = abs(self.run) if i == open_at else header >> 2
+            i += 1
+            if kind == EXPLICIT:
+                x += data[i:i + count]
+                i += count
+                continue
+            previous = 0.0 if len(x) in starts else x[-1]
+            if kind == FREE:
+                # one addition per step, as update_link made them
+                move = data[i]
+                x.extend(accumulate(repeat(move, count - 1), initial=previous + move))
+                i += 1
+            else:
+                x.extend(repeat(previous, count))
+        return x
 
     def segments(self):
         """(start, end, link) per hop: points start..end-1 were logged on link."""
         ends = [start for start, _link in self.hops[1:]]
-        ends.append(len(self.x))
+        ends.append(len(self))
         for (start, link), end in zip(self.hops, ends):
             yield start, end, link
 
-    def speeds(self, dt: float):
-        """Per point, (x - previous x) / dt; the previous x of a hop's first point is 0.0."""
-        x = self.x
-        before = array("d", (0.0,)) + x  # one longer than x: a hop may await its first point
+    def speeds(self, dt: float, x: list[float] | None = None):
+        """Per point, (x - previous x) / dt; x defaults to positions()."""
+        if x is None:
+            x = self.positions()
+        before = [0.0, *x]  # one longer than x: a hop may await its first point
         for start, _link in self.hops:
             before[start] = 0.0
         return map(truediv, map(sub, x, before), repeat(dt))
 
     def rows(self, dt: float):
         """(t, link, x, v) per point, in order."""
-        speeds = self.speeds(dt)
+        x = self.positions()
+        speeds = self.speeds(dt, x)
         for start, end, link in self.segments():
-            for step, x, v in zip(range(self.first + start, self.first + end),
-                                  self.x[start:end], speeds):
-                yield step * dt, link, x, v
+            for step, position, v in zip(range(self.first + start, self.first + end),
+                                         x[start:end], speeds):
+                yield step * dt, link, position, v
 
 
 class Platoon:
@@ -158,10 +269,13 @@ def update_link(link: LinkState, dt: float) -> LinkState:
 
     Each platoon advances against its leader's pre-update position; the
     front platoon is capped at the link length and waits there for a
-    node transfer. Each new x is appended to the platoon's trajectory, its
-    one point for the step. The link's mean speed is refreshed (free-flow
-    speed when empty) from the speeds (x_new - x_old) / dt, which
-    Trajectory.speeds derives again from the logged positions.
+    node transfer. Each new x is the platoon's one trajectory point for the
+    step, logged by the branch that set it: a free-flow step extends an open
+    free run by a count alone, a capped step is a standing step when it
+    keeps x_old's float and an explicit position otherwise (see
+    Trajectory). The link's mean speed is refreshed (free-flow speed when
+    empty) from the speeds (x_new - x_old) / dt, which Trajectory.speeds
+    derives again from the replayed positions.
     """
     platoons = link.platoons
     if not platoons:
@@ -175,7 +289,7 @@ def update_link(link: LinkState, dt: float) -> LinkState:
     speed_sum = 0.0
     for platoon in platoons:
         x_old = platoon.x
-        x_new = x_old + free_move
+        x_new = x_free = x_old + free_move
         if leader_x_old is None:
             if x_new > length:
                 x_new = length
@@ -192,7 +306,13 @@ def update_link(link: LinkState, dt: float) -> LinkState:
                 )
         v = (x_new - x_old) / dt
         platoon.x = x_new
-        platoon.trajectory.x.append(x_new)
+        trajectory = platoon.trajectory
+        if x_new is not x_free:  # a cap set it
+            trajectory.capped(x_new, x_old)
+        elif (run := trajectory.run) > 0:
+            trajectory.run = run + 1
+        else:
+            trajectory.free(x_new, x_old, free_move)
         speed_sum += v
         leader_x_old = x_old
         leader_x_new = x_new

@@ -268,7 +268,7 @@ def _csv_rows(text: str):
     idx = 0
     try:
         for row in rows:
-            if not idx or any(cell.strip() for cell in row):
+            if not idx or any(map(str.strip, row)):
                 yield idx, row
                 idx += 1
     except csv.Error as exc:
@@ -276,7 +276,12 @@ def _csv_rows(text: str):
 
 
 def _records(text: str, header: list[str], build, optional: list[str] | None = None):
-    """Yield build(row) per non-blank data row (header -> trimmed cell); errors name the row."""
+    """Yield build(*cells) per non-blank data row, its trimmed cells in header order.
+
+    The header must be exact, so a cell's column is its position; cells
+    past the header's are dropped, and a missing optional cell is left to
+    build's default. Errors name the row.
+    """
     rows = _csv_rows(text)
     try:
         found = [h.strip() for h in next(rows)[1]]
@@ -285,10 +290,15 @@ def _records(text: str, header: list[str], build, optional: list[str] | None = N
     allowed = header + (optional or [])
     if found[: len(header)] != header or found not in (header, allowed):
         raise ParseError(0, f"expected header {','.join(allowed)!r}, got {','.join(found)!r}")
+    width = len(found)
     for idx, row in rows:
         if len(row) < len(header) or len(row) > len(allowed):
             raise ParseError(idx, f"expected {len(header)}-{len(allowed)} fields, got {len(row)}")
-        yield _at_row(idx, build, dict(zip(found, (cell.strip() for cell in row))))
+        try:
+            spec = build(*map(str.strip, row[:width]))
+        except ValidationError as exc:
+            raise ParseError(idx, str(exc)) from None
+        yield spec
 
 
 def _signal_plan(cell: str) -> SignalPlan:
@@ -311,12 +321,11 @@ def parse_signal(cell: str, row_idx: int) -> SignalPlan:
     return _at_row(row_idx, _signal_plan, cell)
 
 
-def _node(row: dict[str, str]) -> NodeSpec:
-    signal = row.get("signal", "")
+def _node(name: str, x: str, y: str, signal: str = "") -> NodeSpec:
     return NodeSpec(
-        name=row["name"],
-        x=_float_field("x", row["x"]),
-        y=_float_field("y", row["y"]),
+        name=name,
+        x=_float_field("x", x),
+        y=_float_field("y", y),
         signal=_signal_plan(signal) if signal else None,
     )
 
@@ -326,17 +335,18 @@ def parse_nodes(text: str) -> list[NodeSpec]:
     return list(_records(text, ["name", "x", "y"], _node, optional=["signal"]))
 
 
-def _link(row: dict[str, str]) -> LinkSpec:
-    priority = row["merge_priority"]
+def _link(name: str, from_node: str, to_node: str, length: str, free_flow_speed: str,
+          jam_density: str, merge_priority: str) -> LinkSpec:
     return LinkSpec(
-        name=row["name"],
-        from_node=row["from"],
-        to_node=row["to"],
-        length=_float_field("length", row["length"]),
-        free_flow_speed=_float_field("free_flow_speed", row["free_flow_speed"]),
-        jam_density=_float_field("jam_density", row["jam_density"]),
+        name=name,
+        from_node=from_node,
+        to_node=to_node,
+        length=_float_field("length", length),
+        free_flow_speed=_float_field("free_flow_speed", free_flow_speed),
+        jam_density=_float_field("jam_density", jam_density),
         merge_priority=(
-            _float_field("merge_priority", priority) if priority else DEFAULT_MERGE_PRIORITY
+            _float_field("merge_priority", merge_priority)
+            if merge_priority else DEFAULT_MERGE_PRIORITY
         ),
     )
 
@@ -350,13 +360,13 @@ def parse_links(text: str) -> list[LinkSpec]:
     return list(_records(text, header, _link))
 
 
-def _demand(row: dict[str, str]) -> DemandSpec:
+def _demand(orig: str, dest: str, start_t: str, end_t: str, flow: str) -> DemandSpec:
     return DemandSpec(
-        origin=row["orig"],
-        destination=row["dest"],
-        t_start=_float_field("start_t", row["start_t"]),
-        t_end=_float_field("end_t", row["end_t"]),
-        flow=_float_field("flow", row["flow"]),
+        origin=orig,
+        destination=dest,
+        t_start=_float_field("start_t", start_t),
+        t_end=_float_field("end_t", end_t),
+        flow=_float_field("flow", flow),
     )
 
 

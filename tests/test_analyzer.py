@@ -4,7 +4,6 @@ import csv
 import math
 import os
 import tempfile
-from array import array
 from itertools import cycle
 
 import pytest
@@ -29,6 +28,7 @@ from mesosim import (
 )
 from mesosim import analyzer
 from mesosim.analyzer import export_bin
+from mesosim.kinematics import Trajectory
 
 from conftest import (
     UROBOROS_DURATION,
@@ -404,6 +404,20 @@ def _oracle_export(log, world, out_dir):
     ]
 
 
+def _explicit_points(trajectory, values) -> Trajectory:
+    """A trajectory with trajectory's first step and hops whose points are
+    the next len(trajectory) values, each logged by its position."""
+    points = Trajectory()
+    points.first = trajectory.first
+    hops = dict(trajectory.hops)
+    for k in range(len(trajectory) + 1):
+        if k in hops:
+            points.hop(hops[k])
+        if k < len(trajectory):
+            points.explicit(next(values))
+    return points
+
+
 def _assert_export_matches_oracle(world):
     with tempfile.TemporaryDirectory() as tmp:
         expected = _oracle_export(world.log, world, os.path.join(tmp, "oracle"))
@@ -438,8 +452,7 @@ def test_export_matches_oracle(names, floats):
     run(world)
     values = cycle(SPECIAL_FLOATS + floats)
     for p in world.platoons:
-        for k in range(len(p.trajectory)):
-            p.trajectory.x[k] = next(values)
+        p.trajectory = _explicit_points(p.trajectory, values)
     v_column = [v for p in world.platoons for v in p.trajectory.speeds(world.log.dt)]
     assert any(map(math.isnan, v_column)) and math.inf in v_column and -math.inf in v_column
     assert v_column.index(0.0) < list(map(repr, v_column)).index("-0.0")
@@ -482,8 +495,11 @@ def test_export_memo_stays_bounded(monkeypatch):
     monkeypatch.setattr(analyzer, "_Memo", Recording)
     world = _run_single_link(["A,B,0,200,0.4"], duration=400.0)
     n_points = analyzer._MEMO_LIMIT + 5000
-    trajectory = world.platoons[0].trajectory
-    trajectory.x = array("d", [i / 7 for i in range(n_points)])
-    trajectory.hops[:] = [(0, "AB")]
+    trajectory = Trajectory()
+    trajectory.first = world.platoons[0].trajectory.first
+    trajectory.hop("AB")
+    for i in range(n_points):
+        trajectory.explicit(i / 7)
+    world.platoons[0].trajectory = trajectory
     _assert_export_matches_oracle(world)
     assert peak[0] == analyzer._MEMO_LIMIT

@@ -1,5 +1,6 @@
 """Step loop: phase order, demand accumulation, conservation, determinism, run log."""
 
+import dataclasses
 import math
 import random
 import struct
@@ -562,9 +563,61 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
             assert starts[-1] < len(trajectory)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    graph_seed=st.integers(0, 2**32 - 1),
+    extra_arcs=st.integers(0, 8),
+    bands=st.lists(_BAND, min_size=1, max_size=4),
+    demand_scale=st.sampled_from([0.2, 1.0, 4.0]),
+    speed=st.sampled_from([20.0, 13.3]),
+    reaction_time=st.sampled_from([1.0, 0.7]),
+    platoon_size=st.sampled_from([1, 5]),
+    seed=st.integers(0, 1000),
+)
+def test_trajectory_positions_match_step_positions(n, graph_seed, extra_arcs, bands, demand_scale,
+                                                   speed, reaction_time, platoon_size, seed):
+    """Each trajectory replays, as IEEE bytes, the position its platoon held
+    after every step it spent on a link: from the step that inserted it,
+    across each hop, to its arrival or the horizon.
+
+    At 13.3 m/s, u * dt is inexact for three of the four step widths, so
+    k free steps add up to other floats than k * u * dt.
+    """
+    links = [
+        dataclasses.replace(link, free_flow_speed=speed)
+        for link in random_digraph(n, random.Random(graph_seed), min(n * (n - 1), n + extra_arcs))
+    ]
+    nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(n)]
+    demands = [
+        DemandSpec(f"n{o % n}", f"n{(o + 1 + d % (n - 1)) % n}", start, start + width,
+                   flow * demand_scale)
+        for o, d, start, width, flow in bands
+    ]
+    config = SimConfig(seed=seed, duration=300.0, reaction_time=reaction_time,
+                       platoon_size=platoon_size)
+    world = build_world(config, nodes, links, demands)
+    positions = defaultdict(list)
+
+    def logging_step(world):
+        step(world)
+        for link in world.links:
+            for platoon in link.platoons:
+                positions[platoon.id].append((platoon.x,))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "step", logging_step)
+        run(world)
+    for platoon in world.platoons:
+        trajectory = platoon.trajectory
+        _assert_same_rows(((x,) for x in trajectory.positions()), positions[platoon.id])
+        assert len(trajectory) == len(positions[platoon.id])
+
+
 # bytes a run may retain per trajectory point plus per link record: on
-# this run one tuple per entry retains about 133, the columns about 17
-_LOG_BYTES_PER_ENTRY = 21
+# this run one tuple per entry retains about 133, a column of positions
+# about 16, and the trajectory runs about 11.6
+_LOG_BYTES_PER_ENTRY = 14
 
 
 def test_run_log_memory_per_entry():
@@ -579,6 +632,27 @@ def test_run_log_memory_per_entry():
     entries = sum(len(p.trajectory) for p in world.platoons) + len(world.log.link_records)
     assert entries > 50000
     assert grown <= _LOG_BYTES_PER_ENTRY * entries, grown / entries
+
+
+# bytes a run may retain per trajectory point when nearly every point is a
+# free-flow step: storing every position retains about 9.9, the runs about 1.8
+_FREE_FLOW_BYTES_PER_POINT = 3
+
+
+def test_free_flow_run_memory_per_point():
+    # 50 platoons, each 1000 steps in free flow on a 100 km link
+    nodes, links = single_link_texts(length=100000.0)
+    world = make_world(nodes, links, DEMAND_HEADER + "\nA,B,0,5000,0.05\n", duration=10000.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run(world)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    points = sum(len(p.trajectory) for p in world.platoons)
+    assert points == 50 * 1000
+    assert grown <= _FREE_FLOW_BYTES_PER_POINT * points, grown / points
 
 
 # bytes a World build may retain per destination and link on the 12x12

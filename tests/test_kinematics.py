@@ -1,6 +1,7 @@
 """Platoon motion, link updates, and link-level quantities."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import assume, given, settings
@@ -137,7 +138,7 @@ def test_update_logs_each_new_position():
             points.append(platoon.x)
     # free to the link end, free flow, then held 25 m behind the leader's old position
     assert logged == [[1000.0] * 3, [600.0, 700.0, 800.0], [475.0, 575.0, 675.0]]
-    assert [list(platoon.trajectory.x) for platoon in link.platoons] == logged
+    assert [list(platoon.trajectory.positions()) for platoon in link.platoons] == logged
 
 
 def test_update_detects_spacing_violation():
@@ -253,17 +254,88 @@ def test_platoon_initial_state():
 def test_speeds_restart_from_zero_at_each_hop():
     trajectory = Trajectory()
     trajectory.first = 4
-    trajectory.x.extend([100.0, 200.0, 200.0, 50.0, 150.0])
-    trajectory.hops[:] = [(0, "L1"), (3, "L2")]
+    trajectory.hop("L1")
+    for x in (100.0, 200.0, 200.0):
+        trajectory.explicit(x)
+    trajectory.hop("L2")
+    for x in (50.0, 150.0):
+        trajectory.explicit(x)
+    assert trajectory.hops == [(0, "L1"), (3, "L2")]
     assert list(trajectory.speeds(5.0)) == [20.0, 20.0, 0.0, 10.0, 20.0]
     assert list(trajectory.rows(5.0)) == [
         (20.0, "L1", 100.0, 20.0), (25.0, "L1", 200.0, 20.0), (30.0, "L1", 200.0, 0.0),
         (35.0, "L2", 50.0, 10.0), (40.0, "L2", 150.0, 20.0),
     ]
     one = Trajectory()
-    one.x.append(35.0)
-    one.hops.append((0, "L1"))
+    one.hop("L1")
+    one.explicit(35.0)
     assert list(one.speeds(5.0)) == [7.0]
-    one.hops.append((1, "L2"))  # entered in a step that stopped before logging
+    one.hop("L2")  # entered in a step that stopped before logging
     assert list(one.speeds(5.0)) == [7.0]
     assert list(Trajectory().speeds(5.0)) == []
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _entered(link, first_positions=()):
+    """link's platoons, each given a hop onto it as process_node records one.
+
+    A platoon with first positions logs them on a link before, so its
+    trajectory has points ahead of the hop.
+    """
+    for platoon, positions in zip(link.platoons, first_positions):
+        platoon.trajectory.hop("before")
+        for x in positions:
+            platoon.trajectory.explicit(x)
+    for platoon in link.platoons:
+        platoon.trajectory.hop(link.name)
+    return list(link.platoons)
+
+
+def test_free_flow_steps_are_kept_as_one_run():
+    link = make_link(u=13.3, positions=[0.0])
+    (platoon,) = _entered(link)
+    logged = []
+    for _ in range(10):
+        update_link(link, 5.0 * 0.7)
+        logged.append(platoon.x)
+    trajectory = platoon.trajectory
+    assert len(trajectory) == 10 and len(trajectory.data) == 2  # a header and u * dt
+    assert list(map(_bits, trajectory.positions())) == list(map(_bits, logged))
+
+
+def test_standing_first_point_replays_from_zero_not_the_last_link():
+    # the leader sits exactly one jam footprint in: the follower, just
+    # entered at 0.0, stays at 0.0, a standing step on its new link
+    link = make_link(positions=[25.0, 0.0])
+    _leader, follower = _entered(link, [(), (730.0,)])
+    update_link(link, 5.0)
+    assert follower.trajectory.run == -1
+    assert list(map(_bits, follower.trajectory.positions())) == [_bits(730.0),
+                                                                     _bits(0.0)]
+    assert list(follower.trajectory.speeds(5.0)) == [146.0, 0.0]
+
+
+def test_hop_begun_away_from_zero_is_kept_explicit():
+    # a platoon placed mid-link by hand: the replay restarts a hop at 0.0
+    link = make_link(positions=[500.0])
+    (platoon,) = _entered(link)
+    for _ in range(3):
+        update_link(link, 5.0)
+    assert list(platoon.trajectory.positions()) == [600.0, 700.0, 800.0]
+    assert list(platoon.trajectory.speeds(5.0)) == [120.0, 20.0, 20.0]
+
+
+def test_capped_step_stands_only_on_the_same_bits():
+    trajectory = Trajectory()
+    trajectory.hop("L")
+    trajectory.capped(0.0, 0.0)
+    trajectory.capped(-0.0, 0.0)
+    trajectory.capped(-0.0, -0.0)
+    trajectory.capped(math.nan, math.nan)
+    assert len(trajectory) == 4
+    assert list(map(_bits, trajectory.positions())) == list(
+        map(_bits, [0.0, -0.0, -0.0, math.nan])
+    )
