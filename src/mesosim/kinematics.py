@@ -47,18 +47,20 @@ class Trajectory:
     that link. len() counts points.
 
     A point's previous position is the point before it, or 0.0 at a hop's
-    first point. The motion rule fixes most points from it: a free-flow
-    step adds the link's u * dt and a standing step repeats it, bit for
-    bit. So only the other points keep their position (explicit points):
-    capped steps that moved, and points logged before the first hop or on a
-    hop that did not start at 0.0. update_link logs each point by its kind,
-    and data holds one entry per run of a kind: a header, count * 4 + kind,
-    then a free run's u * dt or an explicit run's positions (a standing run
-    has no payload). hop() closes the open run, so no run spans a hop. The
-    last run may be open: mark is its header's index, and run counts its
-    free (run > 0) or standing (run < 0) steps, so update_link extends an
-    open free run by run + 1 alone. positions() replays the runs with the
-    step loop's float additions; speeds(dt) derives the speeds from them.
+    first point, where process_node puts the platoon. The motion rule fixes
+    most points from it: a free-flow step adds the link's u * dt and a
+    standing step repeats it, bit for bit. Only the other points keep their
+    position (explicit points): capped steps that moved, a first point
+    logged before any hop, and a hop's first point when the platoon did not
+    start it at 0.0. update_link logs each point by its kind, and data
+    holds one entry per run of a kind: a header, count * 4 + kind, then a
+    free run's u * dt or an explicit run's positions (a standing run has no
+    payload). hop() closes the open run, so no run spans a hop; mark < 0
+    until a point follows the last hop. The last run may be open: mark is
+    its header's index, and run counts its free (run > 0) or standing
+    (run < 0) steps, so update_link extends an open free run by run + 1
+    alone. positions() replays the runs with the step loop's float
+    additions; speeds(dt) derives the speeds from them.
     """
 
     __slots__ = ("first", "hops", "data", "size", "run", "mark")
@@ -77,28 +79,20 @@ class Trajectory:
     def _close(self):
         """Write the open run's header; the next point opens a run."""
         run = self.run
-        if run:
-            self.data[self.mark] = run * 4 + FREE if run > 0 else -run * 4 + STAND
-            self.size += abs(run)
-            self.run = 0
+        if run > 0:
+            self.data[self.mark] = run * 4 + FREE
+            self.size += run
+        elif run:
+            self.data[self.mark] = -run * 4 + STAND
+            self.size -= run
+        self.run = 0
         self.mark = -1
 
     def _open(self, kind: int):
-        self._close()
+        if self.run:
+            self._close()
         self.mark = len(self.data)
         self.data.append(kind)
-
-    def _replays_from(self, before: float) -> bool:
-        """Whether the replay's previous position for the next point is before.
-
-        update_link moves a platoon from the point it logged last, and
-        process_node puts it at 0.0 on each hop, where the replay restarts.
-        A point logged before any hop, or a hop begun elsewhere, is explicit.
-        """
-        hops = self.hops
-        if not hops:
-            return False
-        return hops[-1][0] != len(self) or _same_bits(before, 0.0)
 
     def explicit(self, x: float):
         """Log a point by its position."""
@@ -110,7 +104,8 @@ class Trajectory:
 
     def free(self, x: float, before: float, move: float):
         """Log a free-flow step, x = before + move, where no free run is open."""
-        if not self._replays_from(before):
+        # the sign of a zero before leaves before + move unchanged
+        if self.mark < 0 and (before != 0.0 or not self.hops):
             self.explicit(x)
             return
         self._open(FREE)
@@ -119,7 +114,10 @@ class Trajectory:
 
     def capped(self, x: float, before: float):
         """Log a capped step: a standing step if x is before's float, else explicit."""
-        if not (_same_bits(x, before) and self._replays_from(before)):
+        # most capped steps move, and x != before tells them without a call
+        if x != before or not _same_bits(x, before) or (
+            self.mark < 0 and not (self.hops and _same_bits(before, 0.0))
+        ):
             self.explicit(x)
         elif self.run < 0:
             self.run -= 1
@@ -130,7 +128,7 @@ class Trajectory:
     def hop(self, link_name: str):
         """Record that the next point is the first on link_name."""
         self._close()
-        self.hops.append((len(self), link_name))
+        self.hops.append((self.size, link_name))
 
     def positions(self) -> list[float]:
         """Every point's position, in order, as update_link set it."""
@@ -284,6 +282,7 @@ def update_link(link: LinkState, dt: float) -> LinkState:
     length = link.length
     free_move = link.u * dt
     spacing = link.spacing
+    min_gap = spacing - _SPACING_TOL
     leader_x_old = None
     leader_x_new = 0.0
     speed_sum = 0.0
@@ -299,12 +298,12 @@ def update_link(link: LinkState, dt: float) -> LinkState:
                 x_new = bound
             if x_new < x_old:
                 x_new = x_old
-            if leader_x_new - x_new < spacing - _SPACING_TOL:
+            if leader_x_new - x_new < min_gap:
                 raise ConsistencyError(
                     f"link {link.name}: spacing violated between platoons at "
                     f"{leader_x_new:.3f} and {x_new:.3f} (minimum {spacing})"
                 )
-        v = (x_new - x_old) / dt
+        speed_sum += (x_new - x_old) / dt
         platoon.x = x_new
         trajectory = platoon.trajectory
         if x_new is not x_free:  # a cap set it
@@ -313,7 +312,6 @@ def update_link(link: LinkState, dt: float) -> LinkState:
             trajectory.run = run + 1
         else:
             trajectory.free(x_new, x_old, free_move)
-        speed_sum += v
         leader_x_old = x_old
         leader_x_new = x_new
     link.mean_speed = speed_sum / len(platoons)

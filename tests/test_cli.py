@@ -342,8 +342,9 @@ def test_out_of_memory_exits_2_without_traceback(tmp_path):
     if hard != resource.RLIM_INFINITY and hard < _CLI_ADDRESS_SPACE:
         pytest.skip("the address-space limit is already below the test's")
     paths = {"out": str(tmp_path / "out")}
-    # 1600 nodes, 6240 links and 1500 destinations: building the World peaks near 100 MB RSS
-    for name, text in zip(("nodes", "links", "demand"), lattice_csvs(0, 40, 1500, 1500)):
+    # 3600 nodes, 14,160 links and 3000 destinations: the World's routing
+    # rows alone take about 350 MB, three and a half times the limit
+    for name, text in zip(("nodes", "links", "demand"), lattice_csvs(0, 60, 3000, 3000)):
         paths[name] = str(tmp_path / f"{name}.csv")
         pathlib.Path(paths[name]).write_text(text)
 
