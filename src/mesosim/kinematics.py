@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from math import copysign
 from operator import sub, truediv
 
@@ -165,7 +165,10 @@ class Trajectory:
             yield start, end, link
 
     def speeds(self, dt: float, x: list[float] | None = None):
-        """Per point, (x - previous x) / dt; x defaults to positions()."""
+        """Per point, (x - previous x) / dt, with 0.0 before a hop's first point.
+
+        x is positions(), computed here when not given.
+        """
         if x is None:
             x = self.positions()
         before = [0.0, *x]  # one longer than x: a hop may await its first point

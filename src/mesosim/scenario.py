@@ -268,7 +268,7 @@ def _csv_rows(text: str):
     idx = 0
     try:
         for row in rows:
-            if not idx or any(map(str.strip, row)):
+            if not idx or any(cell.strip() for cell in row):
                 yield idx, row
                 idx += 1
     except csv.Error as exc:
@@ -295,7 +295,7 @@ def _records(text: str, header: list[str], build, optional: list[str] | None = N
         if len(row) < len(header) or len(row) > len(allowed):
             raise ParseError(idx, f"expected {len(header)}-{len(allowed)} fields, got {len(row)}")
         try:
-            spec = build(*map(str.strip, row[:width]))
+            spec = build(*[cell.strip() for cell in row[:width]])
         except ValidationError as exc:
             raise ParseError(idx, str(exc)) from None
         yield spec

@@ -103,6 +103,12 @@ def test_malformed_csv_is_parse_error(parse, header, row):
     assert err.value.row == 1
 
 
+def test_cells_are_read_by_position_up_to_the_header():
+    # a cell past a three-column header is dropped; a missing signal cell is no signal
+    assert parse_nodes("name,x,y\nA,0,0,0:30:AB\n") == [NodeSpec(name="A", x=0.0, y=0.0)]
+    assert parse_nodes("name,x,y,signal\nA,0,0\n") == [NodeSpec(name="A", x=0.0, y=0.0)]
+
+
 def test_blank_rows_take_no_row_number():
     text = "orig,dest,start_t,end_t,flow\nA,B,0,10,0.5\n\n ,\n"
     with pytest.raises(ParseError) as err:
