@@ -329,8 +329,9 @@ def test_empty_tsd_corridor_is_validation_error(tiny_scenario, capsys, corridor)
     assert not _wrote_csv(tiny_scenario)
 
 
-# the address space a CLI child may use: about four times what the
-# interpreter and the parsed lattice need, half what the lattice's World needs
+# the address space a CLI child may use: about 3.5 times what the
+# interpreter and the parsed lattice below need (29 MB), under a third of
+# what the lattice's World needs
 _CLI_ADDRESS_SPACE = 100 * 2**20
 
 
@@ -343,7 +344,7 @@ def test_out_of_memory_exits_2_without_traceback(tmp_path):
         pytest.skip("the address-space limit is already below the test's")
     paths = {"out": str(tmp_path / "out")}
     # 3600 nodes, 14,160 links and 3000 destinations: the World's routing
-    # rows alone take about 350 MB, three and a half times the limit
+    # rows alone take about 350 MB, so its build fails with a MemoryError
     for name, text in zip(("nodes", "links", "demand"), lattice_csvs(0, 60, 3000, 3000)):
         paths[name] = str(tmp_path / f"{name}.csv")
         pathlib.Path(paths[name]).write_text(text)

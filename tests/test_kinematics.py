@@ -313,8 +313,7 @@ def test_standing_first_point_replays_from_zero_not_the_last_link():
     _leader, follower = _entered(link, [(), (730.0,)])
     update_link(link, 5.0)
     assert follower.trajectory.run == -1
-    assert list(map(_bits, follower.trajectory.positions())) == [_bits(730.0),
-                                                                     _bits(0.0)]
+    assert list(map(_bits, follower.trajectory.positions())) == [_bits(730.0), _bits(0.0)]
     assert list(follower.trajectory.speeds(5.0)) == [146.0, 0.0]
 
 
