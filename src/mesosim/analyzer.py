@@ -12,13 +12,13 @@ measures, and their ratio is the space-mean speed.
 
 The readers work on the run log's columns. A stored link record holds
 count, mean_speed and entered, and exited is entered - count; a link left
-out of a step holds no platoons and repeats its last record. So
-mfd_points sums the stored records of each bin's steps,
-cumulative_counts reads its own link's records and carries them forward,
-and links.csv re-renders the rows of each step's stored slices. A
-trajectory point's time and link follow from its step and hops, and its
-position from Trajectory.positions(), the one reader of the runs, which
-vehicles.csv and time_space_points share. The export renders each
+out of a step repeats its last record, which each reader carries forward:
+mfd_points sums per step the links that hold platoons, cumulative_counts
+reads its own link's records, and links.csv re-renders the rows of each
+step's stored slices. A trajectory point's time and link follow from its
+step and the hop headers among its runs, and its position from
+Trajectory.replay(), the one walk over the runs, which vehicles.csv and
+time_space_points share. The export renders each
 distinct number (6 significant digits), step time and name (quoted by
 the csv module's rules) once per call, in bounded memos, and writes each
 table as pre-rendered lines: one chunk per platoon for vehicles.csv and
@@ -33,7 +33,7 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, islice, repeat
 
 from .errors import DisconnectedPath, UnknownLink, ValidationError
 from .scenario import left_sum
@@ -143,21 +143,38 @@ def mfd_points(log, world, bin_s: float = DEFAULT_MFD_BIN) -> list[MFDPoint]:
     # counted in whole steps: float division can add an empty bin at the horizon
     n_bins = max(1, -(-round(duration / dt) // per_bin))
     dn = log.platoon_size
-    counts = log.link_records.count
-    speeds = log.link_records.mean_speed
-    # a link left out of a step holds no platoons: a bin sums its steps' stored records
-    edges = [0, *log.link_records.ends]
-    last = len(edges) - 1
+    records = log.link_records
+    # each link's [vehicles * dt, vehicles * mean_speed * dt] by its last stored
+    # record, None while empty; held lists them in link-id order for the links that hold platoons
+    terms = [None] * records.n_links
+    held = []
+    stored = zip(records.link, records.count, records.mean_speed)
+    ends = records.ends
     points = []
+    start = 0
     for idx in range(n_bins):
-        start = edges[min(idx * per_bin, last)]
-        end = edges[min((idx + 1) * per_bin, last)]
-        bin_counts = counts[start:end]
         time_sum = dist_sum = 0.0
-        for count, mean_speed in compress(zip(bin_counts, speeds[start:end]), bin_counts):
-            vehicles = count * dn
-            time_sum += vehicles * dt
-            dist_sum += vehicles * mean_speed * dt
+        for end in ends[idx * per_bin:(idx + 1) * per_bin]:
+            refill = False
+            for j, count, mean_speed in islice(stored, end - start):
+                if count:
+                    vehicles = count * dn
+                    cell = terms[j]
+                    if cell:  # updated in place, so held sees it
+                        cell[0] = vehicles * dt
+                        cell[1] = vehicles * mean_speed * dt
+                    else:
+                        terms[j] = [vehicles * dt, vehicles * mean_speed * dt]
+                        refill = True
+                elif terms[j]:
+                    terms[j] = None
+                    refill = True
+            if refill:
+                held = list(filter(None, terms))
+            start = end
+            for time_term, dist_term in held:
+                time_sum += time_term
+                dist_sum += dist_term
         t_bin = idx * bin_s
         norm = total_length * min(bin_s, duration - t_bin)
         points.append(MFDPoint(t_bin=t_bin, density=time_sum / norm, flow=dist_sum / norm))
@@ -178,11 +195,11 @@ def time_space_points(log, link_sequence: list[str]) -> dict[int, list[tuple[flo
         link = log.links_by_name.get(name)
         if link is None:
             raise UnknownLink(f"no link named {name!r} in this run")
-        if name in offsets:
+        if link.id in offsets:
             raise ValidationError(f"link {name!r} appears more than once in the corridor")
         if previous is not None and previous.spec.to_node != link.spec.from_node:
             raise DisconnectedPath(f"link {name!r} does not start where {previous.name!r} ends")
-        offsets[name] = running
+        offsets[link.id] = running
         running += link.length
         previous = link
     dt = log.dt
@@ -190,12 +207,10 @@ def time_space_points(log, link_sequence: list[str]) -> dict[int, list[tuple[flo
     for platoon in log.platoons:
         trajectory = platoon.trajectory
         points = []
-        positions = None
-        for start, end, name in trajectory.segments():
-            if name in offsets:
-                if positions is None:
-                    positions = trajectory.positions()
-                offset = offsets[name]
+        positions, segments = trajectory.replay()
+        for start, end, link in segments:
+            if link in offsets:
+                offset = offsets[link]
                 points.extend(
                     (step * dt, offset + x)
                     for step, x in enumerate(positions[start:end], trajectory.first + start)
@@ -283,21 +298,22 @@ def export_csv(log, world, out_dir: str, mfd: list[MFDPoint] | None = None) -> l
     scaled = _Memo(lambda count: str(count * dn)).__getitem__  # platoons to vehicles
     step_time = _Memo(lambda step: _fmt(step * dt)).__getitem__  # stamped at the step's end
 
+    names = [name(link) for link in log.links_by_name]  # rendered, by link id
+
     def vehicles():
         for p in world.platoons:
             trajectory = p.trajectory
             if trajectory:
                 ids = f"{p.id},{name(p.origin)},{name(p.destination)}"
                 first = trajectory.first
+                replayed = x, segments = trajectory.replay()
                 on_link = chain.from_iterable(
-                    repeat(name(link), end - start) for start, end, link in trajectory.segments()
+                    repeat(names[link], end - start) for start, end, link in segments
                 )
-                x = trajectory.positions()
                 yield _lines(map(step_time, range(first, first + len(x))), repeat(ids),
-                             on_link, map(num, x), map(num, trajectory.speeds(dt, x)))
+                             on_link, map(num, x), map(num, trajectory.speeds(dt, replayed)))
 
     def links():
-        names = [name(link) for link in log.links_by_name]
         rows = names[:]  # each link's row after the step time
         for step, (ids, counts, speeds, entered) in enumerate(log.link_records.steps(), 1):
             for j, c, v, a in zip(ids, counts, speeds, entered):

@@ -8,9 +8,10 @@ Each step runs four phases in a fixed sequence:
    link that holds platoons now or held them at the previous step, its
    update (kinematics.update_link moves the platoons and logs their
    positions) and its record, stamped with the step's end time (see
-   RunLog). A link empty at both steps keeps its free-flow mean speed and
-   its last record. A stored record holds count, mean_speed and entered;
-   the check fixes exited = entered - count (see LinkRecords).
+   RunLog), stored only when it changed. A link empty at both steps keeps
+   its free-flow mean speed and its record. A stored record holds count,
+   mean_speed and entered; the check fixes exited = entered - count (see
+   LinkRecords).
 4. demand generation into origin waiting queues, then the conservation check.
 
 All randomness flows through one seeded generator consumed in this
@@ -26,6 +27,7 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from math import copysign
 
 from . import node_transfer, routing
 from .errors import (
@@ -68,10 +70,12 @@ class NodeRuntime:
 
 
 def index_nodes(nodes: list[NodeSpec], links: list[LinkState]) -> dict[str, NodeRuntime]:
-    """The network index: name -> NodeRuntime in node order; link ids follow link order."""
+    """The network index: name -> NodeRuntime in node order; link ids and names by link order."""
     runtimes = {spec.name: NodeRuntime(spec, node_id) for node_id, spec in enumerate(nodes)}
+    names = [link.name for link in links]
     for link_id, link in enumerate(links):
         link.id = link_id
+        link.names = names
         runtimes[link.spec.from_node].outgoing.append(link)
         runtimes[link.spec.to_node].incoming.append(link)
     for node in runtimes.values():
@@ -90,20 +94,20 @@ class TransferEvent:
 
 
 class LinkRecords:
-    """One record per link per step, stored only for the links that may have changed.
+    """One record per link per step, stored only when it changes.
 
     A stored record is a link's count and entered (platoons) as array("i")
     and mean_speed as array("d"); exited is entered - count, which step()
-    checks. step() stores every link at step 0, then each link that holds
-    platoons now or held them at the previous step (an entering platoon
-    starts at x = 0, short of the link end, so it is on its link when the
-    step logs); any other link was empty at both steps, so its record
-    repeats. Records are step-major, in link-id order within a step, with
-    the id in link; ends[s] is where step s's records stop; last_count
-    holds each link's latest stored count. len() counts every logical record.
+    checks. step() stores every link at step 0, then each link whose
+    count, entered or mean_speed bits (0.0 and -0.0 render differently)
+    differ from its last stored record, held in last_count, last_entered and
+    last_speed; a link left out of a step repeats it. Records are
+    step-major, in link-id order within a step, with the id in link; ends[s]
+    is where step s's records stop. len() counts every logical record.
     """
 
-    __slots__ = ("n_links", "link", "count", "mean_speed", "entered", "ends", "last_count")
+    __slots__ = ("n_links", "link", "count", "mean_speed", "entered", "ends", "last_count",
+                 "last_entered", "last_speed")
 
     def __init__(self, n_links: int):
         self.n_links = n_links
@@ -113,6 +117,7 @@ class LinkRecords:
         self.entered = array("i")
         self.ends = array("q")
         self.last_count = [-1] * n_links  # no count is negative: step 0 stores every link
+        self.last_entered, self.last_speed = [0] * n_links, [0.0] * n_links
 
     def __len__(self):
         return self.n_links * len(self.ends)
@@ -131,14 +136,14 @@ class LinkRecords:
 class RunLog:
     """Append-only record of everything the analyzer needs.
 
-    link_records holds one record per link per step (see LinkRecords),
-    stamped with the step end time: step s's records are at (s + 1) * dt,
-    and link ids follow links_by_name, the World's link index. Counts are
-    in platoon units. platoons is the World's platoon list; their
-    trajectories are the only record of where each went, kept as runs of
-    free-flow, standing and explicit points (see kinematics.Trajectory).
-    link_rows() reads the records back, Trajectory.positions() and rows()
-    the points, and transfer_events the hops.
+    link_records holds one record per link per step, stored when it
+    changes (see LinkRecords), stamped with the step end time: step s's
+    records are at (s + 1) * dt, and link ids follow links_by_name, the
+    World's link index. Counts are in platoon units. platoons is the
+    World's platoon list; their trajectories, runs of points and hops (see
+    kinematics.Trajectory), are the only record of where each went.
+    link_rows() reads the records back, Trajectory.replay() and rows() the
+    points, and transfer_events the hops.
     """
 
     __slots__ = ("dt", "platoon_size", "duration", "links_by_name", "link_records", "platoons",
@@ -164,7 +169,8 @@ class RunLog:
         return [
             TransferEvent((p.trajectory.first + k - 1) * dt, p.id, from_link, to_link)
             for p in self.platoons
-            for (_start, from_link), (k, to_link) in zip(p.trajectory.hops, p.trajectory.hops[1:])
+            for hops in (p.trajectory.hops,)
+            for (_start, from_link), (k, to_link) in zip(hops, hops[1:])
         ]
 
     def link_rows(self):
@@ -361,7 +367,8 @@ def step(world: World) -> World:
         node_transfer.process_node(node, world, t, rng)
 
     records = world.log.link_records
-    last_count = records.last_count
+    last_count, last_entered = records.last_count, records.last_entered
+    last_speed = records.last_speed
     log_link = records.link.append
     log_count = records.count.append
     log_speed = records.mean_speed.append
@@ -378,11 +385,15 @@ def step(world: World) -> World:
             )
         if count or last_count[j]:
             update_link(link, dt)
-            log_link(j)
-            log_count(count)
-            log_speed(link.mean_speed)
-            log_entered(entered)
-            last_count[j] = count
+            speed = link.mean_speed
+            if count != last_count[j] or entered != last_entered[j] or speed != last_speed[j] or (
+                not speed and copysign(1.0, speed) != copysign(1.0, last_speed[j])
+            ):
+                log_link(j)
+                log_count(count)
+                log_speed(speed)
+                log_entered(entered)
+                last_count[j], last_entered[j], last_speed[j] = count, entered, speed
     records.ends.append(len(records.link))
 
     generate_demand(world, t)

@@ -29,12 +29,7 @@ from .scenario import LinkSpec
 _SPACING_TOL = 1e-9
 V_MIN = 1.0  # speed floor, m/s, for link costs (see instantaneous_travel_time)
 # the kinds of a trajectory run, the low two bits of its header (see Trajectory)
-EXPLICIT, FREE, STAND = 0, 1, 2
-
-
-def _same_bits(x: float, y: float) -> bool:
-    """Whether x and y are one float, the sign of zero included."""
-    return x == y and (x != 0.0 or copysign(1.0, x) == copysign(1.0, y))
+EXPLICIT, FREE, STAND, HOP = 0, 1, 2, 3
 
 
 class Trajectory:
@@ -42,9 +37,7 @@ class Trajectory:
 
     Points run without a gap from insertion to arrival or the horizon, so
     the k-th point is stamped (first + k) * dt, the end time of step
-    first + k - 1. hops lists one (point index, link name) entry per link
-    entered: points from that index up to the next entry's were logged on
-    that link. len() counts points.
+    first + k - 1. len() counts points.
 
     A point's previous position is the point before it, or 0.0 at a hop's
     first point, where process_node puts the platoon. The motion rule fixes
@@ -52,22 +45,24 @@ class Trajectory:
     standing step repeats it, bit for bit. Only the other points keep their
     position (explicit points): capped steps that moved, a first point
     logged before any hop, and a hop's first point when the platoon did not
-    start it at 0.0. update_link logs each point by its kind, and data
-    holds one entry per run of a kind: a header, count * 4 + kind, then a
-    free run's u * dt or an explicit run's positions (a standing run has no
-    payload). hop() closes the open run, so no run spans a hop; mark < 0
-    until a point follows the last hop. The last run may be open: mark is
-    its header's index, and run counts its free (run > 0) or standing
-    (run < 0) steps, so update_link extends an open free run by run + 1
-    alone. positions() replays the runs with the step loop's float
-    additions; speeds(dt) derives the speeds from them.
+    start it at 0.0. data holds one entry per run: a header, count * 4 +
+    kind, then a free run's u * dt or an explicit run's positions (a
+    standing run has no payload). A hop is a run too, link id * 4 + HOP with
+    no payload: the points up to the next hop were logged on that link.
+    names, every link's name by id, is the network's one list, which
+    hop(link) takes from the link. The last run may be open: mark is its
+    header's index, and run counts its free (run > 0) or standing (run < 0)
+    steps, so update_link extends an open free run by run + 1 alone; the
+    count joins the header when the run closes. No run spans a hop; mark <
+    0 until a point follows the last hop. replay() walks the runs once, with
+    the step loop's float additions.
     """
 
-    __slots__ = ("first", "hops", "data", "size", "run", "mark")
+    __slots__ = ("first", "names", "data", "size", "run", "mark")
 
     def __init__(self):
         self.first = 0
-        self.hops: list[tuple[int, str]] = []
+        self.names = ()
         self.data = array("d")
         self.size = 0  # points in closed runs and in an open explicit run
         self.run = 0
@@ -76,69 +71,78 @@ class Trajectory:
     def __len__(self):
         return self.size + abs(self.run)
 
-    def _close(self):
-        """Write the open run's header; the next point opens a run."""
-        run = self.run
-        if run > 0:
-            self.data[self.mark] = run * 4 + FREE
-            self.size += run
-        elif run:
-            self.data[self.mark] = -run * 4 + STAND
-            self.size -= run
-        self.run = 0
-        self.mark = -1
-
-    def _open(self, kind: int):
-        if self.run:
-            self._close()
-        self.mark = len(self.data)
-        self.data.append(kind)
-
     def explicit(self, x: float):
         """Log a point by its position."""
-        if self.run or self.mark < 0:
-            self._open(EXPLICIT)
-        self.data[self.mark] += 4
-        self.data.append(x)
+        data = self.data
+        run = self.run
+        if run:  # close the open run
+            data[self.mark] += abs(run) * 4
+            self.size += abs(run)
+            self.run = 0
+            self.mark = -1
+        if self.mark < 0:
+            self.mark = len(data)
+            data.append(EXPLICIT)
+        data[self.mark] += 4
+        data.append(x)
         self.size += 1
 
     def free(self, x: float, before: float, move: float):
         """Log a free-flow step, x = before + move, where no free run is open."""
+        data = self.data
+        run = self.run
+        if run:  # close the open standing run
+            data[self.mark] -= run * 4
+            self.size -= run
         # the sign of a zero before leaves before + move unchanged
-        if self.mark < 0 and (before != 0.0 or not self.hops):
+        elif self.mark < 0 and (before != 0.0 or not data):
             self.explicit(x)
             return
-        self._open(FREE)
-        self.data.append(move)
+        self.mark = len(data)
+        data.append(FREE)
+        data.append(move)
         self.run = 1
 
     def capped(self, x: float, before: float):
         """Log a capped step: a standing step if x is before's float, else explicit."""
-        # most capped steps move, and x != before tells them without a call
-        if x != before or not _same_bits(x, before) or (
-            self.mark < 0 and not (self.hops and _same_bits(before, 0.0))
+        # a zero keeps its sign, and a hop's first point replays from +0.0
+        if x != before or (not x and copysign(1.0, x) != copysign(1.0, before)) or (
+            self.mark < 0 and not (self.data and not before and copysign(1.0, before) > 0.0)
         ):
             self.explicit(x)
         elif self.run < 0:
             self.run -= 1
         else:
-            self._open(STAND)
+            data = self.data
+            if self.run:  # close the open free run
+                data[self.mark] += self.run * 4
+                self.size += self.run
+            self.mark = len(data)
+            data.append(STAND)
             self.run = -1
 
-    def hop(self, link_name: str):
-        """Record that the next point is the first on link_name."""
-        self._close()
-        self.hops.append((self.size, link_name))
+    def hop(self, link):
+        """Record that the next point is the first on link, a LinkState of the network."""
+        run = self.run
+        if run:  # close the open run
+            self.data[self.mark] += abs(run) * 4
+            self.size += abs(run)
+            self.run = 0
+        self.mark = -1
+        self.names = link.names
+        self.data.append(link.id * 4 + HOP)
 
-    def positions(self) -> list[float]:
-        """Every point's position, in order, as update_link set it."""
+    def replay(self) -> tuple[list[float], list[tuple[int, int, int]]]:
+        """(positions, segments) in one walk: every point's position as update_link
+        set it, and (start, end, link id) per hop for points start..end-1."""
         data = self.data
-        starts = {start for start, _link in self.hops}
-        open_at = self.mark if self.run else -1  # an open run's header is written at its close
+        open_at = self.mark if self.run else -1  # an open run's header holds no count
         x: list[float] = []
-        end = len(data)
+        hops = []  # (start, link id)
+        start = -1
+        size = len(data)
         i = 0
-        while i < end:
+        while i < size:
             header = int(data[i])
             kind = header & 3
             count = abs(self.run) if i == open_at else header >> 2
@@ -146,44 +150,51 @@ class Trajectory:
             if kind == EXPLICIT:
                 x += data[i:i + count]
                 i += count
-                continue
-            previous = 0.0 if len(x) in starts else x[-1]
-            if kind == FREE:
-                # one addition per step, as update_link made them
-                move = data[i]
-                x.extend(accumulate(repeat(move, count - 1), initial=previous + move))
-                i += 1
+            elif kind == HOP:
+                start = len(x)
+                hops.append((start, count))
             else:
-                x.extend(repeat(previous, count))
-        return x
+                previous = 0.0 if len(x) == start else x[-1]
+                if kind == FREE:  # one addition per step, as update_link made them
+                    x.extend(accumulate(repeat(data[i], count - 1), initial=previous + data[i]))
+                    i += 1
+                else:
+                    x.extend(repeat(previous, count))
+        ends = [start for start, _link in hops[1:]]
+        ends.append(len(x))
+        return x, [(start, end, link) for (start, link), end in zip(hops, ends)]
+
+    @property
+    def hops(self) -> list[tuple[int, str]]:
+        """(point index, link name) per link entered, in order."""
+        return [(start, self.names[link]) for start, _end, link in self.replay()[1]]
 
     def segments(self):
-        """(start, end, link) per hop: points start..end-1 were logged on link."""
-        ends = [start for start, _link in self.hops[1:]]
-        ends.append(len(self))
-        for (start, link), end in zip(self.hops, ends):
-            yield start, end, link
+        """(start, end, link name) per hop: points start..end-1 were logged on that link."""
+        names = self.names
+        for start, end, link in self.replay()[1]:
+            yield start, end, names[link]
 
-    def speeds(self, dt: float, x: list[float] | None = None):
+    def speeds(self, dt: float, replayed=None):
         """Per point, (x - previous x) / dt, with 0.0 before a hop's first point.
 
-        x is positions(), computed here when not given.
+        replayed is replay(), computed here when not given.
         """
-        if x is None:
-            x = self.positions()
+        x, segments = self.replay() if replayed is None else replayed
         before = [0.0, *x]  # one longer than x: a hop may await its first point
-        for start, _link in self.hops:
+        for start, _end, _link in segments:
             before[start] = 0.0
         return map(truediv, map(sub, x, before), repeat(dt))
 
     def rows(self, dt: float):
         """(t, link, x, v) per point, in order."""
-        x = self.positions()
-        speeds = self.speeds(dt, x)
-        for start, end, link in self.segments():
+        replayed = x, segments = self.replay()
+        speeds = self.speeds(dt, replayed)
+        names = self.names
+        for start, end, link in segments:
             for step, position, v in zip(range(self.first + start, self.first + end),
                                          x[start:end], speeds):
-                yield step * dt, link, position, v
+                yield step * dt, names[link], position, v
 
 
 class Platoon:
@@ -233,12 +244,14 @@ class LinkState:
     platoons[0] is the front platoon (nearest the link end); new entrants
     append at the back with x = 0. entered_count / exited_count are
     cumulative platoon counts used for cumulative-curve analysis; id is the
-    link's position in link order, set by engine.index_nodes.
+    link's position in link order and names every link's name by id, one
+    list shared by the network, both set by engine.index_nodes.
     """
 
     __slots__ = (
         "spec",
         "id",
+        "names",
         "name",
         "length",
         "u",
@@ -309,8 +322,11 @@ def update_link(link: LinkState, dt: float) -> LinkState:
         speed_sum += (x_new - x_old) / dt
         platoon.x = x_new
         trajectory = platoon.trajectory
-        if x_new is not x_free:  # a cap set it
-            trajectory.capped(x_new, x_old)
+        if x_new is not x_free:  # a cap set it; most capped steps move
+            if x_new != x_old:
+                trajectory.explicit(x_new)
+            else:
+                trajectory.capped(x_new, x_old)
         elif (run := trajectory.run) > 0:
             trajectory.run = run + 1
         else:

@@ -138,7 +138,7 @@ def process_node(node, world, t: float, rng: random.Random) -> list[Platoon]:
                 source.platoons.popleft()
                 source.exited_count += 1
                 moved.append(platoon)
-            trajectory.hop(target.name)
+            trajectory.hop(target)
             target.platoons.append(platoon)
             target.entered_count += 1
             platoon.x = 0.0

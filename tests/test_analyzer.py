@@ -404,7 +404,7 @@ def _oracle_export(log, world, out_dir):
     ]
 
 
-def _explicit_points(trajectory, values) -> Trajectory:
+def _explicit_points(world, trajectory, values) -> Trajectory:
     """A trajectory with trajectory's first step and hops whose points are
     the next len(trajectory) values, each logged by its position."""
     points = Trajectory()
@@ -412,7 +412,7 @@ def _explicit_points(trajectory, values) -> Trajectory:
     hops = dict(trajectory.hops)
     for k in range(len(trajectory) + 1):
         if k in hops:
-            points.hop(hops[k])
+            points.hop(world.links_by_name[hops[k]])
         if k < len(trajectory):
             points.explicit(next(values))
     return points
@@ -452,7 +452,7 @@ def test_export_matches_oracle(names, floats):
     run(world)
     values = cycle(SPECIAL_FLOATS + floats)
     for p in world.platoons:
-        p.trajectory = _explicit_points(p.trajectory, values)
+        p.trajectory = _explicit_points(world, p.trajectory, values)
     v_column = [v for p in world.platoons for v in p.trajectory.speeds(world.log.dt)]
     assert any(map(math.isnan, v_column)) and math.inf in v_column and -math.inf in v_column
     assert v_column.index(0.0) < list(map(repr, v_column)).index("-0.0")
@@ -497,7 +497,7 @@ def test_export_memo_stays_bounded(monkeypatch):
     n_points = analyzer._MEMO_LIMIT + 5000
     trajectory = Trajectory()
     trajectory.first = world.platoons[0].trajectory.first
-    trajectory.hop("AB")
+    trajectory.hop(world.links_by_name["AB"])
     for i in range(n_points):
         trajectory.explicit(i / 7)
     world.platoons[0].trajectory = trajectory

@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import os
 import random
 import struct
+import tempfile
 import tracemalloc
 from collections import defaultdict
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,7 @@ from mesosim import (
     step,
 )
 from mesosim import engine, node_transfer
-from mesosim.analyzer import export_bin
+from mesosim.analyzer import _fmt, export_bin, export_csv
 from mesosim.engine import generate_demand
 from mesosim.kinematics import Platoon, instantaneous_travel_time
 
@@ -364,11 +367,9 @@ def _dense_mfd(log, records, bin_s):
 def _assert_log_matches_live(world, records):
     """The link log replays, counts and bins as the live tuples of every step do.
 
-    The stored ids must be those of the storage rule that also stores a
-    link whose entered count changed: every link at step 0, then each link
-    that holds platoons now or held them at the previous step, or was
-    entered. The engine drops the last clause, since an entered link holds
-    a platoon when the step logs, and derives exited as entered - count.
+    The stored ids must be exactly those of the storage rule: every link at
+    step 0, then each link whose count, entered count or mean_speed bits
+    differ from its live tuple at the previous step. exited is entered - count.
     """
     log = world.log
     n = len(world.links)
@@ -381,7 +382,7 @@ def _assert_log_matches_live(world, records):
     for k, (ids, count, speed, entered) in enumerate(log.link_records.steps()):
         rows = records[k * n:(k + 1) * n]
         stored = [j for j, row in enumerate(rows)
-                  if previous is None or row[2] or previous[j][2] or row[4] != previous[j][4]]
+                  if previous is None or _bits(row[2:5]) != _bits(previous[j][2:5])]
         assert list(ids) == stored, k
         _assert_same_rows(zip(count, speed, entered), [rows[j][2:5] for j in stored])
         previous = rows
@@ -421,7 +422,7 @@ def _place_platoon(world, link_name, x, destination):
     platoon.state = "running"
     platoon.x = x
     platoon.trajectory.first = 1
-    platoon.trajectory.hops.append((0, link.name))
+    platoon.trajectory.hop(link)
     link.platoons.append(platoon)
     link.entered_count += 1
     world.platoons.append(platoon)
@@ -563,6 +564,89 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
             assert starts[-1] < len(trajectory)
 
 
+def _assert_table_lines(path, want: str):
+    """The lines of the CSV table at path, after its header, are want's, in order."""
+    with open(path, encoding="utf-8") as f:
+        got = f.read().splitlines()[1:]
+    want = want.splitlines()
+    for k, (line, wanted) in enumerate(zip(got, want)):  # no diff of the whole tables
+        assert line == wanted, k
+    assert len(got) == len(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    graph_seed=st.integers(0, 2**32 - 1),
+    extra_arcs=st.integers(0, 8),
+    bands=st.lists(_BAND, min_size=1, max_size=4),
+    speeds=st.lists(st.sampled_from([None, 0.0, -0.0, 7.5]), min_size=1, max_size=6),
+    platoon_size=st.sampled_from([1, 5]),
+    seed=st.integers(0, 1000),
+)
+def test_changes_only_log_reads_back_as_dense_step_tuples(n, graph_seed, extra_arcs, bands,
+                                                         speeds, platoon_size, seed):
+    """A log that stores a link record only when it changes, and a hop as a
+    run header, reads back as the tuples every step would have logged:
+    link_rows(), links.csv, cumulative_counts, mfd_points and vehicles.csv.
+
+    Each link update's mean speed is replaced in turn by the next of speeds
+    (None keeps it), on links that hold platoons, so records that differ
+    only in their speed, or only in the sign of a zero speed, are common.
+    """
+    links = random_digraph(n, random.Random(graph_seed), min(n * (n - 1), n + extra_arcs))
+    nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(n)]
+    demands = [
+        DemandSpec(f"n{o % n}", f"n{(o + 1 + d % (n - 1)) % n}", start, start + width, flow)
+        for o, d, start, width, flow in bands
+    ]
+    config = SimConfig(seed=seed, duration=300.0, platoon_size=platoon_size)
+    world = build_world(config, nodes, links, demands)
+    replacements = cycle(speeds)
+    update_link = engine.update_link
+
+    def replacing_update(link, dt):
+        update_link(link, dt)
+        speed = next(replacements)
+        if speed is not None and link.platoons:
+            link.mean_speed = speed
+        return link
+
+    records = []
+    points = defaultdict(list)
+
+    def logging_step(world):
+        before = {p.id: (link.name, p.x) for link in world.links for p in link.platoons}
+        step(world)
+        dt = world.config.time_step
+        records.extend(_live_link_tuples(world))
+        for link in world.links:
+            for platoon in link.platoons:
+                name, x_before = before.get(platoon.id, (None, 0.0))
+                v = (platoon.x - (x_before if name == link.name else 0.0)) / dt
+                points[platoon.id].append((world.clock, link.name, platoon.x, v))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "update_link", replacing_update)
+        patch.setattr(engine, "step", logging_step)
+        run(world)
+    _assert_log_matches_live(world, records)
+    dn = platoon_size
+    dt = world.log.dt
+    links_csv = "".join(
+        f"{_fmt(t)},{name},{c * dn},{_fmt(v)},{a * dn},{d * dn}\n"
+        for t, name, c, v, a, d in records
+    )
+    vehicles_csv = "".join(
+        f"{_fmt(clock * dt)},{p.id},{p.origin},{p.destination},{name},{_fmt(x)},{_fmt(v)}\n"
+        for p in world.platoons for clock, name, x, v in points[p.id]
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        export_csv(world.log, world, tmp)
+        _assert_table_lines(os.path.join(tmp, "links.csv"), links_csv)
+        _assert_table_lines(os.path.join(tmp, "vehicles.csv"), vehicles_csv)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 6),
@@ -610,14 +694,15 @@ def test_trajectory_positions_match_step_positions(n, graph_seed, extra_arcs, ba
         run(world)
     for platoon in world.platoons:
         trajectory = platoon.trajectory
-        _assert_same_rows(((x,) for x in trajectory.positions()), positions[platoon.id])
+        _assert_same_rows(((x,) for x in trajectory.replay()[0]), positions[platoon.id])
         assert len(trajectory) == len(positions[platoon.id])
 
 
 # bytes a run may retain per trajectory point plus per link record: on
 # this run one tuple per entry retains about 133, a column of positions
-# about 16, and the trajectory runs about 11.6
-_LOG_BYTES_PER_ENTRY = 14
+# about 16, the trajectory runs with a record per updated link about 10-11.5,
+# and with records stored when they change and hops as run headers about 8.7-8.9
+_LOG_BYTES_PER_ENTRY = 9.5
 
 
 def test_run_log_memory_per_entry():
@@ -653,6 +738,32 @@ def test_free_flow_run_memory_per_point():
     points = sum(len(p.trajectory) for p in world.platoons)
     assert points == 50 * 1000
     assert grown <= _FREE_FLOW_BYTES_PER_POINT * points, grown / points
+
+
+# bytes the trajectories may retain per hop on a chain of 50 m links, one
+# explicit point per link: a (point index, link name) tuple per hop retained
+# about 70, a run header per hop about 26
+_TRAJECTORY_BYTES_PER_HOP = 40
+
+
+def test_hop_heavy_trajectory_memory_per_hop():
+    # 80 links of 50 m: a platoon crosses one per step, capped at its end
+    nodes = [NodeSpec(f"n{k}", 50.0 * k, 0.0) for k in range(81)]
+    links = [LinkSpec(f"n{k}-n{k + 1}", f"n{k}", f"n{k + 1}", 50.0, 20.0, 0.2) for k in range(80)]
+    world = build_world(SimConfig(duration=3000.0), nodes, links,
+                        [DemandSpec("n0", "n80", 0.0, 2400.0, 0.2)])
+    tracemalloc.start()
+    try:
+        run(world)
+        with_trajectories = tracemalloc.get_traced_memory()[0]
+        hops = sum(len(p.trajectory.hops) for p in world.platoons)
+        for platoon in world.platoons:
+            platoon.trajectory = None
+        retained = with_trajectories - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(world.platoons) == 96 and hops == 96 * 80
+    assert retained <= _TRAJECTORY_BYTES_PER_HOP * hops, retained / hops
 
 
 # bytes a World build may retain per destination and link on the 12x12
@@ -696,8 +807,11 @@ def _two_way_chain_world(duration: float, band_end: float, **config):
     return build_world(config, nodes, links, [DemandSpec("n0", "n2", 0.0, band_end, 0.3)])
 
 
-def test_link_update_runs_for_each_stored_record(monkeypatch):
-    """Each step updates exactly the links whose record it stores, in link order."""
+def test_link_update_runs_where_platoons_are_or_were(monkeypatch):
+    """Each step updates, in link order, the links that hold platoons now or
+    held them at the previous step, and stores the records of those whose
+    count, entered or mean_speed bits changed; step 0 updates and stores
+    every link."""
     world = _two_way_chain_world(600.0, 300.0)
     calls = []
     update_link = engine.update_link
@@ -709,11 +823,22 @@ def test_link_update_runs_for_each_stored_record(monkeypatch):
     monkeypatch.setattr(engine, "update_link", counted)
     records = world.log.link_records
     per_step = []
+    kept = 0  # updated links whose record did not change
+    previous = None
     while world.clock < world.total_steps:
         start = len(records.link)
         calls.clear()
         step(world)
-        assert calls == list(records.link[start:])
+        rows = [_bits(row[2:5]) for row in _live_link_tuples(world)]
+        if previous is None:
+            assert calls == list(range(len(rows)))
+            assert list(records.link[start:]) == calls
+        else:
+            assert calls == [j for j, row in enumerate(rows) if row[0] or previous[j][0]]
+            stored = [j for j in calls if rows[j] != previous[j]]
+            assert list(records.link[start:]) == stored
+            kept += len(calls) - len(stored)
+        previous = rows
         per_step.append(len(calls))
     assert len(world.links) == 40
     assert {link.name for link in world.links if link.entered_count} == {"n0-n1", "n1-n2"}
@@ -721,6 +846,7 @@ def test_link_update_runs_for_each_stored_record(monkeypatch):
     assert per_step[0] == 40
     assert max(per_step[1:]) == 2
     assert per_step[-1] == 0
+    assert kept > 0
 
 
 def test_link_log_memory_follows_traffic():

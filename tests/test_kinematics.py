@@ -16,7 +16,7 @@ from mesosim.kinematics import (
     update_link,
 )
 
-from conftest import link_capacity
+from conftest import link_capacity, node_index
 
 
 def advance_platoon(
@@ -76,6 +76,21 @@ def make_link(length=1000.0, u=20.0, kappa=0.2, platoon_size=5, positions=()):
         link.platoons.append(p)
         link.entered_count += 1
     return link
+
+
+def indexed(*links):
+    """links, given ids in this order and their shared names, as hop() takes them."""
+    node_index(list(links))
+    return links
+
+
+def named_links(*names):
+    """Indexed links with the given names, each from A to B."""
+    return indexed(*(
+        LinkState(LinkSpec(name=name, from_node="A", to_node="B", length=1000.0,
+                           free_flow_speed=20.0, jam_density=0.2), 5)
+        for name in names
+    ))
 
 
 def test_advance_follows_leader():
@@ -138,7 +153,7 @@ def test_update_logs_each_new_position():
             points.append(platoon.x)
     # free to the link end, free flow, then held 25 m behind the leader's old position
     assert logged == [[1000.0] * 3, [600.0, 700.0, 800.0], [475.0, 575.0, 675.0]]
-    assert [list(platoon.trajectory.positions()) for platoon in link.platoons] == logged
+    assert [list(platoon.trajectory.replay()[0]) for platoon in link.platoons] == logged
 
 
 def test_update_detects_spacing_violation():
@@ -252,12 +267,13 @@ def test_platoon_initial_state():
 
 
 def test_speeds_restart_from_zero_at_each_hop():
+    l1, l2 = named_links("L1", "L2")
     trajectory = Trajectory()
     trajectory.first = 4
-    trajectory.hop("L1")
+    trajectory.hop(l1)
     for x in (100.0, 200.0, 200.0):
         trajectory.explicit(x)
-    trajectory.hop("L2")
+    trajectory.hop(l2)
     for x in (50.0, 150.0):
         trajectory.explicit(x)
     assert trajectory.hops == [(0, "L1"), (3, "L2")]
@@ -267,10 +283,10 @@ def test_speeds_restart_from_zero_at_each_hop():
         (35.0, "L2", 50.0, 10.0), (40.0, "L2", 150.0, 20.0),
     ]
     one = Trajectory()
-    one.hop("L1")
+    one.hop(l1)
     one.explicit(35.0)
     assert list(one.speeds(5.0)) == [7.0]
-    one.hop("L2")  # entered in a step that stopped before logging
+    one.hop(l2)  # entered in a step that stopped before logging
     assert list(one.speeds(5.0)) == [7.0]
     assert list(Trajectory().speeds(5.0)) == []
 
@@ -285,12 +301,14 @@ def _entered(link, first_positions=()):
     A platoon with first positions logs them on a link before, so its
     trajectory has points ahead of the hop.
     """
+    (before,) = named_links("before")
+    indexed(before, link)
     for platoon, positions in zip(link.platoons, first_positions):
-        platoon.trajectory.hop("before")
+        platoon.trajectory.hop(before)
         for x in positions:
             platoon.trajectory.explicit(x)
     for platoon in link.platoons:
-        platoon.trajectory.hop(link.name)
+        platoon.trajectory.hop(link)
     return list(link.platoons)
 
 
@@ -302,8 +320,8 @@ def test_free_flow_steps_are_kept_as_one_run():
         update_link(link, 5.0 * 0.7)
         logged.append(platoon.x)
     trajectory = platoon.trajectory
-    assert len(trajectory) == 10 and len(trajectory.data) == 2  # a header and u * dt
-    assert list(map(_bits, trajectory.positions())) == list(map(_bits, logged))
+    assert len(trajectory) == 10 and len(trajectory.data) == 3  # the hop, the run's header, u * dt
+    assert list(map(_bits, trajectory.replay()[0])) == list(map(_bits, logged))
 
 
 def test_standing_first_point_replays_from_zero_not_the_last_link():
@@ -313,7 +331,7 @@ def test_standing_first_point_replays_from_zero_not_the_last_link():
     _leader, follower = _entered(link, [(), (730.0,)])
     update_link(link, 5.0)
     assert follower.trajectory.run == -1
-    assert list(map(_bits, follower.trajectory.positions())) == [_bits(730.0), _bits(0.0)]
+    assert list(map(_bits, follower.trajectory.replay()[0])) == [_bits(730.0), _bits(0.0)]
     assert list(follower.trajectory.speeds(5.0)) == [146.0, 0.0]
 
 
@@ -323,18 +341,18 @@ def test_hop_begun_away_from_zero_is_kept_explicit():
     (platoon,) = _entered(link)
     for _ in range(3):
         update_link(link, 5.0)
-    assert list(platoon.trajectory.positions()) == [600.0, 700.0, 800.0]
+    assert list(platoon.trajectory.replay()[0]) == [600.0, 700.0, 800.0]
     assert list(platoon.trajectory.speeds(5.0)) == [120.0, 20.0, 20.0]
 
 
 def test_capped_step_stands_only_on_the_same_bits():
     trajectory = Trajectory()
-    trajectory.hop("L")
+    trajectory.hop(*named_links("L"))
     trajectory.capped(0.0, 0.0)
     trajectory.capped(-0.0, 0.0)
     trajectory.capped(-0.0, -0.0)
     trajectory.capped(math.nan, math.nan)
     assert len(trajectory) == 4
-    assert list(map(_bits, trajectory.positions())) == list(
+    assert list(map(_bits, trajectory.replay()[0])) == list(
         map(_bits, [0.0, -0.0, -0.0, math.nan])
     )
