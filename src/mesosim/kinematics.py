@@ -52,8 +52,8 @@ class Trajectory:
     names, every link's name by id, is the network's one list, which
     hop(link) takes from the link. The last run may be open: mark is its
     header's index, and run counts its free (run > 0) or standing (run < 0)
-    steps, so update_link extends an open free run by run + 1 alone; the
-    count joins the header when the run closes. No run spans a hop; mark <
+    steps, so update_link extends an open run by a count alone; the count
+    joins the header when the run closes. No run spans a hop; mark <
     0 until a point follows the last hop. replay() walks the runs once, with
     the step loop's float additions.
     """
@@ -285,8 +285,9 @@ def update_link(link: LinkState, dt: float) -> LinkState:
     front platoon is capped at the link length and waits there for a
     node transfer. Each new x is the platoon's one trajectory point for the
     step, logged by the branch that set it: a free-flow step extends an open
-    free run by a count alone, a capped step is a standing step when it
-    keeps x_old's float and an explicit position otherwise (see
+    free run, and a standing step an open standing run, by a count alone; a
+    capped step is a standing step when it keeps x_old's float and an
+    explicit position otherwise (see
     Trajectory). The link's mean speed is refreshed (free-flow speed when
     empty) from the speeds (x_new - x_old) / dt, which Trajectory.speeds
     derives again from the replayed positions.
@@ -325,6 +326,8 @@ def update_link(link: LinkState, dt: float) -> LinkState:
         if x_new is not x_free:  # a cap set it; most capped steps move
             if x_new != x_old:
                 trajectory.explicit(x_new)
+            elif (run := trajectory.run) < 0 and x_new:  # an open standing run, off zero
+                trajectory.run = run - 1
             else:
                 trajectory.capped(x_new, x_old)
         elif (run := trajectory.run) > 0:
