@@ -206,6 +206,8 @@ def time_space_points(log, link_sequence: list[str]) -> dict[int, list[tuple[flo
     polylines: dict[int, list[tuple[float, float]]] = {}
     for platoon in log.platoons:
         trajectory = platoon.trajectory
+        if not trajectory.may_enter(offsets):
+            continue
         points = []
         positions, segments = trajectory.replay()
         for start, end, link in segments:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from itertools import accumulate, repeat
-from math import copysign
 from operator import sub, truediv
 
 from .errors import ConsistencyError
@@ -39,16 +38,16 @@ class Trajectory:
     the k-th point is stamped (first + k) * dt, the end time of step
     first + k - 1. len() counts points.
 
-    A point's previous position is the point before it, or 0.0 at a hop's
-    first point, where process_node puts the platoon. The motion rule fixes
-    most points from it: a free-flow step adds the link's u * dt and a
-    standing step repeats it, bit for bit. Only the other points keep their
-    position (explicit points): capped steps that moved, a first point
-    logged before any hop, and a hop's first point when the platoon did not
-    start it at 0.0. data holds one entry per run: a header, count * 4 +
-    kind, then a free run's u * dt or an explicit run's positions (a
-    standing run has no payload). A hop is a run too, link id * 4 + HOP with
-    no payload: the points up to the next hop were logged on that link.
+    Every point follows a hop, and process_node starts every hop at +0.0;
+    each step then gives x_new >= x_old, so positions stay finite and never
+    become -0.0. A point's previous position is the point before it, or 0.0
+    at a hop's first point. The motion rule fixes most points from it: a
+    free-flow step adds the link's u * dt and a standing step repeats it,
+    bit for bit. Only capped steps that moved keep their position (explicit
+    points). data holds one entry per run: a header, count * 4 + kind, then
+    a free run's u * dt or an explicit run's positions (a standing run has
+    no payload). A hop is a run too, link id * 4 + HOP with no payload: the
+    points up to the next hop were logged on that link.
     names, every link's name by id, is the network's one list, which
     hop(link) takes from the link. The last run may be open: mark is its
     header's index, and run counts its free (run > 0) or standing (run < 0)
@@ -87,39 +86,28 @@ class Trajectory:
         data.append(x)
         self.size += 1
 
-    def free(self, x: float, before: float, move: float):
-        """Log a free-flow step, x = before + move, where no free run is open."""
+    def free(self, move: float):
+        """Log a free-flow step, adding move, where no free run is open."""
         data = self.data
         run = self.run
         if run:  # close the open standing run
             data[self.mark] -= run * 4
             self.size -= run
-        # the sign of a zero before leaves before + move unchanged
-        elif self.mark < 0 and (before != 0.0 or not data):
-            self.explicit(x)
-            return
         self.mark = len(data)
         data.append(FREE)
         data.append(move)
         self.run = 1
 
-    def capped(self, x: float, before: float):
-        """Log a capped step: a standing step if x is before's float, else explicit."""
-        # a zero keeps its sign, and a hop's first point replays from +0.0
-        if x != before or (not x and copysign(1.0, x) != copysign(1.0, before)) or (
-            self.mark < 0 and not (self.data and not before and copysign(1.0, before) > 0.0)
-        ):
-            self.explicit(x)
-        elif self.run < 0:
-            self.run -= 1
-        else:
-            data = self.data
-            if self.run:  # close the open free run
-                data[self.mark] += self.run * 4
-                self.size += self.run
-            self.mark = len(data)
-            data.append(STAND)
-            self.run = -1
+    def stand(self):
+        """Log a standing step, the previous position again, where no standing run is open."""
+        data = self.data
+        run = self.run
+        if run:  # close the open free run
+            data[self.mark] += run * 4
+            self.size += run
+        self.mark = len(data)
+        data.append(STAND)
+        self.run = -1
 
     def hop(self, link):
         """Record that the next point is the first on link, a LinkState of the network."""
@@ -131,6 +119,10 @@ class Trajectory:
         self.mark = -1
         self.names = link.names
         self.data.append(link.id * 4 + HOP)
+
+    def may_enter(self, link_ids) -> bool:
+        """False if no hop onto link_ids is logged; a float equal to a hop header gives True."""
+        return any(link * 4 + HOP in self.data for link in link_ids)
 
     def replay(self) -> tuple[list[float], list[tuple[int, int, int]]]:
         """(positions, segments) in one walk: every point's position as update_link
@@ -168,12 +160,6 @@ class Trajectory:
     def hops(self) -> list[tuple[int, str]]:
         """(point index, link name) per link entered, in order."""
         return [(start, self.names[link]) for start, _end, link in self.replay()[1]]
-
-    def segments(self):
-        """(start, end, link name) per hop: points start..end-1 were logged on that link."""
-        names = self.names
-        for start, end, link in self.replay()[1]:
-            yield start, end, names[link]
 
     def speeds(self, dt: float, replayed=None):
         """Per point, (x - previous x) / dt, with 0.0 before a hop's first point.
@@ -283,12 +269,12 @@ def update_link(link: LinkState, dt: float) -> LinkState:
 
     Each platoon advances against its leader's pre-update position; the
     front platoon is capped at the link length and waits there for a
-    node transfer. Each new x is the platoon's one trajectory point for the
-    step, logged by the branch that set it: a free-flow step extends an open
-    free run, and a standing step an open standing run, by a count alone; a
-    capped step is a standing step when it keeps x_old's float and an
-    explicit position otherwise (see
-    Trajectory). The link's mean speed is refreshed (free-flow speed when
+    node transfer. Every platoon entered the link through a hop at 0.0, as
+    process_node puts it (see Trajectory). Each new x is its one trajectory
+    point for the step, logged by the branch that set it: a free-flow step,
+    or a capped one that kept x_old (standing), extends an open run of its
+    kind by a count alone or opens one; a capped step that moved is
+    explicit. The link's mean speed is refreshed (free-flow speed when
     empty) from the speeds (x_new - x_old) / dt, which Trajectory.speeds
     derives again from the replayed positions.
     """
@@ -323,17 +309,17 @@ def update_link(link: LinkState, dt: float) -> LinkState:
         speed_sum += (x_new - x_old) / dt
         platoon.x = x_new
         trajectory = platoon.trajectory
-        if x_new is not x_free:  # a cap set it; most capped steps move
-            if x_new != x_old:
-                trajectory.explicit(x_new)
-            elif (run := trajectory.run) < 0 and x_new:  # an open standing run, off zero
-                trajectory.run = run - 1
+        if x_new is x_free:
+            if (run := trajectory.run) > 0:
+                trajectory.run = run + 1
             else:
-                trajectory.capped(x_new, x_old)
-        elif (run := trajectory.run) > 0:
-            trajectory.run = run + 1
+                trajectory.free(free_move)
+        elif x_new != x_old:  # a cap set it, and most capped steps move
+            trajectory.explicit(x_new)
+        elif (run := trajectory.run) < 0:
+            trajectory.run = run - 1
         else:
-            trajectory.free(x_new, x_old, free_move)
+            trajectory.stand()
         leader_x_old = x_old
         leader_x_new = x_new
     link.mean_speed = speed_sum / len(platoons)

@@ -272,6 +272,40 @@ def test_tsd_partial_traversal_contributes():
     assert max(x for _t, x in points) == pytest.approx(1000.0)
 
 
+def test_tsd_skips_platoons_off_the_corridor():
+    # the branch link comes first, so the corridor's hop headers are not small floats
+    nodes = "name,x,y\nA,0,0\nB,1000,0\nC,2000,0\nD,0,1000\n"
+    links = (
+        "name,from,to,length,free_flow_speed,jam_density,merge_priority\n"
+        "L3,A,D,1000,20,0.2,\nL1,A,B,1000,20,0.2,\nL2,B,C,1000,20,0.2,\n"
+    )
+    demand = DEMAND_HEADER + "\nA,C,0,30,0.5\nA,D,0,30,0.5\n"
+    world = run(make_world(nodes, links, demand, duration=300.0))
+    l1, l2, l3 = (world.links_by_name[name] for name in ("L1", "L2", "L3"))
+    # a branch platoon whose one logged position is L2's hop header: kept
+    # for replay, it still enters no corridor link
+    probe = Trajectory()
+    probe.hop(l2)
+    (header,) = probe.data
+    fake = next(p for p in world.platoons if p.destination == "D")
+    fake.trajectory = Trajectory()
+    fake.trajectory.first = 1
+    fake.trajectory.hop(l3)
+    fake.trajectory.explicit(header)
+    assert fake.trajectory.may_enter([l1.id, l2.id])
+    offsets = {"L1": 0.0, "L2": 1000.0}
+    expected = {}
+    for p in world.platoons:
+        points = [(t, offsets[link] + x) for t, link, x, _v in p.trajectory.rows(world.log.dt)
+                  if link in offsets]
+        if points:
+            expected[p.id] = points
+    polylines = time_space_points(world.log, ["L1", "L2"])
+    assert polylines == expected
+    assert set(polylines) == {p.id for p in world.platoons if p.destination == "C"}
+    assert {p.destination for p in world.platoons} == {"C", "D"}
+
+
 def test_tsd_empty_log():
     world = _run_single_link([])
     assert time_space_points(world.log, ["AB"]) == {}

@@ -145,15 +145,23 @@ def test_update_uses_pre_update_leader_position():
 
 def test_update_logs_each_new_position():
     """One trajectory point per platoon per update, equal to its new x."""
-    link = make_link(positions=[995.0, 500.0, 470.0])
-    logged = [[], [], []]
-    for _ in range(3):
+    link = make_link(length=250.0, positions=[0.0])
+    (leader,) = _entered(link)
+    follower = Platoon(1, "A", "B", 0.0)
+    logged = {leader: [], follower: []}
+    for k in range(6):
+        if k == 2:  # the follower enters at 0.0 two steps later, as process_node puts it
+            follower.trajectory.hop(link)
+            link.platoons.append(follower)
         update_link(link, 5.0)
-        for points, platoon in zip(logged, link.platoons):
-            points.append(platoon.x)
-    # free to the link end, free flow, then held 25 m behind the leader's old position
-    assert logged == [[1000.0] * 3, [600.0, 700.0, 800.0], [475.0, 575.0, 675.0]]
-    assert [list(platoon.trajectory.replay()[0]) for platoon in link.platoons] == logged
+        for platoon in link.platoons:
+            logged[platoon].append(platoon.x)
+    # free flow, capped at the link end, then held 25 m behind the leader's old position
+    assert logged[leader] == [100.0, 200.0, 250.0, 250.0, 250.0, 250.0]
+    assert logged[follower] == [100.0, 200.0, 225.0, 225.0]
+    assert [list(platoon.trajectory.replay()[0]) for platoon in link.platoons] == list(
+        logged.values()
+    )
 
 
 def test_update_detects_spacing_violation():
@@ -333,26 +341,3 @@ def test_standing_first_point_replays_from_zero_not_the_last_link():
     assert follower.trajectory.run == -1
     assert list(map(_bits, follower.trajectory.replay()[0])) == [_bits(730.0), _bits(0.0)]
     assert list(follower.trajectory.speeds(5.0)) == [146.0, 0.0]
-
-
-def test_hop_begun_away_from_zero_is_kept_explicit():
-    # a platoon placed mid-link by hand: the replay restarts a hop at 0.0
-    link = make_link(positions=[500.0])
-    (platoon,) = _entered(link)
-    for _ in range(3):
-        update_link(link, 5.0)
-    assert list(platoon.trajectory.replay()[0]) == [600.0, 700.0, 800.0]
-    assert list(platoon.trajectory.speeds(5.0)) == [120.0, 20.0, 20.0]
-
-
-def test_capped_step_stands_only_on_the_same_bits():
-    trajectory = Trajectory()
-    trajectory.hop(*named_links("L"))
-    trajectory.capped(0.0, 0.0)
-    trajectory.capped(-0.0, 0.0)
-    trajectory.capped(-0.0, -0.0)
-    trajectory.capped(math.nan, math.nan)
-    assert len(trajectory) == 4
-    assert list(map(_bits, trajectory.replay()[0])) == list(
-        map(_bits, [0.0, -0.0, -0.0, math.nan])
-    )
