@@ -126,7 +126,7 @@ def cumulative_counts(log, link: str) -> list[tuple[float, int, int]]:
     return curve
 
 
-def mfd_points(log, world, bin_s: float = DEFAULT_MFD_BIN) -> list[MFDPoint]:
+def mfd_points(log, world, bin_s: float) -> list[MFDPoint]:
     """Network density/flow per time bin, generalized over all links.
 
     bin_s must be a finite whole number of time steps, at least one. The

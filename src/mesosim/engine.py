@@ -27,7 +27,6 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from math import copysign
 
 from . import node_transfer, routing
 from .errors import (
@@ -99,9 +98,9 @@ class LinkRecords:
     A stored record is a link's count and entered (platoons) as array("i")
     and mean_speed as array("d"); exited is entered - count, which step()
     checks. step() stores every link at step 0, then each link whose
-    count, entered or mean_speed bits (0.0 and -0.0 render differently)
-    differ from its last stored record, held in last_count, last_entered and
-    last_speed; a link left out of a step repeats it. Records are
+    count, entered or mean_speed differs from its last stored record, held
+    in last_count, last_entered and last_speed; a link left out of a step
+    repeats it. Records are
     step-major, in link-id order within a step, with the id in link; ends[s]
     is where step s's records stop. len() counts every logical record.
     """
@@ -386,9 +385,7 @@ def step(world: World) -> World:
         if count or last_count[j]:
             update_link(link, dt)
             speed = link.mean_speed
-            if count != last_count[j] or entered != last_entered[j] or speed != last_speed[j] or (
-                not speed and copysign(1.0, speed) != copysign(1.0, last_speed[j])
-            ):
+            if count != last_count[j] or entered != last_entered[j] or speed != last_speed[j]:
                 log_link(j)
                 log_count(count)
                 log_speed(speed)

@@ -49,12 +49,8 @@ class Trajectory:
     no payload). A hop is a run too, link id * 4 + HOP with no payload: the
     points up to the next hop were logged on that link.
     names, every link's name by id, is the network's one list, which
-    hop(link) takes from the link. The last run may be open: mark is its
-    header's index, and run counts its free (run > 0) or standing (run < 0)
-    steps, so update_link extends an open run by a count alone; the count
-    joins the header when the run closes. No run spans a hop; mark <
-    0 until a point follows the last hop. replay() walks the runs once, with
-    the step loop's float additions.
+    hop(link) takes from the link. _open states how the writers keep an open
+    run; replay() walks the runs once, with the step loop's float additions.
     """
 
     __slots__ = ("first", "names", "data", "size", "run", "mark")
@@ -70,55 +66,46 @@ class Trajectory:
     def __len__(self):
         return self.size + abs(self.run)
 
+    def _open(self, header: int):
+        """Close any open counted run, its count joining its header, and start header.
+
+        The invariant: mark indexes the header of the last run while it is
+        open, and is < 0 from a hop until its first point. An open free
+        (run > 0) or standing (run < 0) run keeps its count in run alone, which
+        update_link extends; an open explicit run (run == 0) counts each point
+        in its header and in size as it comes. No run spans a hop.
+        """
+        if run := abs(self.run):
+            self.data[self.mark] += run * 4
+            self.size += run
+            self.run = 0
+        self.mark = len(self.data)
+        self.data.append(header)
+
     def explicit(self, x: float):
         """Log a point by its position."""
-        data = self.data
-        run = self.run
-        if run:  # close the open run
-            data[self.mark] += abs(run) * 4
-            self.size += abs(run)
-            self.run = 0
-            self.mark = -1
-        if self.mark < 0:
-            self.mark = len(data)
-            data.append(EXPLICIT)
-        data[self.mark] += 4
-        data.append(x)
+        if self.run or self.mark < 0:
+            self._open(EXPLICIT)
+        self.data[self.mark] += 4
+        self.data.append(x)
         self.size += 1
 
     def free(self, move: float):
         """Log a free-flow step, adding move, where no free run is open."""
-        data = self.data
-        run = self.run
-        if run:  # close the open standing run
-            data[self.mark] -= run * 4
-            self.size -= run
-        self.mark = len(data)
-        data.append(FREE)
-        data.append(move)
+        self._open(FREE)
+        self.data.append(move)
         self.run = 1
 
     def stand(self):
         """Log a standing step, the previous position again, where no standing run is open."""
-        data = self.data
-        run = self.run
-        if run:  # close the open free run
-            data[self.mark] += run * 4
-            self.size += run
-        self.mark = len(data)
-        data.append(STAND)
+        self._open(STAND)
         self.run = -1
 
     def hop(self, link):
         """Record that the next point is the first on link, a LinkState of the network."""
-        run = self.run
-        if run:  # close the open run
-            self.data[self.mark] += abs(run) * 4
-            self.size += abs(run)
-            self.run = 0
+        self._open(link.id * 4 + HOP)
         self.mark = -1
         self.names = link.names
-        self.data.append(link.id * 4 + HOP)
 
     def may_enter(self, link_ids) -> bool:
         """False if no hop onto link_ids is logged; a float equal to a hop header gives True."""
@@ -275,8 +262,8 @@ def update_link(link: LinkState, dt: float) -> LinkState:
     or a capped one that kept x_old (standing), extends an open run of its
     kind by a count alone or opens one; a capped step that moved is
     explicit. The link's mean speed is refreshed (free-flow speed when
-    empty) from the speeds (x_new - x_old) / dt, which Trajectory.speeds
-    derives again from the replayed positions.
+    empty) from the speeds (x_new - x_old) / dt >= +0.0, never -0.0, which
+    Trajectory.speeds derives again from the replayed positions.
     """
     platoons = link.platoons
     if not platoons:

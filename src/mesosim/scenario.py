@@ -294,11 +294,7 @@ def _records(text: str, header: list[str], build, optional: list[str] | None = N
     for idx, row in rows:
         if len(row) < len(header) or len(row) > len(allowed):
             raise ParseError(idx, f"expected {len(header)}-{len(allowed)} fields, got {len(row)}")
-        try:
-            spec = build(*[cell.strip() for cell in row[:width]])
-        except ValidationError as exc:
-            raise ParseError(idx, str(exc)) from None
-        yield spec
+        yield _at_row(idx, build, *[cell.strip() for cell in row[:width]])
 
 
 def _signal_plan(cell: str) -> SignalPlan:

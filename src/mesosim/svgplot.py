@@ -15,6 +15,7 @@ MARGIN_LEFT = 78
 MARGIN_RIGHT = 24
 MARGIN_TOP = 46
 MARGIN_BOTTOM = 58
+TICKS = 6  # the tick count an axis aims at
 
 PALETTE = (
     "#1f77b4",
@@ -37,16 +38,16 @@ def _tick_label(value: float) -> str:
     return format(value, ".6g")
 
 
-def nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi], at a 1/2/5 step."""
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / max(target - 1, 1)
+    raw = span / (TICKS - 1)
     power = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = power * mult
-        if span / step <= target:
+        if span / step <= TICKS:
             break
     first = math.ceil(lo / step) * step
     ticks = []

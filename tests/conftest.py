@@ -245,11 +245,21 @@ def scan_signals(world):
         assert signal_permits(heads[ev.from_link], ev.t, ev.from_link), ev
 
 
+def scan_signs(world):
+    """No stored link speed and no replayed position has its sign bit set, so no -0.0."""
+    for v in world.log.link_records.mean_speed:
+        assert math.copysign(1.0, v) > 0, v
+    for platoon in world.platoons:
+        for x in platoon.trajectory.replay()[0]:
+            assert math.copysign(1.0, x) > 0, (platoon.id, x)
+
+
 def scan_run(world):
     """Every structural invariant of a finished run (acceptance 9)."""
     scan_record_conservation(world)
     scan_fifo(world)
     scan_spacing(world)
+    scan_signs(world)
     scan_counts(world)
     scan_attractiveness(world)
     scan_signals(world)

@@ -580,7 +580,7 @@ def _assert_table_lines(path, want: str):
     graph_seed=st.integers(0, 2**32 - 1),
     extra_arcs=st.integers(0, 8),
     bands=st.lists(_BAND, min_size=1, max_size=4),
-    speeds=st.lists(st.sampled_from([None, 0.0, -0.0, 7.5]), min_size=1, max_size=6),
+    speeds=st.lists(st.sampled_from([None, 0.0, 7.5]), min_size=1, max_size=6),
     platoon_size=st.sampled_from([1, 5]),
     seed=st.integers(0, 1000),
 )
@@ -592,7 +592,8 @@ def test_changes_only_log_reads_back_as_dense_step_tuples(n, graph_seed, extra_a
 
     Each link update's mean speed is replaced in turn by the next of speeds
     (None keeps it), on links that hold platoons, so records that differ
-    only in their speed, or only in the sign of a zero speed, are common.
+    only in their speed are common. No speed is -0.0, which the engine
+    cannot make (see conftest.scan_signs).
     """
     links = random_digraph(n, random.Random(graph_seed), min(n * (n - 1), n + extra_arcs))
     nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(n)]

@@ -341,3 +341,57 @@ def test_standing_first_point_replays_from_zero_not_the_last_link():
     assert follower.trajectory.run == -1
     assert list(map(_bits, follower.trajectory.replay()[0])) == [_bits(730.0), _bits(0.0)]
     assert list(follower.trajectory.speeds(5.0)) == [146.0, 0.0]
+
+
+_WRITES = st.lists(st.one_of(
+    st.tuples(st.just("hop"), st.integers(0, 2)),  # onto that link
+    st.just(("free",)),
+    st.just(("stand",)),
+    st.tuples(st.just("explicit"), st.floats(0.0, 60.0)),  # moved by this much
+), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moves=st.lists(st.floats(0.5, 40.0), min_size=3, max_size=3), writes=_WRITES)
+def test_trajectory_replays_random_writer_sequences(moves, writes):
+    """Any writer sequence that process_node and update_link can make replays
+    as a plain list of points.
+
+    After a hop onto one of three indexed links, each step is free (the
+    link's u * dt, from moves, added), standing (the previous position
+    again) or explicit (moved by a drawn dx >= 0), and is written as
+    update_link writes it: an open run of its kind is extended by a count
+    alone. The previous position is 0.0 at a hop's first point.
+    """
+    links = named_links("L0", "L1", "L2")
+    trajectory = Trajectory()
+    points, hops = [], []
+    for write in [("hop", 0), *writes]:
+        kind = write[0]
+        if kind == "hop":
+            link = links[write[1]]
+            trajectory.hop(link)
+            hops.append((len(points), link.id))
+            x = 0.0
+        elif kind == "free":
+            x += moves[link.id]
+            if trajectory.run > 0:
+                trajectory.run += 1
+            else:
+                trajectory.free(moves[link.id])
+        elif kind == "stand":
+            if trajectory.run < 0:
+                trajectory.run -= 1
+            else:
+                trajectory.stand()
+        else:
+            x += write[1]
+            trajectory.explicit(x)
+        if kind != "hop":
+            points.append(x)
+        assert len(trajectory) == len(points)
+    positions, segments = trajectory.replay()
+    assert list(map(_bits, positions)) == list(map(_bits, points))
+    ends = [start for start, _link in hops[1:]] + [len(points)]
+    assert segments == [(start, end, link) for (start, link), end in zip(hops, ends)]
+    assert trajectory.hops == [(start, links[link].name) for start, link in hops]
