@@ -69,12 +69,10 @@ class NodeRuntime:
 
 
 def index_nodes(nodes: list[NodeSpec], links: list[LinkState]) -> dict[str, NodeRuntime]:
-    """The network index: name -> NodeRuntime in node order; link ids and names by link order."""
+    """The network index: name -> NodeRuntime in node order; link ids by link order."""
     runtimes = {spec.name: NodeRuntime(spec, node_id) for node_id, spec in enumerate(nodes)}
-    names = [link.name for link in links]
     for link_id, link in enumerate(links):
         link.id = link_id
-        link.names = names
         runtimes[link.spec.from_node].outgoing.append(link)
         runtimes[link.spec.to_node].incoming.append(link)
     for node in runtimes.values():
@@ -165,10 +163,11 @@ class RunLog:
         the float of the node phase that made it.
         """
         dt = self.dt
+        names = list(self.links_by_name)
         return [
             TransferEvent((p.trajectory.first + k - 1) * dt, p.id, from_link, to_link)
             for p in self.platoons
-            for hops in (p.trajectory.hops,)
+            for hops in (p.trajectory.hops(names),)
             for (_start, from_link), (k, to_link) in zip(hops, hops[1:])
         ]
 

@@ -47,17 +47,16 @@ class Trajectory:
     points). data holds one entry per run: a header, count * 4 + kind, then
     a free run's u * dt or an explicit run's positions (a standing run has
     no payload). A hop is a run too, link id * 4 + HOP with no payload: the
-    points up to the next hop were logged on that link.
-    names, every link's name by id, is the network's one list, which
-    hop(link) takes from the link. _open states how the writers keep an open
-    run; replay() walks the runs once, with the step loop's float additions.
+    points up to the next hop were logged on that link. Readers name links
+    from the World's links_by_name, whose keys are in link-id order. _open
+    states how the writers keep an open run; replay() walks the runs once,
+    with the step loop's float additions.
     """
 
-    __slots__ = ("first", "names", "data", "size", "run", "mark")
+    __slots__ = ("first", "data", "size", "run", "mark")
 
     def __init__(self):
         self.first = 0
-        self.names = ()
         self.data = array("d")
         self.size = 0  # points in closed runs and in an open explicit run
         self.run = 0
@@ -66,8 +65,9 @@ class Trajectory:
     def __len__(self):
         return self.size + abs(self.run)
 
-    def _open(self, header: int):
-        """Close any open counted run, its count joining its header, and start header.
+    def _open(self, header: int, run: int):
+        """Close any open counted run, its count joining its header, and start
+        header with run: 1 for a free step, -1 for a standing one, else 0.
 
         The invariant: mark indexes the header of the last run while it is
         open, and is < 0 from a hop until its first point. An open free
@@ -75,37 +75,25 @@ class Trajectory:
         update_link extends; an open explicit run (run == 0) counts each point
         in its header and in size as it comes. No run spans a hop.
         """
-        if run := abs(self.run):
-            self.data[self.mark] += run * 4
-            self.size += run
-            self.run = 0
+        if count := abs(self.run):
+            self.data[self.mark] += count * 4
+            self.size += count
+        self.run = run
         self.mark = len(self.data)
         self.data.append(header)
 
     def explicit(self, x: float):
         """Log a point by its position."""
         if self.run or self.mark < 0:
-            self._open(EXPLICIT)
+            self._open(EXPLICIT, 0)
         self.data[self.mark] += 4
         self.data.append(x)
         self.size += 1
 
-    def free(self, move: float):
-        """Log a free-flow step, adding move, where no free run is open."""
-        self._open(FREE)
-        self.data.append(move)
-        self.run = 1
-
-    def stand(self):
-        """Log a standing step, the previous position again, where no standing run is open."""
-        self._open(STAND)
-        self.run = -1
-
     def hop(self, link):
         """Record that the next point is the first on link, a LinkState of the network."""
-        self._open(link.id * 4 + HOP)
+        self._open(link.id * 4 + HOP, 0)
         self.mark = -1
-        self.names = link.names
 
     def may_enter(self, link_ids) -> bool:
         """False if no hop onto link_ids is logged; a float equal to a hop header gives True."""
@@ -143,27 +131,23 @@ class Trajectory:
         ends.append(len(x))
         return x, [(start, end, link) for (start, link), end in zip(hops, ends)]
 
-    @property
-    def hops(self) -> list[tuple[int, str]]:
-        """(point index, link name) per link entered, in order."""
-        return [(start, self.names[link]) for start, _end, link in self.replay()[1]]
+    def hops(self, names) -> list[tuple[int, str]]:
+        """(point index, link name) per link entered, in order; names is by link id."""
+        return [(start, names[link]) for start, _end, link in self.replay()[1]]
 
-    def speeds(self, dt: float, replayed=None):
-        """Per point, (x - previous x) / dt, with 0.0 before a hop's first point.
-
-        replayed is replay(), computed here when not given.
-        """
-        x, segments = self.replay() if replayed is None else replayed
+    def speeds(self, dt: float, replayed):
+        """Per point, (x - previous x) / dt, with 0.0 before a hop's first point;
+        replayed is replay()."""
+        x, segments = replayed
         before = [0.0, *x]  # one longer than x: a hop may await its first point
         for start, _end, _link in segments:
             before[start] = 0.0
         return map(truediv, map(sub, x, before), repeat(dt))
 
-    def rows(self, dt: float):
-        """(t, link, x, v) per point, in order."""
+    def rows(self, dt: float, names):
+        """(t, link name, x, v) per point, in order; names is by link id."""
         replayed = x, segments = self.replay()
         speeds = self.speeds(dt, replayed)
-        names = self.names
         for start, end, link in segments:
             for step, position, v in zip(range(self.first + start, self.first + end),
                                          x[start:end], speeds):
@@ -217,14 +201,12 @@ class LinkState:
     platoons[0] is the front platoon (nearest the link end); new entrants
     append at the back with x = 0. entered_count / exited_count are
     cumulative platoon counts used for cumulative-curve analysis; id is the
-    link's position in link order and names every link's name by id, one
-    list shared by the network, both set by engine.index_nodes.
+    link's position in link order, set by engine.index_nodes.
     """
 
     __slots__ = (
         "spec",
         "id",
-        "names",
         "name",
         "length",
         "u",
@@ -300,13 +282,14 @@ def update_link(link: LinkState, dt: float) -> LinkState:
             if (run := trajectory.run) > 0:
                 trajectory.run = run + 1
             else:
-                trajectory.free(free_move)
+                trajectory._open(FREE, 1)
+                trajectory.data.append(free_move)
         elif x_new != x_old:  # a cap set it, and most capped steps move
             trajectory.explicit(x_new)
         elif (run := trajectory.run) < 0:
             trajectory.run = run - 1
         else:
-            trajectory.stand()
+            trajectory._open(STAND, -1)
         leader_x_old = x_old
         leader_x_new = x_new
     link.mean_speed = speed_sum / len(platoons)

@@ -195,9 +195,10 @@ def scan_record_conservation(world):
 def scan_fifo(world):
     entries = defaultdict(list)
     exits = defaultdict(list)
+    names = list(world.links_by_name)
     for platoon in world.platoons:
         trajectory = platoon.trajectory
-        hops = trajectory.hops
+        hops = trajectory.hops(names)
         if trajectory:
             entries[hops[0][1]].append(((trajectory.first - 1) * world.log.dt, platoon.id))
         if platoon.state == "arrived":
@@ -215,8 +216,9 @@ def scan_fifo(world):
 
 def scan_spacing(world):
     by_step = defaultdict(list)
+    names = list(world.links_by_name)
     for platoon in world.log.platoons:
-        for t, name, x, _v in platoon.trajectory.rows(world.log.dt):
+        for t, name, x, _v in platoon.trajectory.rows(world.log.dt, names):
             by_step[(t, name)].append(x)
     for (t, name), xs in by_step.items():
         spacing = world.links_by_name[name].spacing

@@ -295,9 +295,10 @@ def test_tsd_skips_platoons_off_the_corridor():
     assert fake.trajectory.may_enter([l1.id, l2.id])
     offsets = {"L1": 0.0, "L2": 1000.0}
     expected = {}
+    names = list(world.links_by_name)
     for p in world.platoons:
-        points = [(t, offsets[link] + x) for t, link, x, _v in p.trajectory.rows(world.log.dt)
-                  if link in offsets]
+        rows = p.trajectory.rows(world.log.dt, names)
+        points = [(t, offsets[link] + x) for t, link, x, _v in rows if link in offsets]
         if points:
             expected[p.id] = points
     polylines = time_space_points(world.log, ["L1", "L2"])
@@ -411,10 +412,11 @@ def _oracle_export(log, world, out_dir):
     """The row-at-a-time writer export_csv must match byte for byte."""
     os.makedirs(out_dir, exist_ok=True)
     dn = log.platoon_size
+    names = list(world.links_by_name)
     vehicles = (
         [_fmt(t), p.id, p.origin, p.destination, name, _fmt(x), _fmt(v)]
         for p in world.platoons
-        for t, name, x, v in p.trajectory.rows(log.dt)
+        for t, name, x, v in p.trajectory.rows(log.dt, names)
     )
     links = (
         [_fmt(t), name, count * dn, _fmt(speed), entered * dn, exited * dn]
@@ -443,7 +445,7 @@ def _explicit_points(world, trajectory, values) -> Trajectory:
     the next len(trajectory) values, each logged by its position."""
     points = Trajectory()
     points.first = trajectory.first
-    hops = dict(trajectory.hops)
+    hops = dict(trajectory.hops(list(world.links_by_name)))
     for k in range(len(trajectory) + 1):
         if k in hops:
             points.hop(world.links_by_name[hops[k]])
@@ -487,7 +489,8 @@ def test_export_matches_oracle(names, floats):
     values = cycle(SPECIAL_FLOATS + floats)
     for p in world.platoons:
         p.trajectory = _explicit_points(world, p.trajectory, values)
-    v_column = [v for p in world.platoons for v in p.trajectory.speeds(world.log.dt)]
+    v_column = [v for p in world.platoons
+                for v in p.trajectory.speeds(world.log.dt, p.trajectory.replay())]
     assert any(map(math.isnan, v_column)) and math.inf in v_column and -math.inf in v_column
     assert v_column.index(0.0) < list(map(repr, v_column)).index("-0.0")
     # the stored speeds, from the start of the cycle: every record that is

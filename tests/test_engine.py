@@ -301,9 +301,9 @@ def test_identical_seeds_reproduce_log():
     w2 = run(merge_world(duration=500.0, seed=3))
     assert list(w1.log.link_rows()) == list(w2.log.link_rows())
     assert w1.log.transfer_events == w2.log.transfer_events
-    dt = w1.log.dt
-    assert [list(p.trajectory.rows(dt)) for p in w1.log.platoons] == [
-        list(p.trajectory.rows(dt)) for p in w2.log.platoons
+    dt, names = w1.log.dt, list(w1.links_by_name)
+    assert [list(p.trajectory.rows(dt, names)) for p in w1.log.platoons] == [
+        list(p.trajectory.rows(dt, names)) for p in w2.log.platoons
     ]
 
 
@@ -505,6 +505,7 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
     config = SimConfig(seed=seed, duration=300.0, reaction_time=reaction_time,
                        platoon_size=platoon_size, route_update_interval=route_update_interval)
     world = build_world(config, nodes, links, demands)
+    names = list(world.links_by_name)
     points = defaultdict(list)
     records = []
 
@@ -534,7 +535,8 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
             if platoon.state == "arrived":
                 arrivals.append((t, platoon.id))
             else:
-                moves.append((t, platoon.id, sources[platoon.id], platoon.trajectory.hops[-1][1]))
+                target = platoon.trajectory.hops(names)[-1][1]
+                moves.append((t, platoon.id, sources[platoon.id], target))
         return moved
 
     def no_event(*args):
@@ -555,9 +557,9 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
     dt = world.log.dt
     for platoon in world.platoons:
         trajectory = platoon.trajectory
-        _assert_same_rows(trajectory.rows(dt), points[platoon.id])
+        _assert_same_rows(trajectory.rows(dt, names), points[platoon.id])
         assert len(trajectory) == len(points[platoon.id])
-        starts = [start for start, _link in trajectory.hops]
+        starts = [start for start, _link in trajectory.hops(names)]
         if starts:
             assert starts[0] == 0
             assert all(a < b for a, b in zip(starts, starts[1:]))
@@ -742,8 +744,8 @@ def test_free_flow_run_memory_per_point():
 
 
 # bytes the trajectories may retain per hop on a chain of 50 m links, one
-# explicit point per link: a (point index, link name) tuple per hop retained
-# about 70, a run header per hop about 26
+# explicit point per link: a run header per hop retains 26.2, where a
+# (point index, link name) tuple per hop retained about 70
 _TRAJECTORY_BYTES_PER_HOP = 40
 
 
@@ -753,11 +755,12 @@ def test_hop_heavy_trajectory_memory_per_hop():
     links = [LinkSpec(f"n{k}-n{k + 1}", f"n{k}", f"n{k + 1}", 50.0, 20.0, 0.2) for k in range(80)]
     world = build_world(SimConfig(duration=3000.0), nodes, links,
                         [DemandSpec("n0", "n80", 0.0, 2400.0, 0.2)])
+    names = list(world.links_by_name)
     tracemalloc.start()
     try:
         run(world)
         with_trajectories = tracemalloc.get_traced_memory()[0]
-        hops = sum(len(p.trajectory.hops) for p in world.platoons)
+        hops = sum(len(p.trajectory.hops(names)) for p in world.platoons)
         for platoon in world.platoons:
             platoon.trajectory = None
         retained = with_trajectories - tracemalloc.get_traced_memory()[0]

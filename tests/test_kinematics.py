@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from mesosim import ConsistencyError, LinkSpec
 from mesosim.kinematics import (
+    FREE,
+    STAND,
     LinkState,
     Platoon,
     Trajectory,
@@ -79,7 +81,7 @@ def make_link(length=1000.0, u=20.0, kappa=0.2, platoon_size=5, positions=()):
 
 
 def indexed(*links):
-    """links, given ids in this order and their shared names, as hop() takes them."""
+    """links, given ids in this order, as hop() takes them."""
     node_index(list(links))
     return links
 
@@ -271,7 +273,7 @@ def test_platoon_initial_state():
     assert p.state == "waiting"
     assert p.x == 0.0
     assert len(p.trajectory) == 0
-    assert p.trajectory.hops == [] and p.arrival_t is None
+    assert p.trajectory.hops([]) == [] and p.arrival_t is None
 
 
 def test_speeds_restart_from_zero_at_each_hop():
@@ -284,19 +286,21 @@ def test_speeds_restart_from_zero_at_each_hop():
     trajectory.hop(l2)
     for x in (50.0, 150.0):
         trajectory.explicit(x)
-    assert trajectory.hops == [(0, "L1"), (3, "L2")]
-    assert list(trajectory.speeds(5.0)) == [20.0, 20.0, 0.0, 10.0, 20.0]
-    assert list(trajectory.rows(5.0)) == [
+    names = ["L1", "L2"]
+    assert trajectory.hops(names) == [(0, "L1"), (3, "L2")]
+    assert list(trajectory.speeds(5.0, trajectory.replay())) == [20.0, 20.0, 0.0, 10.0, 20.0]
+    assert list(trajectory.rows(5.0, names)) == [
         (20.0, "L1", 100.0, 20.0), (25.0, "L1", 200.0, 20.0), (30.0, "L1", 200.0, 0.0),
         (35.0, "L2", 50.0, 10.0), (40.0, "L2", 150.0, 20.0),
     ]
     one = Trajectory()
     one.hop(l1)
     one.explicit(35.0)
-    assert list(one.speeds(5.0)) == [7.0]
+    assert list(one.speeds(5.0, one.replay())) == [7.0]
     one.hop(l2)  # entered in a step that stopped before logging
-    assert list(one.speeds(5.0)) == [7.0]
-    assert list(Trajectory().speeds(5.0)) == []
+    assert list(one.speeds(5.0, one.replay())) == [7.0]
+    empty = Trajectory()
+    assert list(empty.speeds(5.0, empty.replay())) == []
 
 
 def _bits(x: float) -> bytes:
@@ -340,7 +344,7 @@ def test_standing_first_point_replays_from_zero_not_the_last_link():
     update_link(link, 5.0)
     assert follower.trajectory.run == -1
     assert list(map(_bits, follower.trajectory.replay()[0])) == [_bits(730.0), _bits(0.0)]
-    assert list(follower.trajectory.speeds(5.0)) == [146.0, 0.0]
+    assert list(follower.trajectory.speeds(5.0, follower.trajectory.replay())) == [146.0, 0.0]
 
 
 _WRITES = st.lists(st.one_of(
@@ -352,18 +356,20 @@ _WRITES = st.lists(st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(moves=st.lists(st.floats(0.5, 40.0), min_size=3, max_size=3), writes=_WRITES)
-def test_trajectory_replays_random_writer_sequences(moves, writes):
+@given(moves=st.lists(st.floats(0.5, 40.0), min_size=3, max_size=3),
+       names=st.permutations(["L0", "L1", "L2"]), writes=_WRITES)
+def test_trajectory_replays_random_writer_sequences(moves, names, writes):
     """Any writer sequence that process_node and update_link can make replays
     as a plain list of points.
 
-    After a hop onto one of three indexed links, each step is free (the
-    link's u * dt, from moves, added), standing (the previous position
-    again) or explicit (moved by a drawn dx >= 0), and is written as
-    update_link writes it: an open run of its kind is extended by a count
-    alone. The previous position is 0.0 at a hop's first point.
+    After a hop onto one of three links, indexed in a drawn order, each
+    step is free (the link's u * dt, from moves, added), standing (the
+    previous position again) or explicit (moved by a drawn dx >= 0), and is
+    written as update_link writes it: an open run of its kind is extended
+    by a count alone, else opened through _open. The previous position is
+    0.0 at a hop's first point. hops(names) names each hop by its link id.
     """
-    links = named_links("L0", "L1", "L2")
+    links = named_links(*names)
     trajectory = Trajectory()
     points, hops = [], []
     for write in [("hop", 0), *writes]:
@@ -378,12 +384,13 @@ def test_trajectory_replays_random_writer_sequences(moves, writes):
             if trajectory.run > 0:
                 trajectory.run += 1
             else:
-                trajectory.free(moves[link.id])
+                trajectory._open(FREE, 1)
+                trajectory.data.append(moves[link.id])
         elif kind == "stand":
             if trajectory.run < 0:
                 trajectory.run -= 1
             else:
-                trajectory.stand()
+                trajectory._open(STAND, -1)
         else:
             x += write[1]
             trajectory.explicit(x)
@@ -394,4 +401,4 @@ def test_trajectory_replays_random_writer_sequences(moves, writes):
     assert list(map(_bits, positions)) == list(map(_bits, points))
     ends = [start for start, _link in hops[1:]] + [len(points)]
     assert segments == [(start, end, link) for (start, link), end in zip(hops, ends)]
-    assert trajectory.hops == [(start, links[link].name) for start, link in hops]
+    assert trajectory.hops(names) == [(start, links[link].name) for start, link in hops]
