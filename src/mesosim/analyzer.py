@@ -16,13 +16,13 @@ out of a step repeats its last record, which each reader carries forward:
 mfd_points sums per step the links that hold platoons, cumulative_counts
 reads its own link's records, and links.csv re-renders the rows of each
 step's stored slices. A trajectory point's time and link follow from its
-step and the hop headers among its runs, and its position from
-Trajectory.replay(), the one walk over the runs, which vehicles.csv and
-time_space_points share. The export renders each
-distinct number (6 significant digits), step time and name (quoted by
-the csv module's rules) once per call, in bounded memos, and writes each
-table as pre-rendered lines: one chunk per platoon for vehicles.csv and
-one per step for links.csv.
+step and its passage (Trajectory.passages(), read without replaying
+positions), and its position from Trajectory.replay(), which vehicles.csv
+runs on every trajectory and time_space_points on those it draws. The
+export renders each distinct number (6 significant digits), step time
+and name (quoted by the csv module's rules) once per call, in bounded
+memos, and writes each table as pre-rendered lines: one chunk per
+platoon for vehicles.csv and one per step for links.csv.
 """
 
 from __future__ import annotations
@@ -185,11 +185,10 @@ def time_space_points(log, link_sequence: list[str]) -> dict[int, list[tuple[flo
     """Per-platoon (t, cumulative distance) polylines along a corridor.
 
     The corridor must chain head to tail and name each link once;
-    positions on later links are offset by the preceding lengths. Platoons
-    covering only part of the corridor contribute the part they covered.
+    positions on later links are offset by the preceding lengths. Only the
+    passages on the corridor are drawn, so only their platoons are replayed.
     """
     offsets = {}
-    running = 0.0
     previous = None
     for name in link_sequence:
         link = log.links_by_name.get(name)
@@ -199,26 +198,19 @@ def time_space_points(log, link_sequence: list[str]) -> dict[int, list[tuple[flo
             raise ValidationError(f"link {name!r} appears more than once in the corridor")
         if previous is not None and previous.spec.to_node != link.spec.from_node:
             raise DisconnectedPath(f"link {name!r} does not start where {previous.name!r} ends")
-        offsets[link.id] = running
-        running += link.length
+        offsets[link.id] = 0.0 if previous is None else offsets[previous.id] + previous.length
         previous = link
     dt = log.dt
     polylines: dict[int, list[tuple[float, float]]] = {}
     for platoon in log.platoons:
         trajectory = platoon.trajectory
-        if not trajectory.may_enter(offsets):
-            continue
-        points = []
-        positions, segments = trajectory.replay()
-        for start, end, link in segments:
-            if link in offsets:
-                offset = offsets[link]
-                points.extend(
-                    (step * dt, offset + x)
-                    for step, x in enumerate(positions[start:end], trajectory.first + start)
-                )
-        if points:
-            polylines[platoon.id] = points
+        drawn = [(start, end, offsets[link]) for start, end, link in trajectory.passages()
+                 if link in offsets and start < end]  # a hop may await its first point
+        if drawn:
+            positions = trajectory.replay()[0]
+            polylines[platoon.id] = [
+                (step * dt, offset + x) for start, end, offset in drawn
+                for step, x in enumerate(positions[start:end], trajectory.first + start)]
     return polylines
 
 

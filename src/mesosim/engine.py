@@ -27,6 +27,7 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import pairwise
 
 from . import node_transfer, routing
 from .errors import (
@@ -140,7 +141,7 @@ class RunLog:
     World's platoon list; their trajectories, runs of points and hops (see
     kinematics.Trajectory), are the only record of where each went.
     link_rows() reads the records back, Trajectory.replay() and rows() the
-    points, and transfer_events the hops.
+    points, and transfer_events their passages().
     """
 
     __slots__ = ("dt", "platoon_size", "duration", "links_by_name", "link_records", "platoons",
@@ -157,18 +158,17 @@ class RunLog:
 
     @property
     def transfer_events(self) -> list[TransferEvent]:
-        """One event per link-to-link hop, by platoon id, then in hop order.
+        """One event per pair of consecutive passages, by platoon id, then in order.
 
-        Built on each access. A hop at point index k is timed (first + k - 1) * dt,
-        the float of the node phase that made it.
+        Built on each access. A passage that ends at point index k is left at
+        (first + k - 1) * dt, the float of the node phase that made the hop.
         """
         dt = self.dt
         names = list(self.links_by_name)
         return [
-            TransferEvent((p.trajectory.first + k - 1) * dt, p.id, from_link, to_link)
+            TransferEvent((p.trajectory.first + k - 1) * dt, p.id, names[from_id], names[to_id])
             for p in self.platoons
-            for hops in (p.trajectory.hops(names),)
-            for (_start, from_link), (k, to_link) in zip(hops, hops[1:])
+            for (_start, k, from_id), (_k, _end, to_id) in pairwise(p.trajectory.passages())
         ]
 
     def link_rows(self):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import accumulate, repeat
+from itertools import accumulate, pairwise, repeat
 from operator import sub, truediv
 
 from .errors import ConsistencyError
@@ -49,8 +49,7 @@ class Trajectory:
     no payload). A hop is a run too, link id * 4 + HOP with no payload: the
     points up to the next hop were logged on that link. Readers name links
     from the World's links_by_name, whose keys are in link-id order. _open
-    states how the writers keep an open run; replay() walks the runs once,
-    with the step loop's float additions.
+    states how the writers keep an open run; _runs() alone reads runs back.
     """
 
     __slots__ = ("first", "data", "size", "run", "mark")
@@ -95,45 +94,51 @@ class Trajectory:
         self._open(link.id * 4 + HOP, 0)
         self.mark = -1
 
-    def may_enter(self, link_ids) -> bool:
-        """False if no hop onto link_ids is logged; a float equal to a hop header gives True."""
-        return any(link * 4 + HOP in self.data for link in link_ids)
-
-    def replay(self) -> tuple[list[float], list[tuple[int, int, int]]]:
-        """(positions, segments) in one walk: every point's position as update_link
-        set it, and (start, end, link id) per hop for points start..end-1."""
+    def _runs(self):
+        """(kind, count, payload index, points before it) per run; a hop's count is its link id."""
         data = self.data
         open_at = self.mark if self.run else -1  # an open run's header holds no count
-        x: list[float] = []
-        hops = []  # (start, link id)
-        start = -1
         size = len(data)
-        i = 0
+        i = points = 0
         while i < size:
             header = int(data[i])
             kind = header & 3
             count = abs(self.run) if i == open_at else header >> 2
             i += 1
+            yield kind, count, i, points
+            if kind != HOP:
+                points += count
+                i += (count, 1, 0)[kind]  # the payload: EXPLICIT's positions, FREE's u * dt
+
+    def passages(self) -> list[tuple[int, int, int]]:
+        """(start, end, link id) per link entered, for points start..end-1, from hops alone."""
+        return self._closed([(start, link) for kind, link, _, start in self._runs() if kind == HOP])
+
+    def _closed(self, hops):
+        """Each (start, link id) hop as a passage up to the next, the last up to len(self)."""
+        return [(start, end, link) for (start, link), (end, _) in pairwise([*hops, (len(self), 0)])]
+
+    def replay(self) -> tuple[list[float], list[tuple[int, int, int]]]:
+        """(positions, passages()) in one walk of _runs(): every point's position
+        as update_link set it, with the step loop's float additions."""
+        data = self.data
+        x: list[float] = []
+        hops = []  # (start, link id)
+        for kind, count, i, before in self._runs():
             if kind == EXPLICIT:
-                x += data[i:i + count]
-                i += count
+                if count == 1:  # most explicit runs: a capped step between free ones
+                    x.append(data[i])
+                else:
+                    x += data[i:i + count]
             elif kind == HOP:
-                start = len(x)
-                hops.append((start, count))
+                hops.append((before, count))
             else:
-                previous = 0.0 if len(x) == start else x[-1]
+                previous = 0.0 if before == hops[-1][0] else x[-1]
                 if kind == FREE:  # one addition per step, as update_link made them
                     x.extend(accumulate(repeat(data[i], count - 1), initial=previous + data[i]))
-                    i += 1
                 else:
                     x.extend(repeat(previous, count))
-        ends = [start for start, _link in hops[1:]]
-        ends.append(len(x))
-        return x, [(start, end, link) for (start, link), end in zip(hops, ends)]
-
-    def hops(self, names) -> list[tuple[int, str]]:
-        """(point index, link name) per link entered, in order; names is by link id."""
-        return [(start, names[link]) for start, _end, link in self.replay()[1]]
+        return x, self._closed(hops)
 
     def speeds(self, dt: float, replayed):
         """Per point, (x - previous x) / dt, with 0.0 before a hop's first point;

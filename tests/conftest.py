@@ -198,11 +198,12 @@ def scan_fifo(world):
     names = list(world.links_by_name)
     for platoon in world.platoons:
         trajectory = platoon.trajectory
-        hops = trajectory.hops(names)
+        passages = trajectory.passages()
         if trajectory:
-            entries[hops[0][1]].append(((trajectory.first - 1) * world.log.dt, platoon.id))
+            entries[names[passages[0][2]]].append(((trajectory.first - 1) * world.log.dt,
+                                                   platoon.id))
         if platoon.state == "arrived":
-            exits[hops[-1][1]].append((platoon.arrival_t, platoon.id))
+            exits[names[passages[-1][2]]].append((platoon.arrival_t, platoon.id))
     for ev in world.log.transfer_events:
         exits[ev.from_link].append((ev.t, ev.platoon_id))
         entries[ev.to_link].append((ev.t, ev.platoon_id))

@@ -3,8 +3,9 @@
 import csv
 import math
 import os
+import random
 import tempfile
-from itertools import cycle
+from itertools import accumulate, cycle
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from conftest import (
     UROBOROS_RING,
     chain_texts,
     make_world,
+    random_digraph,
     single_link_texts,
 )
 
@@ -281,9 +283,9 @@ def test_tsd_skips_platoons_off_the_corridor():
     )
     demand = DEMAND_HEADER + "\nA,C,0,30,0.5\nA,D,0,30,0.5\n"
     world = run(make_world(nodes, links, demand, duration=300.0))
-    l1, l2, l3 = (world.links_by_name[name] for name in ("L1", "L2", "L3"))
-    # a branch platoon whose one logged position is L2's hop header: kept
-    # for replay, it still enters no corridor link
+    l2, l3 = world.links_by_name["L2"], world.links_by_name["L3"]
+    # a branch platoon whose one logged position is L2's hop header: it
+    # enters no corridor link, so it gets no polyline
     probe = Trajectory()
     probe.hop(l2)
     (header,) = probe.data
@@ -292,7 +294,6 @@ def test_tsd_skips_platoons_off_the_corridor():
     fake.trajectory.first = 1
     fake.trajectory.hop(l3)
     fake.trajectory.explicit(header)
-    assert fake.trajectory.may_enter([l1.id, l2.id])
     offsets = {"L1": 0.0, "L2": 1000.0}
     expected = {}
     names = list(world.links_by_name)
@@ -303,8 +304,51 @@ def test_tsd_skips_platoons_off_the_corridor():
             expected[p.id] = points
     polylines = time_space_points(world.log, ["L1", "L2"])
     assert polylines == expected
+    assert fake.id not in polylines
     assert set(polylines) == {p.id for p in world.platoons if p.destination == "C"}
     assert {p.destination for p in world.platoons} == {"C", "D"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    graph_seed=st.integers(0, 2**32 - 1),
+    extra_arcs=st.integers(0, 8),
+    bands=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4), st.sampled_from([0.0, 60.0]),
+                             st.sampled_from([0.1, 0.5, 1.0])), min_size=1, max_size=4),
+    turns=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+    seed=st.integers(0, 1000),
+)
+def test_tsd_matches_rows_on_random_worlds(n, graph_seed, extra_arcs, bands, turns, seed):
+    """time_space_points along a drawn chain corridor equals the corridor
+    points of rows(dt, names), offset by the lengths before their link.
+
+    The corridor starts on a drawn link and takes a drawn outgoing link at
+    each head node until it would repeat a link; a platoon with no point on
+    it gets no polyline.
+    """
+    links = random_digraph(n, random.Random(graph_seed), min(n * (n - 1), n + extra_arcs))
+    nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(n)]
+    demands = [DemandSpec(f"n{o % n}", f"n{(o + 1 + d % (n - 1)) % n}", start, start + 240.0, flow)
+               for o, d, start, flow in bands]
+    world = run(build_world(SimConfig(seed=seed, duration=300.0), nodes, links, demands))
+    corridor = [links[turns[0] % len(links)]]
+    for turn in turns[1:]:
+        onward = [link for link in links if link.from_node == corridor[-1].to_node]
+        link = onward[turn % len(onward)]
+        if link in corridor:
+            break
+        corridor.append(link)
+    lengths = [link.length for link in corridor]
+    offsets = dict(zip((link.name for link in corridor), accumulate(lengths, initial=0.0)))
+    expected = {}
+    names = list(world.links_by_name)
+    for p in world.platoons:
+        rows = p.trajectory.rows(world.log.dt, names)
+        points = [(t, offsets[name] + x) for t, name, x, _v in rows if name in offsets]
+        if points:
+            expected[p.id] = points
+    assert time_space_points(world.log, [link.name for link in corridor]) == expected
 
 
 def test_tsd_empty_log():
@@ -445,10 +489,11 @@ def _explicit_points(world, trajectory, values) -> Trajectory:
     the next len(trajectory) values, each logged by its position."""
     points = Trajectory()
     points.first = trajectory.first
-    hops = dict(trajectory.hops(list(world.links_by_name)))
+    links = list(world.links_by_name.values())  # by link id
+    hops = {start: link for start, _end, link in trajectory.passages()}
     for k in range(len(trajectory) + 1):
         if k in hops:
-            points.hop(world.links_by_name[hops[k]])
+            points.hop(links[hops[k]])
         if k < len(trajectory):
             points.explicit(next(values))
     return points

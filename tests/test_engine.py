@@ -492,7 +492,7 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
     The link records also give the cumulative counts and MFD bins that the
     dense tuples give.
 
-    transfer_events, built from the trajectory hops, matches the transfers
+    transfer_events, built from the trajectory passages, matches the transfers
     process_node returned during the run, and the run builds no event; the
     arrivals it returned match each arrived platoon's arrival time.
     """
@@ -535,7 +535,7 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
             if platoon.state == "arrived":
                 arrivals.append((t, platoon.id))
             else:
-                target = platoon.trajectory.hops(names)[-1][1]
+                target = names[platoon.trajectory.passages()[-1][2]]
                 moves.append((t, platoon.id, sources[platoon.id], target))
         return moved
 
@@ -559,7 +559,7 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
         trajectory = platoon.trajectory
         _assert_same_rows(trajectory.rows(dt, names), points[platoon.id])
         assert len(trajectory) == len(points[platoon.id])
-        starts = [start for start, _link in trajectory.hops(names)]
+        starts = [start for start, _end, _link in trajectory.passages()]
         if starts:
             assert starts[0] == 0
             assert all(a < b for a, b in zip(starts, starts[1:]))
@@ -755,12 +755,11 @@ def test_hop_heavy_trajectory_memory_per_hop():
     links = [LinkSpec(f"n{k}-n{k + 1}", f"n{k}", f"n{k + 1}", 50.0, 20.0, 0.2) for k in range(80)]
     world = build_world(SimConfig(duration=3000.0), nodes, links,
                         [DemandSpec("n0", "n80", 0.0, 2400.0, 0.2)])
-    names = list(world.links_by_name)
     tracemalloc.start()
     try:
         run(world)
         with_trajectories = tracemalloc.get_traced_memory()[0]
-        hops = sum(len(p.trajectory.hops(names)) for p in world.platoons)
+        hops = sum(len(p.trajectory.passages()) for p in world.platoons)
         for platoon in world.platoons:
             platoon.trajectory = None
         retained = with_trajectories - tracemalloc.get_traced_memory()[0]

@@ -273,7 +273,7 @@ def test_platoon_initial_state():
     assert p.state == "waiting"
     assert p.x == 0.0
     assert len(p.trajectory) == 0
-    assert p.trajectory.hops([]) == [] and p.arrival_t is None
+    assert p.trajectory.passages() == [] and p.arrival_t is None
 
 
 def test_speeds_restart_from_zero_at_each_hop():
@@ -287,7 +287,7 @@ def test_speeds_restart_from_zero_at_each_hop():
     for x in (50.0, 150.0):
         trajectory.explicit(x)
     names = ["L1", "L2"]
-    assert trajectory.hops(names) == [(0, "L1"), (3, "L2")]
+    assert trajectory.passages() == [(0, 3, l1.id), (3, 5, l2.id)]
     assert list(trajectory.speeds(5.0, trajectory.replay())) == [20.0, 20.0, 0.0, 10.0, 20.0]
     assert list(trajectory.rows(5.0, names)) == [
         (20.0, "L1", 100.0, 20.0), (25.0, "L1", 200.0, 20.0), (30.0, "L1", 200.0, 0.0),
@@ -367,7 +367,8 @@ def test_trajectory_replays_random_writer_sequences(moves, names, writes):
     previous position again) or explicit (moved by a drawn dx >= 0), and is
     written as update_link writes it: an open run of its kind is extended
     by a count alone, else opened through _open. The previous position is
-    0.0 at a hop's first point. hops(names) names each hop by its link id.
+    0.0 at a hop's first point. passages() reads the same (start, end, link
+    id) per hop from the headers alone as replay() does.
     """
     links = named_links(*names)
     trajectory = Trajectory()
@@ -400,5 +401,5 @@ def test_trajectory_replays_random_writer_sequences(moves, names, writes):
     positions, segments = trajectory.replay()
     assert list(map(_bits, positions)) == list(map(_bits, points))
     ends = [start for start, _link in hops[1:]] + [len(points)]
-    assert segments == [(start, end, link) for (start, link), end in zip(hops, ends)]
-    assert trajectory.hops(names) == [(start, links[link].name) for start, link in hops]
+    plain = [(start, end, link) for (start, link), end in zip(hops, ends)]
+    assert trajectory.passages() == segments == plain

@@ -136,7 +136,7 @@ def test_transfer_unobstructed():
     p.next_choice = target
     node = make_node("M", incoming=[source], outgoing=[target])
     assert process_node(node, StubWorld(), 40.0, random.Random(0)) == [p]
-    assert p.trajectory.hops(["IN", "OUT"]) == [(0, "OUT")]
+    assert p.trajectory.passages() == [(0, 0, target.id)]
     assert p.x == 0.0
     assert p.next_choice is None
     assert not source.platoons and source.exited_count == 1
@@ -212,7 +212,7 @@ def test_origin_queue_inserts_platoon():
     world.waiting["M"] = deque([p])
     assert process_node(node, world, 15.0, random.Random(0)) == []  # not a link-to-link move
     assert p.state == "running"
-    assert p.trajectory.first == world.clock + 1 and p.trajectory.hops(["OUT"]) == [(0, "OUT")]
+    assert p.trajectory.first == world.clock + 1 and p.trajectory.passages() == [(0, 0, target.id)]
     assert target.platoons[-1] is p and p.x == 0.0
     assert world.running_count == 1
     assert not world.waiting["M"]
