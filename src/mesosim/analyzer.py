@@ -12,17 +12,18 @@ measures, and their ratio is the space-mean speed.
 
 The readers work on the run log's columns. A stored link record holds
 count, mean_speed and entered, and exited is entered - count; a link left
-out of a step repeats its last record, which each reader carries forward:
-mfd_points sums per step the links that hold platoons, cumulative_counts
-reads its own link's records, and links.csv re-renders the rows of each
-step's stored slices. A trajectory point's time and link follow from its
-step and its passage (Trajectory.passages(), read without replaying
-positions), and its position from Trajectory.replay(), which vehicles.csv
-runs on every trajectory and time_space_points on those it draws. The
-export renders each distinct number (6 significant digits), step time
-and name (quoted by the csv module's rules) once per call, in bounded
-memos, and writes each table as pre-rendered lines: one chunk per
-platoon for vehicles.csv and one per step for links.csv.
+out of a step repeats its last record, which LinkRecords.steps() carries
+forward for every record reader: mfd_points sums per step the links that
+hold platoons, cumulative_counts reads its own link, and links.csv
+re-renders the rows of the links each step stored. A trajectory point's
+time and link follow from its step and its passage
+(Trajectory.passages(), read without replaying positions), and its
+position from Trajectory.replay(), which vehicles.csv runs on every
+trajectory and time_space_points on those it draws. The export renders
+each distinct number (6 significant digits), step time and name (quoted
+by the csv module's rules) once per call, in bounded memos, and writes
+each table as pre-rendered lines: one chunk per platoon for vehicles.csv
+and one per step for links.csv.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import csv
 import io
 import math
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
@@ -103,26 +103,18 @@ def basic_stats(log, world) -> TripStats:
 def cumulative_counts(log, link: str) -> list[tuple[float, int, int]]:
     """Per-step cumulative vehicles having entered (A) and left (D) the link.
 
-    Reads only the link's stored records (exited = entered - count); a step
-    that left the link out repeats the last stored values.
+    Reads the link's record after each step (exited = entered - count).
     """
     state = log.links_by_name.get(link)
     if state is None:
         raise UnknownLink(f"no link named {link!r} in this run")
-    records = log.link_records
-    ids = records.link
     j = state.id
     dn = log.platoon_size
     dt = log.dt
     curve = []
-    a = d = start = 0
-    for step, end in enumerate(records.ends, 1):
-        k = bisect_left(ids, j, start, end)  # a step stores its links in id order
-        if k < end and ids[k] == j:
-            a = records.entered[k] * dn
-            d = a - records.count[k] * dn
-        curve.append((step * dt, a, d))
-        start = end
+    for step, (_ids, count, _speed, entered) in enumerate(log.link_records.steps(), 1):
+        a = entered[j] * dn
+        curve.append((step * dt, a, a - count[j] * dn))
     return curve
 
 
@@ -143,35 +135,20 @@ def mfd_points(log, world, bin_s: float) -> list[MFDPoint]:
     # counted in whole steps: float division can add an empty bin at the horizon
     n_bins = max(1, -(-round(duration / dt) // per_bin))
     dn = log.platoon_size
-    records = log.link_records
-    # each link's [vehicles * dt, vehicles * mean_speed * dt] by its last stored
-    # record, None while empty; held lists them in link-id order for the links that hold platoons
-    terms = [None] * records.n_links
+    # each link's (vehicles * dt, vehicles * mean_speed * dt) after the step,
+    # None while empty; held lists them in link-id order for the links that hold platoons
+    terms = [None] * len(log.links_by_name)
     held = []
-    stored = zip(records.link, records.count, records.mean_speed)
-    ends = records.ends
+    records = log.link_records.steps()
     points = []
-    start = 0
     for idx in range(n_bins):
         time_sum = dist_sum = 0.0
-        for end in ends[idx * per_bin:(idx + 1) * per_bin]:
-            refill = False
-            for j, count, mean_speed in islice(stored, end - start):
-                if count:
-                    vehicles = count * dn
-                    cell = terms[j]
-                    if cell:  # updated in place, so held sees it
-                        cell[0] = vehicles * dt
-                        cell[1] = vehicles * mean_speed * dt
-                    else:
-                        terms[j] = [vehicles * dt, vehicles * mean_speed * dt]
-                        refill = True
-                elif terms[j]:
-                    terms[j] = None
-                    refill = True
-            if refill:
+        for ids, count, speed, _entered in islice(records, per_bin):
+            for j in ids:
+                vehicles = count[j] * dn
+                terms[j] = (vehicles * dt, vehicles * speed[j] * dt) if vehicles else None
+            if ids:
                 held = list(filter(None, terms))
-            start = end
             for time_term, dist_term in held:
                 time_sum += time_term
                 dist_sum += dist_term
@@ -310,8 +287,9 @@ def export_csv(log, world, out_dir: str, mfd: list[MFDPoint] | None = None) -> l
     def links():
         rows = names[:]  # each link's row after the step time
         for step, (ids, counts, speeds, entered) in enumerate(log.link_records.steps(), 1):
-            for j, c, v, a in zip(ids, counts, speeds, entered):
-                rows[j] = f"{names[j]},{scaled(c)},{num(v)},{scaled(a)},{scaled(a - c)}"
+            for j in ids:
+                c, a = counts[j], entered[j]
+                rows[j] = f"{names[j]},{scaled(c)},{num(speeds[j])},{scaled(a)},{scaled(a - c)}"
             t = step_time(step)
             yield t + "," + f"\n{t},".join(rows) + "\n"
 

@@ -110,8 +110,8 @@ def render_mfd_svg(points, out_path: str) -> str:
     d_max = max(p.density for p in points)
     f_max = max(p.flow for p in points)
     chart = svgplot.Chart(
-        (0.0, d_max or 1.0),
-        (0.0, f_max or 1.0),
+        (0.0, d_max),
+        (0.0, f_max),
         "Network density vs flow",
         "density (veh/m)",
         "flow (veh/s)",
@@ -129,7 +129,7 @@ def render_cumulative_svg(series, link: str, out_path: str) -> str:
     y_max = max([a for _t, a, _d in series], default=1.0)
     chart = svgplot.Chart(
         (0.0, t_max),
-        (0.0, y_max or 1.0),
+        (0.0, y_max),
         f"Cumulative counts on {link}",
         "time (s)",
         "vehicles",

@@ -27,7 +27,8 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import islice, pairwise, repeat
+from operator import sub
 
 from . import node_transfer, routing
 from .errors import (
@@ -99,9 +100,10 @@ class LinkRecords:
     checks. step() stores every link at step 0, then each link whose
     count, entered or mean_speed differs from its last stored record, held
     in last_count, last_entered and last_speed; a link left out of a step
-    repeats it. Records are
-    step-major, in link-id order within a step, with the id in link; ends[s]
-    is where step s's records stop. len() counts every logical record.
+    repeats it. Records are step-major, in link-id order within a step, with
+    the id in link; ends[s] is where step s's records stop. steps() is the
+    one reader of link and ends, and the one place that carries records
+    forward. len() counts every logical record.
     """
 
     __slots__ = ("n_links", "link", "count", "mean_speed", "entered", "ends", "last_count",
@@ -121,14 +123,17 @@ class LinkRecords:
         return self.n_links * len(self.ends)
 
     def steps(self):
-        """Per step, its stored (link ids, count, mean_speed, entered) as new array slices.
+        """Per step, the ids it stored (in id order) and every link's record after it.
 
-        exited is entered - count; a link left out of a step repeats its last
-        stored record. RunLog.link_rows() and the links.csv writer read these.
+        Yields (ids, count, mean_speed, entered); the last three are lists by
+        link id, updated in place, so a consumer copies what it keeps.
         """
-        columns = (self.link, self.count, self.mean_speed, self.entered)
+        count, mean_speed, entered = [0] * self.n_links, [0.0] * self.n_links, [0] * self.n_links
+        stored = zip(self.link, self.count, self.mean_speed, self.entered)
         for start, end in zip([0, *self.ends], self.ends):
-            yield tuple(column[start:end] for column in columns)
+            for j, c, v, a in islice(stored, end - start):
+                count[j], mean_speed[j], entered[j] = c, v, a
+            yield self.link[start:end], count, mean_speed, entered
 
 
 class RunLog:
@@ -140,8 +145,9 @@ class RunLog:
     World's link index. Counts are in platoon units. platoons is the
     World's platoon list; their trajectories, runs of points and hops (see
     kinematics.Trajectory), are the only record of where each went.
-    link_rows() reads the records back, Trajectory.replay() and rows() the
-    points, and transfer_events their passages().
+    link_rows() reads the records back through LinkRecords.steps(),
+    Trajectory.replay() and rows() the points, and transfer_events their
+    passages().
     """
 
     __slots__ = ("dt", "platoon_size", "duration", "links_by_name", "link_records", "platoons",
@@ -174,12 +180,9 @@ class RunLog:
     def link_rows(self):
         """(t, link, platoon_count, mean_speed, entered, exited) per record, in order."""
         names = list(self.links_by_name)
-        rows = [()] * len(names)  # each link's row after the step time; step 0 sets all
-        for step, (ids, count, speed, entered) in enumerate(self.link_records.steps(), 1):
-            for j, c, v, a in zip(ids, count, speed, entered):
-                rows[j] = (names[j], c, v, a, a - c)
-            t = step * self.dt
-            yield from ((t, *row) for row in rows)
+        for step, (_ids, count, speed, entered) in enumerate(self.link_records.steps(), 1):
+            yield from zip(repeat(step * self.dt), names, count, speed, entered,
+                           map(sub, entered, count))
 
 
 class World:
@@ -311,7 +314,7 @@ class World:
         }
 
 
-def generate_demand(world: World, t: float) -> list[Platoon]:
+def generate_demand(world: World, t: float) -> None:
     """Accumulate active demand bands and emit whole platoons.
 
     The step [t, t + dt) adds flow * dt vehicles to each band that covers
@@ -321,7 +324,6 @@ def generate_demand(world: World, t: float) -> list[Platoon]:
     carry over, so a band releases flow * (t_end - t_start) vehicles,
     rounded down to whole platoons.
     """
-    created: list[Platoon] = []
     cfg = world.config
     dt = cfg.time_step
     dn = cfg.platoon_size
@@ -345,9 +347,7 @@ def generate_demand(world: World, t: float) -> list[Platoon]:
             platoon = Platoon(len(world.platoons), demand.origin, demand.destination, t)
             world.platoons.append(platoon)
             world.waiting[demand.origin].append(platoon)
-            created.append(platoon)
         accumulators[idx] = acc
-    return created
 
 
 def step(world: World) -> World:

@@ -39,9 +39,7 @@ def _tick_label(value: float) -> str:
 
 
 def nice_ticks(lo: float, hi: float) -> list[float]:
-    """Round tick positions covering [lo, hi], at a 1/2/5 step."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round tick positions covering [lo, hi], at a 1/2/5 step; hi > lo (see Chart)."""
     span = hi - lo
     raw = span / (TICKS - 1)
     power = 10.0 ** math.floor(math.log10(raw))

@@ -114,12 +114,14 @@ def test_zero_flow_band_generates_nothing():
 
 def test_generate_demand_outside_band_is_noop():
     world = _single_link_world(["A,B,50,100,1.0"])
-    assert generate_demand(world, 0.0) == []
-    assert generate_demand(world, 100.0) == []  # band end is exclusive
-    created = generate_demand(world, 50.0)
-    assert len(created) == 1
-    assert created[0].depart_t == 50.0
-    assert created[0].state == "waiting"
+    generate_demand(world, 0.0)
+    assert world.platoons == []
+    generate_demand(world, 100.0)  # band end is exclusive
+    assert world.platoons == []
+    generate_demand(world, 50.0)
+    assert len(world.platoons) == 1
+    assert world.platoons[0].depart_t == 50.0
+    assert world.platoons[0].state == "waiting"
 
 
 def test_first_insertion_lags_one_step():
@@ -384,7 +386,8 @@ def _assert_log_matches_live(world, records):
         stored = [j for j, row in enumerate(rows)
                   if previous is None or _bits(row[2:5]) != _bits(previous[j][2:5])]
         assert list(ids) == stored, k
-        _assert_same_rows(zip(count, speed, entered), [rows[j][2:5] for j in stored])
+        _assert_same_rows([(count[j], speed[j], entered[j]) for j in ids],
+                          [rows[j][2:5] for j in stored])
         previous = rows
         steps += 1
     assert steps * n == len(records)
@@ -484,13 +487,14 @@ _BAND = st.tuples(
     platoon_size=st.sampled_from([1, 5]),
     route_update_interval=st.sampled_from([1, 60]),
     seed=st.integers(0, 1000),
+    stop=st.integers(0, 1000),
 )
 def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reaction_time,
-                                       platoon_size, route_update_interval, seed):
+                                       platoon_size, route_update_interval, seed, stop):
     """The columnar log reads back as the tuples each step would have logged.
 
     The link records also give the cumulative counts and MFD bins that the
-    dense tuples give.
+    dense tuples give, after a drawn number of steps and at the horizon.
 
     transfer_events, built from the trajectory passages, matches the transfers
     process_node returned during the run, and the run builds no event; the
@@ -505,6 +509,7 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
     config = SimConfig(seed=seed, duration=300.0, reaction_time=reaction_time,
                        platoon_size=platoon_size, route_update_interval=route_update_interval)
     world = build_world(config, nodes, links, demands)
+    stop = 1 + stop % world.total_steps
     names = list(world.links_by_name)
     points = defaultdict(list)
     records = []
@@ -517,6 +522,8 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
         dt = world.config.time_step
         t_next = world.clock * dt
         records.extend(_live_link_tuples(world))
+        if world.clock == stop:  # the readers on a partly run log
+            _assert_log_matches_live(world, records)
         for link in world.links:
             for platoon in link.platoons:
                 name, x_before = before.get(platoon.id, (None, 0.0))
