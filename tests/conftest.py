@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import math
 import os
+import random
 from collections import defaultdict
 
 import pytest
+from hypothesis import strategies as st
 
 from mesosim import (
     ConsistencyError,
+    DemandSpec,
     LinkSpec,
     NodeSpec,
+    SignalPlan,
     SimConfig,
     build_world,
     parse_demand,
@@ -102,6 +107,59 @@ def reaching(links: list[LinkSpec], z: str) -> set[str]:
                 found.add(link.from_node)
                 grew = True
     return found
+
+
+@st.composite
+def random_worlds(draw):
+    """A built World of 300 s on a random digraph of 2-6 nodes and at least n arcs.
+
+    The links share one free-flow speed (13.3 m/s makes u * dt inexact) and
+    each has a merge priority. A node entered by two or more links may get
+    a two-phase signal over its sorted incoming links. A demand band whose
+    origin cannot reach its destination is left out, so every draw builds.
+    """
+    n = draw(st.integers(2, 6))
+    n_arcs = min(n * (n - 1), n + draw(st.integers(0, 8)))
+    speed = draw(st.sampled_from([20.0, 13.3]))
+    links = [
+        dataclasses.replace(link, free_flow_speed=speed,
+                            merge_priority=draw(st.sampled_from([0.5, 2.0])))
+        for link in random_digraph(n, random.Random(draw(st.integers(0, 2**32 - 1))), n_arcs,
+                                   spanning_cycle=draw(st.booleans()))
+    ]
+    incoming = defaultdict(list)
+    for link in links:
+        incoming[link.to_node].append(link.name)
+    greens = st.sampled_from([20.0, 45.0])
+    nodes = []
+    for k in range(n):
+        names = sorted(incoming[f"n{k}"])
+        signal = None
+        if len(names) > 1 and draw(st.booleans()):
+            cut = draw(st.integers(1, len(names) - 1))
+            signal = SignalPlan(((draw(greens), frozenset(names[:cut])),
+                                 (draw(greens), frozenset(names[cut:]))),
+                                draw(st.sampled_from([0.0, 7.0])))
+        nodes.append(NodeSpec(f"n{k}", float(k), 0.0, signal))
+    scale = draw(st.sampled_from([1.0, 0.2, 4.0]))
+    demands = []
+    for _ in range(draw(st.integers(1, 4))):
+        o = draw(st.integers(0, n - 1))
+        origin, destination = f"n{o}", f"n{(o + draw(st.integers(1, n - 1))) % n}"
+        start = draw(st.sampled_from([0.0, 30.0, 100.0]))
+        end = start + draw(st.sampled_from([20.0, 150.0, 200.0]))
+        # Hypothesis leans to a list's first entries, so the zero flow comes last
+        flow = draw(st.sampled_from([0.3, 1.0, 0.05, 0.0])) * scale
+        if origin in reaching(links, destination):
+            demands.append(DemandSpec(origin, destination, start, end, flow))
+    config = SimConfig(
+        seed=draw(st.integers(0, 1000)), duration=300.0,
+        reaction_time=draw(st.sampled_from([1.0, 0.7])),
+        platoon_size=draw(st.sampled_from([1, 5])),
+        route_update_interval=draw(st.sampled_from([1, 7, 60])),
+        route_weight=draw(st.sampled_from([0.0, 1e-9, 0.5, 1.0])),
+    )
+    return build_world(config, nodes, links, demands)
 
 
 def reference_dist(nodes, costs, z):

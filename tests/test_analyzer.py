@@ -3,7 +3,6 @@
 import csv
 import math
 import os
-import random
 import tempfile
 from itertools import accumulate, cycle
 
@@ -36,7 +35,7 @@ from conftest import (
     UROBOROS_RING,
     chain_texts,
     make_world,
-    random_digraph,
+    random_worlds,
     single_link_texts,
 )
 
@@ -310,31 +309,21 @@ def test_tsd_skips_platoons_off_the_corridor():
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(2, 6),
-    graph_seed=st.integers(0, 2**32 - 1),
-    extra_arcs=st.integers(0, 8),
-    bands=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4), st.sampled_from([0.0, 60.0]),
-                             st.sampled_from([0.1, 0.5, 1.0])), min_size=1, max_size=4),
-    turns=st.lists(st.integers(0, 7), min_size=1, max_size=6),
-    seed=st.integers(0, 1000),
-)
-def test_tsd_matches_rows_on_random_worlds(n, graph_seed, extra_arcs, bands, turns, seed):
+@given(world=random_worlds(), turns=st.lists(st.integers(0, 7), min_size=1, max_size=6))
+def test_tsd_matches_rows_on_random_worlds(world, turns):
     """time_space_points along a drawn chain corridor equals the corridor
     points of rows(dt, names), offset by the lengths before their link.
 
     The corridor starts on a drawn link and takes a drawn outgoing link at
-    each head node until it would repeat a link; a platoon with no point on
-    it gets no polyline.
+    each head node until it would repeat a link or the head node has none;
+    a platoon with no point on it gets no polyline.
     """
-    links = random_digraph(n, random.Random(graph_seed), min(n * (n - 1), n + extra_arcs))
-    nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(n)]
-    demands = [DemandSpec(f"n{o % n}", f"n{(o + 1 + d % (n - 1)) % n}", start, start + 240.0, flow)
-               for o, d, start, flow in bands]
-    world = run(build_world(SimConfig(seed=seed, duration=300.0), nodes, links, demands))
-    corridor = [links[turns[0] % len(links)]]
+    run(world)
+    corridor = [world.links[turns[0] % len(world.links)]]
     for turn in turns[1:]:
-        onward = [link for link in links if link.from_node == corridor[-1].to_node]
+        onward = world.nodes_by_name[corridor[-1].spec.to_node].outgoing
+        if not onward:
+            break
         link = onward[turn % len(onward)]
         if link in corridor:
             break

@@ -393,15 +393,21 @@ def test_package_run_writes_outputs(tiny_scenario, tmp_path):
     _assert_module_run_writes_outputs("mesosim", tiny_scenario, tmp_path / "out")
 
 
-def test_world_error_names_demand_row(tiny_scenario):
-    # row 1 parses and builds; row 2's origin is no node, which only the World can tell
-    pathlib.Path(tiny_scenario["demand"]).write_text(
-        "orig,dest,start_t,end_t,flow\nA,B,0,10,0.5\nzz,B,0,10,0.5\n"
-    )
+@pytest.mark.parametrize("key, text, message", [
+    ("demand", "orig,dest,start_t,end_t,flow\nA,B,0,10,0.5\nzz,B,0,10,0.5\n",
+     "demand row 2: origin 'zz' is not a node"),
+    ("nodes", "name,x,y,signal\nA,0,0,\nB,1000,0,0:30:AB;30:BA\n",
+     "node B: signal permits ['BA'] which are not incoming links of this node"),
+], ids=["demand-origin", "signal-link"])
+def test_world_error_names_demand_row(tiny_scenario, key, text, message):
+    # every file parses; only the World can tell that row 2's origin is no node, or that BA leaves B
+    links = LINKS_HEADER.decode() + "AB,A,B,1000,20,0.2,\nBA,B,A,1000,20,0.2,\n"
+    pathlib.Path(tiny_scenario["links"]).write_text(links)
+    pathlib.Path(tiny_scenario[key]).write_text(text)
     result = subprocess.run([sys.executable, "-m", "mesosim", *base_args(tiny_scenario)],
                             capture_output=True, text=True)
     assert result.returncode == 1
-    assert result.stderr == "error: demand row 2: origin 'zz' is not a node\n"
+    assert result.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("bad_row, message", [

@@ -1,9 +1,7 @@
 """Step loop: phase order, demand accumulation, conservation, determinism, run log."""
 
-import dataclasses
 import math
 import os
-import random
 import struct
 import tempfile
 import tracemalloc
@@ -40,7 +38,7 @@ from conftest import (
     lattice_csvs,
     make_world,
     merge_world,
-    random_digraph,
+    random_worlds,
     single_link_texts,
     uroboros_world,
 )
@@ -315,9 +313,12 @@ def test_different_seeds_diverge():
     assert w1.log.transfer_events != w2.log.transfer_events
 
 
+_PACK = struct.Struct("<d").pack
+
+
 def _bits(row):
     """row with every float as its IEEE-754 bytes, so -0.0 and nan compare exactly."""
-    return tuple(struct.pack("<d", value) if isinstance(value, float) else value for value in row)
+    return tuple([_PACK(value) if type(value) is float else value for value in row])
 
 
 def _assert_same_rows(got, want):
@@ -470,49 +471,55 @@ def test_one_step_run():
     _assert_log_matches_live(world, records)
 
 
-_BAND = st.tuples(
-    st.integers(0, 5), st.integers(0, 4),
-    st.sampled_from([0.0, 30.0, 100.0]), st.sampled_from([20.0, 150.0, 200.0]),
-    st.sampled_from([0.05, 0.3, 1.0]),
-)
+def _assert_table_lines(path, want: str):
+    """The lines of the CSV table at path, after its header, are want's, in order."""
+    with open(path, encoding="utf-8") as f:
+        got = f.read().splitlines()[1:]
+    want = want.splitlines()
+    for k, (line, wanted) in enumerate(zip(got, want)):  # no diff of the whole tables
+        assert line == wanted, k
+    assert len(got) == len(want)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(2, 6),
-    graph_seed=st.integers(0, 2**32 - 1),
-    extra_arcs=st.integers(0, 8),
-    bands=st.lists(_BAND, min_size=1, max_size=4),
-    reaction_time=st.sampled_from([1.0, 0.7]),
-    platoon_size=st.sampled_from([1, 5]),
-    route_update_interval=st.sampled_from([1, 60]),
-    seed=st.integers(0, 1000),
+    world=random_worlds(),
     stop=st.integers(0, 1000),
+    # two branches of three keep the engine's speeds, so most runs do
+    speeds=st.none() | st.none() | st.lists(st.sampled_from([None, 0.0, 7.5]), max_size=6),
 )
-def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reaction_time,
-                                       platoon_size, route_update_interval, seed, stop):
-    """The columnar log reads back as the tuples each step would have logged.
+def test_log_columns_match_step_tuples(world, stop, speeds):
+    """The run log reads back as what each step left in the live state.
 
-    The link records also give the cumulative counts and MFD bins that the
-    dense tuples give, after a drawn number of steps and at the horizon.
+    Link records give the dense tuples every step would have logged:
+    link_rows(), links.csv, cumulative_counts and the MFD bins, after a
+    drawn number of steps and at the horizon. Each trajectory's rows, and
+    vehicles.csv, give as IEEE bytes its platoon's time, link, position and
+    speed after every step it spent on a link; rows() takes the positions
+    from replay().
 
     transfer_events, built from the trajectory passages, matches the transfers
     process_node returned during the run, and the run builds no event; the
     arrivals it returned match each arrived platoon's arrival time.
+
+    Unless speeds is None, each link update's mean speed is replaced in turn
+    by the next of speeds (None keeps it), on links that hold platoons, so
+    records that differ only in their speed are common. No speed is -0.0,
+    which the engine cannot make (see conftest.scan_signs).
     """
-    links = random_digraph(n, random.Random(graph_seed), min(n * (n - 1), n + extra_arcs))
-    nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(n)]
-    demands = [
-        DemandSpec(f"n{o % n}", f"n{(o + 1 + d % (n - 1)) % n}", start, start + width, flow)
-        for o, d, start, width, flow in bands
-    ]
-    config = SimConfig(seed=seed, duration=300.0, reaction_time=reaction_time,
-                       platoon_size=platoon_size, route_update_interval=route_update_interval)
-    world = build_world(config, nodes, links, demands)
     stop = 1 + stop % world.total_steps
     names = list(world.links_by_name)
     points = defaultdict(list)
     records = []
+    replacements = cycle(speeds or [None])
+    update_link = engine.update_link
+
+    def replacing_update(link, dt):
+        update_link(link, dt)
+        speed = next(replacements)
+        if speed is not None and link.platoons:
+            link.mean_speed = speed
+        return link
 
     def logging_step(world):
         # a platoon's speed is its move on one link over the step; one that
@@ -550,6 +557,7 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
         raise AssertionError("run built a TransferEvent")
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "update_link", replacing_update)
         patch.setattr(engine, "step", logging_step)
         patch.setattr(node_transfer, "process_node", capturing_process_node)
         patch.setattr(engine, "TransferEvent", no_event)
@@ -571,141 +579,19 @@ def test_log_columns_match_step_tuples(n, graph_seed, extra_arcs, bands, reactio
             assert starts[0] == 0
             assert all(a < b for a, b in zip(starts, starts[1:]))
             assert starts[-1] < len(trajectory)
-
-
-def _assert_table_lines(path, want: str):
-    """The lines of the CSV table at path, after its header, are want's, in order."""
-    with open(path, encoding="utf-8") as f:
-        got = f.read().splitlines()[1:]
-    want = want.splitlines()
-    for k, (line, wanted) in enumerate(zip(got, want)):  # no diff of the whole tables
-        assert line == wanted, k
-    assert len(got) == len(want)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(2, 6),
-    graph_seed=st.integers(0, 2**32 - 1),
-    extra_arcs=st.integers(0, 8),
-    bands=st.lists(_BAND, min_size=1, max_size=4),
-    speeds=st.lists(st.sampled_from([None, 0.0, 7.5]), min_size=1, max_size=6),
-    platoon_size=st.sampled_from([1, 5]),
-    seed=st.integers(0, 1000),
-)
-def test_changes_only_log_reads_back_as_dense_step_tuples(n, graph_seed, extra_arcs, bands,
-                                                         speeds, platoon_size, seed):
-    """A log that stores a link record only when it changes, and a hop as a
-    run header, reads back as the tuples every step would have logged:
-    link_rows(), links.csv, cumulative_counts, mfd_points and vehicles.csv.
-
-    Each link update's mean speed is replaced in turn by the next of speeds
-    (None keeps it), on links that hold platoons, so records that differ
-    only in their speed are common. No speed is -0.0, which the engine
-    cannot make (see conftest.scan_signs).
-    """
-    links = random_digraph(n, random.Random(graph_seed), min(n * (n - 1), n + extra_arcs))
-    nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(n)]
-    demands = [
-        DemandSpec(f"n{o % n}", f"n{(o + 1 + d % (n - 1)) % n}", start, start + width, flow)
-        for o, d, start, width, flow in bands
-    ]
-    config = SimConfig(seed=seed, duration=300.0, platoon_size=platoon_size)
-    world = build_world(config, nodes, links, demands)
-    replacements = cycle(speeds)
-    update_link = engine.update_link
-
-    def replacing_update(link, dt):
-        update_link(link, dt)
-        speed = next(replacements)
-        if speed is not None and link.platoons:
-            link.mean_speed = speed
-        return link
-
-    records = []
-    points = defaultdict(list)
-
-    def logging_step(world):
-        before = {p.id: (link.name, p.x) for link in world.links for p in link.platoons}
-        step(world)
-        dt = world.config.time_step
-        records.extend(_live_link_tuples(world))
-        for link in world.links:
-            for platoon in link.platoons:
-                name, x_before = before.get(platoon.id, (None, 0.0))
-                v = (platoon.x - (x_before if name == link.name else 0.0)) / dt
-                points[platoon.id].append((world.clock, link.name, platoon.x, v))
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "update_link", replacing_update)
-        patch.setattr(engine, "step", logging_step)
-        run(world)
-    _assert_log_matches_live(world, records)
-    dn = platoon_size
-    dt = world.log.dt
+    dn = world.config.platoon_size
     links_csv = "".join(
         f"{_fmt(t)},{name},{c * dn},{_fmt(v)},{a * dn},{d * dn}\n"
         for t, name, c, v, a, d in records
     )
     vehicles_csv = "".join(
-        f"{_fmt(clock * dt)},{p.id},{p.origin},{p.destination},{name},{_fmt(x)},{_fmt(v)}\n"
-        for p in world.platoons for clock, name, x, v in points[p.id]
+        f"{_fmt(t)},{p.id},{p.origin},{p.destination},{name},{_fmt(x)},{_fmt(v)}\n"
+        for p in world.platoons for t, name, x, v in points[p.id]
     )
     with tempfile.TemporaryDirectory() as tmp:
         export_csv(world.log, world, tmp)
         _assert_table_lines(os.path.join(tmp, "links.csv"), links_csv)
         _assert_table_lines(os.path.join(tmp, "vehicles.csv"), vehicles_csv)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(2, 6),
-    graph_seed=st.integers(0, 2**32 - 1),
-    extra_arcs=st.integers(0, 8),
-    bands=st.lists(_BAND, min_size=1, max_size=4),
-    demand_scale=st.sampled_from([0.2, 1.0, 4.0]),
-    speed=st.sampled_from([20.0, 13.3]),
-    reaction_time=st.sampled_from([1.0, 0.7]),
-    platoon_size=st.sampled_from([1, 5]),
-    seed=st.integers(0, 1000),
-)
-def test_trajectory_positions_match_step_positions(n, graph_seed, extra_arcs, bands, demand_scale,
-                                                   speed, reaction_time, platoon_size, seed):
-    """Each trajectory replays, as IEEE bytes, the position its platoon held
-    after every step it spent on a link: from the step that inserted it,
-    across each hop, to its arrival or the horizon.
-
-    At 13.3 m/s, u * dt is inexact for three of the four step widths, so
-    k free steps add up to other floats than k * u * dt.
-    """
-    links = [
-        dataclasses.replace(link, free_flow_speed=speed)
-        for link in random_digraph(n, random.Random(graph_seed), min(n * (n - 1), n + extra_arcs))
-    ]
-    nodes = [NodeSpec(name=f"n{k}", x=float(k), y=0.0) for k in range(n)]
-    demands = [
-        DemandSpec(f"n{o % n}", f"n{(o + 1 + d % (n - 1)) % n}", start, start + width,
-                   flow * demand_scale)
-        for o, d, start, width, flow in bands
-    ]
-    config = SimConfig(seed=seed, duration=300.0, reaction_time=reaction_time,
-                       platoon_size=platoon_size)
-    world = build_world(config, nodes, links, demands)
-    positions = defaultdict(list)
-
-    def logging_step(world):
-        step(world)
-        for link in world.links:
-            for platoon in link.platoons:
-                positions[platoon.id].append((platoon.x,))
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "step", logging_step)
-        run(world)
-    for platoon in world.platoons:
-        trajectory = platoon.trajectory
-        _assert_same_rows(((x,) for x in trajectory.replay()[0]), positions[platoon.id])
-        assert len(trajectory) == len(positions[platoon.id])
 
 
 # bytes a run may retain per trajectory point plus per link record: on
