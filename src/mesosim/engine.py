@@ -215,10 +215,10 @@ class World:
             for end, name in (("from", spec.from_node), ("to", spec.to_node)):
                 if name not in node_names:
                     raise UnknownNode(f"link {link.name}: unknown {end} node {name!r}")
-            if link.length < link.spacing:
+            if link.length <= link.spacing:
                 raise ValidationError(
-                    f"link {link.name}: length {link.length} m cannot hold one platoon "
-                    f"(needs at least {link.spacing} m)"
+                    f"link {link.name}: length {link.length} m cannot admit one platoon "
+                    f"(needs more than {link.spacing} m)"
                 )
             self.links_by_name[link.name] = link
         self.links = list(self.links_by_name.values())

@@ -100,10 +100,10 @@ class AttractivenessTable:
         """The weights of node's outgoing links, in order, every refresh applied.
 
         Each pending tree, in order, scales a value by keep = 1 - lam and adds
-        lam on the tree: bitwise the two-term blend keep * old + lam * b for
-        lam and values in [0, 1]. Each result must land between its two
-        inputs, within _CONVEXITY_TOL. The values and the node's applied
-        count are stored.
+        lam on the tree: bitwise keep * old + lam * b for lam and values in
+        [0, 1], where rows start and stay. Each result must lie in [old, 1.0]
+        on the tree and in [0.0, old] off it, within _CONVEXITY_TOL. The
+        values and the node's applied count are stored.
         """
         values = row.values
         trees = row.trees
@@ -120,10 +120,10 @@ class AttractivenessTable:
                     old = value
                     if tree & bit:
                         value = keep * old + lam
-                        lo, hi = (old, 1.0) if old <= 1.0 else (1.0, old)
+                        lo, hi = old, 1.0
                     else:
                         value = keep * old
-                        lo, hi = (old, 0.0) if old <= 0.0 else (0.0, old)
+                        lo, hi = 0.0, old
                     if value < lo - _CONVEXITY_TOL or value > hi + _CONVEXITY_TOL:
                         raise ConsistencyError(
                             f"attractiveness update left [{lo}, {hi}]: {value} for link id {j}"

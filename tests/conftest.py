@@ -296,8 +296,7 @@ def scan_attractiveness(world):
     table = world.attractiveness
     for z in table.B:
         for value in table.row(z):
-            assert math.isfinite(value)
-            assert -1e-9 <= value <= 1.0 + 1e-9
+            assert 0.0 <= value <= 1.0, (z, value)
 
 
 def scan_signals(world):

@@ -71,25 +71,6 @@ def test_select_order_is_a_permutation():
         assert sorted(order) == items
 
 
-def test_select_order_symmetric_weights():
-    rng = random.Random(3)
-    firsts = sum(
-        select_incoming_order(["a", "b"], [1.0, 1.0], rng)[0] == "a"
-        for _ in range(10000)
-    )
-    assert firsts / 10000 == pytest.approx(0.5, abs=0.02)
-
-
-def test_select_order_weighted_firsts():
-    # 2 / (2 + 0.5) = 0.8
-    rng = random.Random(4)
-    firsts = sum(
-        select_incoming_order(["hi", "lo"], [2.0, 0.5], rng)[0] == "hi"
-        for _ in range(10000)
-    )
-    assert firsts / 10000 == pytest.approx(0.8, abs=0.02)
-
-
 TWO_PHASE = SignalPlan(phases=((30.0, frozenset({"A"})), (30.0, frozenset({"B"}))))
 
 

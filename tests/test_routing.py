@@ -143,8 +143,9 @@ def test_tree_matches_two_pass_indicator(n, spanning_cycle, seed, data):
     states = [LinkState(link, 5) for link in links]
     names = [f"n{i}" for i in range(n)]
     nodes = node_index(states, *(NodeSpec(name=name, x=0.0, y=0.0) for name in names))
-    # few distinct, exactly summing costs make ties common
-    costs = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    # few distinct, exactly summing costs make ties common; 1e-300 vanishes
+    # in a sum and 1e300 swamps every smaller cost, making more; inf reaches
+    costs = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 1e-300, 1e300, math.inf]),
                                min_size=len(states), max_size=len(states)))
     for z in names:
         dist, next_link = tree_by_name(nodes, costs, z)
@@ -215,41 +216,14 @@ def blend_once(prev, chosen, lam):
     return table.row("z")
 
 
-def test_update_blends_halfway():
-    assert blend_once([1.0], [], 0.5) == [0.5]
-
-
-def test_update_full_weight_copies_indicator():
-    assert blend_once([0.3, 0.7], [0], 1.0) == [1.0, 0.0]
-
-
-def test_update_zero_weight_keeps_previous():
-    prev = [0.3, 0.7]
-    assert blend_once(prev, [0], 0.0) == prev
-
-
-def test_update_covers_every_link():
-    out = blend_once([1.0, 0.0], [1], 0.5)
-    assert out == [0.5, 0.5]
-
-
-def test_update_outside_unit_weight_raises():
-    with pytest.raises(ConsistencyError):
-        blend_once([1.0, 0.0], [1], 1.5)
-
-
-@settings(max_examples=120)
-@given(
-    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=5, max_size=5),
-    st.lists(st.sampled_from([0, 1]), min_size=5, max_size=5),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-def test_update_stays_convex(prev, b, lam):
-    out = blend_once(prev, [k for k, mark in enumerate(b) if mark], lam)
-    for key, value in enumerate(out):
-        lo = min(prev[key], float(b[key]))
-        hi = max(prev[key], float(b[key]))
-        assert lo - 1e-12 <= value <= hi + 1e-12
+@pytest.mark.parametrize("prev, chosen, lam, expected", [
+    pytest.param([1.0], [], 0.5, [0.5], id="halfway"),
+    pytest.param([0.3, 0.7], [0], 1.0, [1.0, 0.0], id="full-weight-copies-tree"),
+    pytest.param([0.3, 0.7], [0], 0.0, [0.3, 0.7], id="zero-weight-keeps-row"),
+    pytest.param([1.0, 0.0], [1], 0.5, [0.5, 0.5], id="every-link-moves"),
+])
+def test_blend_hand_cases(prev, chosen, lam, expected):
+    assert blend_once(prev, chosen, lam) == expected
 
 
 # rows hold +0.0, 1.0 and subnormals often, and any other float in [0, 1]
@@ -266,19 +240,6 @@ UNIT_WEIGHTS = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
 
 def _hex_row(row):
     return [value.hex() for value in row]
-
-
-@settings(max_examples=300)
-@given(
-    prev=st.lists(UNIT_FLOATS, max_size=40),
-    lam=UNIT_WEIGHTS,
-    data=st.data(),
-)
-def test_blend_row_matches_reference_bitwise(prev, lam, data):
-    ids = st.integers(0, len(prev) - 1) if prev else st.nothing()
-    chosen = data.draw(st.lists(ids, unique=True))
-    expected = reference_blend_row(prev, chosen, lam)
-    assert _hex_row(blend_once(prev, chosen, lam)) == _hex_row(expected)
 
 
 @pytest.mark.parametrize("lam", [1.5, -0.5])
@@ -394,31 +355,6 @@ def test_history_stays_bounded_and_rows_match_eager_blend(monkeypatch):
                 assert _hex_row(table.row(z)) == _hex_row(eager[z]), (records, z)
     assert world.clock == steps
     assert sum(link.entered_count for link in world.links) > 0
-
-
-def _sample_share(row, draws=10000, seed=11):
-    table, nodes = hand_table(row)
-    node = nodes["t0"]
-    rng = random.Random(seed)
-    p = Platoon(0, "t0", "z", 0.0)
-    hits = sum(choose_outgoing(p, node, table, rng) is node.outgoing[0] for _ in range(draws))
-    return hits / draws
-
-
-def test_choose_symmetric_row():
-    assert _sample_share([0.5, 0.5]) == pytest.approx(0.5, abs=0.02)
-
-
-def test_choose_degenerate_row_always_wins():
-    table, nodes = hand_table([1.0, 0.0])
-    node = nodes["t0"]
-    rng = random.Random(12)
-    p = Platoon(0, "t0", "z", 0.0)
-    assert all(choose_outgoing(p, node, table, rng) is node.outgoing[0] for _ in range(200))
-
-
-def test_choose_weighted_row():
-    assert _sample_share([0.75, 0.25]) == pytest.approx(0.75, abs=0.02)
 
 
 def test_choose_single_candidate_needs_no_rng():
@@ -570,28 +506,6 @@ def _refresh_world(**config):
     nodes, links = single_link_texts()
     demand = "orig,dest,start_t,end_t,flow\nA,B,0,100,0.4\n"
     return make_world(nodes, links, demand, **config)
-
-
-def test_refresh_on_cadence():
-    world = _refresh_world(route_update_interval=120)
-    table = world.attractiveness
-    assert table.tree_computations == 1  # free-flow initialization
-    maybe_refresh(world, 240)
-    assert table.tree_computations == 2
-
-
-def test_refresh_off_cadence_is_noop():
-    world = _refresh_world(route_update_interval=120)
-    before = world.attractiveness.row("B")
-    maybe_refresh(world, 241)
-    assert world.attractiveness.tree_computations == 1
-    assert world.attractiveness.row("B") == before
-
-
-def test_refresh_at_step_zero():
-    world = _refresh_world(route_update_interval=120)
-    maybe_refresh(world, 0)
-    assert world.attractiveness.tree_computations == 2
 
 
 def test_refresh_count_over_run():

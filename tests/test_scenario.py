@@ -432,11 +432,21 @@ def test_build_world_caps_total_platoons():
         make_world(nodes, links, "orig,dest,start_t,end_t,flow\nA,B,0,10,1e300\n")
 
 
-def test_build_world_link_too_short_for_platoon():
-    # jam spacing 5 m times 5 vehicles needs 25 m of storage
-    nodes, links = single_link_texts(length=20.0)
-    with pytest.raises(ValidationError):
+@pytest.mark.parametrize("length", [20.0, 25.0])
+def test_build_world_link_too_short_for_platoon(length):
+    # jam spacing 5 m times 5 vehicles is 25 m, and the node rule admits a
+    # platoon only where the entrance room is strictly more than that
+    nodes, links = single_link_texts(length=length)
+    with pytest.raises(ValidationError, match="needs more than 25.0 m"):
         make_world(nodes, links, "orig,dest,start_t,end_t,flow\n")
+
+
+def test_link_just_over_one_platoon_delivers():
+    link = LinkSpec("AB", "A", "B", 25.000001, 20.0, 0.2)
+    world = run(build_world(SimConfig(duration=600.0),
+                            [NodeSpec("A", 0.0, 0.0), NodeSpec("B", 25.0, 0.0)],
+                            [link], [DemandSpec("A", "B", 0.0, 100.0, 0.5)]))
+    assert world.counts()["arrived"] == world.counts()["generated"] == 10
 
 
 def test_build_world_demand_beyond_horizon():
