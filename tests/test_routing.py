@@ -226,6 +226,25 @@ def test_blend_hand_cases(prev, chosen, lam, expected):
     assert blend_once(prev, chosen, lam) == expected
 
 
+def test_update_outside_unit_weight_raises():
+    with pytest.raises(ConsistencyError):
+        blend_once([1.0, 0.0], [1], 1.5)
+
+
+@settings(max_examples=120)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=5, max_size=5),
+    st.lists(st.sampled_from([0, 1]), min_size=5, max_size=5),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_update_stays_convex(prev, b, lam):
+    out = blend_once(prev, [k for k, mark in enumerate(b) if mark], lam)
+    for key, value in enumerate(out):
+        lo = min(prev[key], float(b[key]))
+        hi = max(prev[key], float(b[key]))
+        assert lo - 1e-12 <= value <= hi + 1e-12
+
+
 # rows hold +0.0, 1.0 and subnormals often, and any other float in [0, 1]
 UNIT_FLOATS = st.one_of(
     st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072009e-308, 0.5]),
@@ -240,6 +259,19 @@ UNIT_WEIGHTS = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]),
 
 def _hex_row(row):
     return [value.hex() for value in row]
+
+
+@settings(max_examples=300)
+@given(
+    prev=st.lists(UNIT_FLOATS, max_size=40),
+    lam=UNIT_WEIGHTS,
+    data=st.data(),
+)
+def test_blend_row_matches_reference_bitwise(prev, lam, data):
+    ids = st.integers(0, len(prev) - 1) if prev else st.nothing()
+    chosen = data.draw(st.lists(ids, unique=True))
+    expected = reference_blend_row(prev, chosen, lam)
+    assert _hex_row(blend_once(prev, chosen, lam)) == _hex_row(expected)
 
 
 @pytest.mark.parametrize("lam", [1.5, -0.5])
@@ -506,6 +538,28 @@ def _refresh_world(**config):
     nodes, links = single_link_texts()
     demand = "orig,dest,start_t,end_t,flow\nA,B,0,100,0.4\n"
     return make_world(nodes, links, demand, **config)
+
+
+def test_refresh_on_cadence():
+    world = _refresh_world(route_update_interval=120)
+    table = world.attractiveness
+    assert table.tree_computations == 1  # free-flow initialization
+    maybe_refresh(world, 240)
+    assert table.tree_computations == 2
+
+
+def test_refresh_off_cadence_is_noop():
+    world = _refresh_world(route_update_interval=120)
+    before = world.attractiveness.row("B")
+    maybe_refresh(world, 241)
+    assert world.attractiveness.tree_computations == 1
+    assert world.attractiveness.row("B") == before
+
+
+def test_refresh_at_step_zero():
+    world = _refresh_world(route_update_interval=120)
+    maybe_refresh(world, 0)
+    assert world.attractiveness.tree_computations == 2
 
 
 def test_refresh_count_over_run():
